@@ -6,9 +6,12 @@ plus an optional string "id".  Batches stream as NDJSON (one object per
 line); a single pretty-printed object or a top-level array also works.
 
 Output is deterministic byte-for-byte: keys appear in fixed order and reals
-are printed with 17 significant digits, so re-runs and multi-threaded runs
-compare equal.  Exit codes: 0 success, 2 input error, 3 usage error,
-4 internal invariant violation.
+are printed with 17 significant digits, so re-runs compare equal.  Records
+are processed one after another on a single path; --threads and LBO_THREADS
+are still accepted for compatibility and have no effect.  Exit codes:
+0 success, 2 input error, 3 usage error, 4 internal invariant violation.  A
+record that fails with an input error or an invariant violation is emitted
+as an error record and the batch continues; 4 wins over 2 in the exit code.
 
 Flags can be seeded from the environment with the LBO_ prefix (LBO_TOL,
 LBO_SEED, LBO_SAMPLES, LBO_R, LBO_FORMAT, LBO_THREADS); explicit flags win.
@@ -19,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -47,12 +49,14 @@ from .rslice import (
     slice_topology,
 )
 from .stabilizer import (
+    STACK_PARAMETERS,
     Family,
     SubspaceLabel,
     classify_invariant_subspace,
     degenerate_base,
     degenerate_invariant_plane,
     fixing_residual,
+    generator_stack,
     neutral_base,
     neutral_invariant_plane,
     null_rotation_a,
@@ -71,12 +75,9 @@ from .wedge import (
     wedge,
 )
 
-_CHUNK = 256
 # Residuals past this ceiling (scaled by witness conditioning) indicate a bug,
 # not an input problem, and map to exit code 4.
 _BUG_CEILING = 1e-6
-
-_STAB_PARAMS = (-0.9, -0.3, 0.3, 0.9)
 
 
 class _UsageError(Exception):
@@ -95,8 +96,49 @@ class _Parser(argparse.ArgumentParser):
 # --- deterministic serialisation ------------------------------------------
 
 
+# Encoded '"key":' prefixes of str keys; records reuse a few dozen, the cap bounds the rest.
+_KEYS: dict = {}
+_MAX_KEYS = 256
+
+
+def _write_object(obj, out: list) -> None:
+    out.append("{")
+    first = True
+    for k, v in obj.items():
+        if not first:
+            out.append(",")
+        first = False
+        key = _KEYS.get(k)
+        if key is None:
+            key = json.dumps(str(k)) + ":"
+            if type(k) is str and len(_KEYS) < _MAX_KEYS:
+                _KEYS[k] = key
+        out.append(key)
+        _write_json(v, out)
+    out.append("}")
+
+
+def _write_array(obj, out: list) -> None:
+    out.append("[")
+    first = True
+    for v in obj:
+        if not first:
+            out.append(",")
+        first = False
+        _write_json(v, out)
+    out.append("]")
+
+
 def _write_json(obj, out: list) -> None:
-    if obj is None:
+    # exact types of nearly every value first, then the general isinstance chain
+    t = type(obj)
+    if t is float:
+        out.append(format(obj, ".17g") if obj != 0.0 else "0")  # collapses negative zero
+    elif t is dict:
+        _write_object(obj, out)
+    elif t is list:
+        _write_array(obj, out)
+    elif obj is None:
         out.append("null")
     elif obj is True:
         out.append("true")
@@ -112,27 +154,11 @@ def _write_json(obj, out: list) -> None:
             f = 0.0  # collapse negative zero
         out.append(format(f, ".17g"))
     elif isinstance(obj, dict):
-        out.append("{")
-        first = True
-        for k, v in obj.items():
-            if not first:
-                out.append(",")
-            first = False
-            out.append(json.dumps(str(k)))
-            out.append(":")
-            _write_json(v, out)
-        out.append("}")
+        _write_object(obj, out)
     elif isinstance(obj, np.ndarray):
         _write_json(obj.tolist(), out)
     elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        first = True
-        for v in obj:
-            if not first:
-                out.append(",")
-            first = False
-            _write_json(v, out)
-        out.append("]")
+        _write_array(obj, out)
     else:
         raise TypeError(f"cannot serialise {type(obj)!r}")
 
@@ -223,23 +249,6 @@ def _iter_raw(stream):
             yield doc
 
 
-def _map_ordered(worker, items, threads: int):
-    """Apply worker preserving order; bounded memory for streams."""
-    if threads <= 1:
-        for item in items:
-            yield worker(item)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        batch = []
-        for item in items:
-            batch.append(item)
-            if len(batch) >= _CHUNK:
-                yield from ex.map(worker, batch)
-                batch = []
-        if batch:
-            yield from ex.map(worker, batch)
-
-
 # --- per-record reports ---------------------------------------------------
 
 
@@ -272,7 +281,7 @@ def _classify_one(rid, w, tol: ToleranceConfig, r_query):
     recon = float(np.linalg.norm(reconstruct(form) - w) / np.linalg.norm(w))
     rep_residual = None
     if klass.kind != OrbitKind.DEGENERATE:
-        rep, witness = canonical_representative(w, tol)
+        rep, witness = canonical_representative(w, tol, form=form, klass=klass)
         expected = normal_form_bivector(klass.r0, klass.epsilon)
         rep_residual = float(np.linalg.norm(rep - expected) / max(klass.r0, 1.0))
         if rep_residual > _BUG_CEILING * _witness_scale(witness):
@@ -310,7 +319,7 @@ def _canonical_one(rid, w, tol: ToleranceConfig):
     rec["phi"] = form.phi
     rec["basis"] = [float(v) for v in form.basis.ravel()]
     try:
-        rep, witness = canonical_representative(w, tol)
+        rep, witness = canonical_representative(w, tol, form=form)
         rec["representative"] = [float(v) for v in rep]
         rec["witness"] = [float(v) for v in witness.ravel()]
     except DegenerateOrbitError:
@@ -351,19 +360,15 @@ def _stabilizer_one(rid, w, tol: ToleranceConfig):
         form = canonical_form(w, tol)
         conj, conj_inv = form.basis, lorentz_inverse(form.basis)
     else:
-        _, witness = canonical_representative(w, tol)
+        _, witness = canonical_representative(w, tol, klass=klass)
         conj, conj_inv = lorentz_inverse(witness), witness
-    families = []
-    worst = 0.0
-    for t in _STAB_PARAMS:
-        for elem in stabilizer_generators(klass.kind, t):
-            res = fixing_residual(conj @ elem.matrix @ conj_inv, w)
-            worst = max(worst, res)
-            families.append(
-                {"family": elem.family.value, "parameter": t, "fixing_residual": res}
-            )
-    rec["families"] = families
-    rec["max_residual"] = worst
+    stack, labels = generator_stack(klass.kind)
+    residuals = fixing_residual(conj @ stack @ conj_inv, w).tolist()
+    rec["families"] = [
+        {"family": family.value, "parameter": t, "fixing_residual": res}
+        for (family, t), res in zip(labels, residuals)
+    ]
+    rec["max_residual"] = max([0.0, *residuals])
     return rec
 
 
@@ -440,7 +445,7 @@ def _suite_frames(samples, seed, tol):
 
 def _suite_stabilizer(samples, seed, tol):
     worst_fix = 0.0
-    for t in _STAB_PARAMS:
+    for t in STACK_PARAMETERS:
         for elem in stabilizer_generators(OrbitKind.NEUTRAL_PLUS, t):
             worst_fix = max(worst_fix, fixing_residual(elem.matrix, neutral_base(1.0, 1)))
             worst_fix = max(worst_fix, fixing_residual(elem.matrix, neutral_base(2.5, -1)))
@@ -585,40 +590,45 @@ def _tolerance(args) -> ToleranceConfig:
 
 def _run_batch(args, one) -> int:
     tol = _tolerance(args)
-    had_error = False
+    code = 0
 
-    def worker(indexed):
-        idx, raw = indexed
-        if isinstance(raw, _InputError):
-            return {"id": None, "error": str(raw)}, True
-        try:
-            rid, w = _decode_record(raw)
-        except _InputError as exc:
-            rid = raw.get("id") if isinstance(raw, dict) and isinstance(raw.get("id"), str) else None
-            return {"id": rid, "error": str(exc)}, True
-        return one(rid, w, tol), False
+    def records(stream):
+        # one failed record becomes an error record; the batch goes on
+        nonlocal code
+        for raw in _iter_raw(stream):
+            if isinstance(raw, _InputError):
+                code = max(code, 2)
+                yield {"id": None, "error": str(raw)}
+                continue
+            try:
+                rid, w = _decode_record(raw)
+            except _InputError as exc:
+                code = max(code, 2)
+                rid = raw.get("id") if isinstance(raw, dict) and isinstance(raw.get("id"), str) else None
+                yield {"id": rid, "error": str(exc)}
+                continue
+            try:
+                rec = one(rid, w, tol)
+            except InvariantViolationError as exc:
+                code = 4
+                message = f"invariant violation: {exc}"
+                print(message, file=sys.stderr)
+                rec = {"id": rid, "error": message}
+            yield rec
 
     stream = _open_input(args)
     try:
-        items = enumerate(_iter_raw(stream))
-
-        def gen():
-            nonlocal had_error
-            for rec, is_err in _map_ordered(worker, items, args.threads):
-                had_error = had_error or is_err
-                yield rec
-
         if args.format == "ndjson":
-            _emit(gen(), "ndjson", sys.stdout)
+            _emit(records(stream), "ndjson", sys.stdout)
         else:
-            _emit(list(gen()), args.format, sys.stdout)
+            _emit(list(records(stream)), args.format, sys.stdout)
     except json.JSONDecodeError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     finally:
         if stream is not sys.stdin:
             stream.close()
-    return 2 if had_error else 0
+    return code
 
 
 def _cmd_classify(args) -> int:
@@ -704,7 +714,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--in", dest="infile", default=None, help="input file (default stdin)")
         p.add_argument("--format", choices=("ndjson", "json", "table"), default=fmt_default)
         p.add_argument("--tol", type=float, default=tol_default)
-        p.add_argument("--threads", type=int, default=threads_default)
+        p.add_argument(
+            "--threads", type=int, default=threads_default, help="kept for compatibility; no effect"
+        )
         return p
 
     p = add_batch("classify", "orbit class, invariants and diagnostics per record")

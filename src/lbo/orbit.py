@@ -108,6 +108,13 @@ class CanonicalForm:
     basis: np.ndarray
 
 
+def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.cross of two 3-vectors in closed form: the same products and differences."""
+    x0, x1, x2 = x.tolist()
+    y0, y1, y2 = y.tolist()
+    return np.array([x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0])
+
+
 def canonical_form(w, tol: ToleranceConfig = DEFAULT_TOL) -> CanonicalForm:
     """Reduce a light-cone bivector to the one-angle normal form.
 
@@ -129,7 +136,7 @@ def canonical_form(w, tol: ToleranceConfig = DEFAULT_TOL) -> CanonicalForm:
     phi = float(np.arccos(cos_phi))
 
     u3 = b / np.linalg.norm(b)
-    cross = np.cross(b, a)
+    cross = _cross(b, a)
     cross_norm = np.linalg.norm(cross)
     if cross_norm > tol.abs_tol * spatial:
         u2 = cross / cross_norm
@@ -141,7 +148,7 @@ def canonical_form(w, tol: ToleranceConfig = DEFAULT_TOL) -> CanonicalForm:
                 break
         v = axis - (axis @ u3) * u3
         u2 = v / np.linalg.norm(v)
-    u1 = np.cross(u2, u3)
+    u1 = _cross(u2, u3)
 
     basis = np.eye(4)
     basis[:3, :3] = np.column_stack([u1, u2, u3])
@@ -188,7 +195,13 @@ def orbit_class(w, tol: ToleranceConfig = DEFAULT_TOL) -> OrbitClass:
     return OrbitClass(OrbitKind.NEUTRAL_MINUS, float(np.sqrt(-pf)), -1)
 
 
-def canonical_representative(w, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def canonical_representative(
+    w,
+    tol: ToleranceConfig = DEFAULT_TOL,
+    *,
+    form: CanonicalForm | None = None,
+    klass: OrbitClass | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Carry a neutral bivector to its reduced element; returns (element, witness).
 
     After the basis reduction, a rotation in the 1-3 plane by half the angle
@@ -198,11 +211,16 @@ def canonical_representative(w, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.
     turn and the rapidity uses the cotangent.  The witness is the accumulated
     Lorentz matrix, so pushing w through it yields the returned element
     r0 * (e1^e2 + epsilon * e3^e4).
+
+    A caller that already holds canonical_form(w, tol) or orbit_class(w, tol)
+    passes it as form or klass, and it is not computed again.
     """
-    klass = orbit_class(w, tol)
+    if klass is None:
+        klass = orbit_class(w, tol)
     if klass.kind == OrbitKind.DEGENERATE:
         raise DegenerateOrbitError("degenerate orbits contain no fully reduced element")
-    form = canonical_form(w, tol)
+    if form is None:
+        form = canonical_form(w, tol)
     half = 0.5 * form.phi
     if form.phi < np.pi / 2:
         theta, t = half, float(np.arctanh(np.tan(half)))

@@ -33,7 +33,7 @@ from .minkowski import (
     rotation_matrix,
 )
 from .orbit import OrbitClass, OrbitKind, base_point, normal_form_bivector, tangent_frame
-from .wedge import _apply, as_bivector, from_null_basis, lie_pushforward_matrix
+from .wedge import _compound, as_bivector, from_null_basis, lie_pushforward_matrix
 
 # Span-comparison ceiling for subspace membership and equality tests.
 _SPAN_TOL = 1e-8
@@ -146,10 +146,39 @@ def stabilizer_generators(kind: str, parameter: float) -> list[StabilizerElement
     return [stabilizer_element(f, parameter) for f in fams]
 
 
-def fixing_residual(P, w) -> float:
-    """Relative residual of the pushforward of w by P against w itself."""
+# Parameters of the generator stacks, in stacking order.
+STACK_PARAMETERS = (-0.9, -0.3, 0.3, 0.9)
+_STACKS: dict = {}
+
+
+def generator_stack(kind: str) -> tuple[np.ndarray, tuple]:
+    """stabilizer_generators(kind, t) for every t in STACK_PARAMETERS, as one array.
+
+    Returns (stack, labels): a read-only (n, 4, 4) array (12 neutral or 8
+    degenerate matrices) and the (family, parameter) pair of each.  Built on
+    first use and shared by both neutral kinds.
+    """
+    degenerate = kind == OrbitKind.DEGENERATE
+    if degenerate not in _STACKS:
+        elems = [e for t in STACK_PARAMETERS for e in stabilizer_generators(kind, t)]
+        stack = np.array([e.matrix for e in elems])
+        stack.flags.writeable = False
+        _STACKS[degenerate] = stack, tuple((e.family, e.parameter) for e in elems)
+    return _STACKS[degenerate]
+
+
+def fixing_residual(P, w) -> float | np.ndarray:
+    """Relative residual of the pushforward of w by P against w itself.
+
+    P is one 4x4 matrix (returns a float) or an (n, 4, 4) stack (returns n
+    residuals, bit-identical to the one-matrix values).
+    """
     w = as_bivector(w)
-    return float(np.linalg.norm(_apply(np.asarray(P, dtype=float), w) - w) / np.linalg.norm(w))
+    d = _compound(P) @ w - w
+    if d.ndim == 1:
+        return float(np.linalg.norm(d) / np.linalg.norm(w))
+    # stacked dot, not einsum or (d * d).sum(1): only this matches norm's bits
+    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0]) / np.linalg.norm(w)
 
 
 def stabilizer_sweep_matrix(a: float, b: float, c: float, d: float):
@@ -240,8 +269,6 @@ def _same_span(p: np.ndarray, q: np.ndarray) -> bool:
 
 def _action_samples(kind: str, include_reflected: bool) -> list[np.ndarray]:
     """Pushforward and Lie-action matrices of sampled stabilizer elements."""
-    from .wedge import _compound
-
     params = (-0.9, -0.3, 0.3, 0.9)
     mats: list[np.ndarray] = []
     if kind == OrbitKind.DEGENERATE:

@@ -17,6 +17,59 @@ GOLD_NEUTRAL = (
     b'"diagnostics":{"reconstruction_residual":0,"representative_residual":0}}\n'
 )
 
+# Frozen from the thread-pool implementation: a generic neutral record and a
+# generic degenerate one (axial (1, 2, 2), polar (3, 0, 0) and (2, 1, -2)).
+GOLD_PAIR = b'{"id":"n","c":[2,-2,3,1,0,0]}\n{"id":"d","c":[2,-2,2,1,1,-2]}\n'
+GOLD_STABILIZER = (
+    b'{"id":"n","in_light_cone":true,"kind":"NeutralPlus","families":[{"family":"rotation12",'
+    b'"parameter":-0.90000000000000002,"fixing_residual":3.9599683826557206e-16},'
+    b'{"family":"boost34","parameter":-0.90000000000000002,'
+    b'"fixing_residual":4.4177019029269051e-16},{"family":"reflected_boost34",'
+    b'"parameter":-0.90000000000000002,"fixing_residual":4.4177019029269051e-16},'
+    b'{"family":"rotation12","parameter":-0.29999999999999999,'
+    b'"fixing_residual":2.5774771283283483e-16},{"family":"boost34",'
+    b'"parameter":-0.29999999999999999,"fixing_residual":3.7791322414956014e-16},'
+    b'{"family":"reflected_boost34","parameter":-0.29999999999999999,'
+    b'"fixing_residual":3.7791322414956014e-16},{"family":"rotation12",'
+    b'"parameter":0.29999999999999999,"fixing_residual":1.8549918689772906e-16},'
+    b'{"family":"boost34","parameter":0.29999999999999999,'
+    b'"fixing_residual":3.7921335575229103e-16},{"family":"reflected_boost34",'
+    b'"parameter":0.29999999999999999,"fixing_residual":3.7921335575229103e-16},'
+    b'{"family":"rotation12","parameter":0.90000000000000002,'
+    b'"fixing_residual":4.1869132231567339e-16},{"family":"boost34",'
+    b'"parameter":0.90000000000000002,"fixing_residual":5.0471411113383631e-16},'
+    b'{"family":"reflected_boost34","parameter":0.90000000000000002,'
+    b'"fixing_residual":5.0471411113383631e-16}],"max_residual":5.0471411113383631e-16}\n'
+    b'{"id":"d","in_light_cone":true,"kind":"Degenerate",'
+    b'"families":[{"family":"null_rotation_a","parameter":-0.90000000000000002,'
+    b'"fixing_residual":3.5108334685767017e-16},{"family":"null_rotation_b",'
+    b'"parameter":-0.90000000000000002,"fixing_residual":4.1950828177019914e-16},'
+    b'{"family":"null_rotation_a","parameter":-0.29999999999999999,'
+    b'"fixing_residual":3.0517111990148255e-16},{"family":"null_rotation_b",'
+    b'"parameter":-0.29999999999999999,"fixing_residual":2.5772695602081545e-16},'
+    b'{"family":"null_rotation_a","parameter":0.29999999999999999,'
+    b'"fixing_residual":2.2812914531392959e-16},{"family":"null_rotation_b",'
+    b'"parameter":0.29999999999999999,"fixing_residual":2.5772695602081545e-16},'
+    b'{"family":"null_rotation_a","parameter":0.90000000000000002,'
+    b'"fixing_residual":2.9139682792692303e-16},{"family":"null_rotation_b",'
+    b'"parameter":0.90000000000000002,"fixing_residual":4.2919051663548791e-16}],'
+    b'"max_residual":4.2919051663548791e-16}\n'
+)
+GOLD_CANONICAL = (
+    b'{"id":"n","in_light_cone":true,"r":3,"phi":1.2309594173407747,"basis":[0,0,1,0,'
+    b'0.70710678118654757,-0.70710678118654757,0,0,0.70710678118654757,0.70710678118654757,0,0,'
+    b'0,0,0,1],"representative":[1.7320508075688779,0,6.6613381477509392e-16,'
+    b'-1.1102230246251565e-16,0,1.7320508075688781],"witness":[-0.57735026918962584,'
+    b'0.57735026918962584,0.57735026918962584,0,0,-1.0000000000000002,1.0000000000000002,'
+    b'1.0000000000000002,0.81649658092772603,0.40824829046386307,0.40824829046386307,0,0,'
+    b'-0.70710678118654768,0.70710678118654768,1.4142135623730951]}\n'
+    b'{"id":"d","in_light_cone":true,"r":3,"phi":1.5707963267948966,'
+    b'"basis":[0.33333333333333331,0.66666666666666663,0.66666666666666663,0,'
+    b'0.66666666666666663,-0.66666666666666663,0.33333333333333331,0,0.66666666666666663,'
+    b'0.33333333333333331,-0.66666666666666663,0,0,0,0,1],"representative":null,"witness":null,'
+    b'"note":"degenerate orbit: no element of the form r0*(e12 + eps*e34) exists"}\n'
+)
+
 
 def run_cli(args, stdin=b"", env_extra=None):
     env = os.environ.copy()
@@ -60,6 +113,15 @@ def test_classify_golden_bytes():
     assert p.returncode == 0
     assert p.stdout == GOLD_NEUTRAL
 
+
+@pytest.mark.parametrize(
+    "command,gold", [("stabilizer", GOLD_STABILIZER), ("canonical", GOLD_CANONICAL)]
+)
+def test_stabilizer_and_canonical_golden_bytes(command, gold):
+    for threads in ("1", "4"):
+        p = run_cli([command, "--threads", threads], GOLD_PAIR)
+        assert p.returncode == 0
+        assert p.stdout == gold
 
 def test_vector_pair_input_matches_coefficients():
     by_c = run_cli(["classify"], b'{"c":[0,0,0,1,1,0]}\n')
@@ -141,6 +203,29 @@ def test_malformed_records_exit_2_but_keep_going():
     assert json.loads(lines[0])["in_light_cone"] is True
     assert "error" in json.loads(lines[1])
     assert "error" in json.loads(lines[2])
+
+
+def test_invariant_violation_is_an_error_record_and_batch_goes_on():
+    stdin = (
+        b'{"id":"a","c":[1,0,0,0,0,1]}\n'
+        b'{"id":"bad","c":[7e-5,0,0,0,0,6.3e-5]}\n'
+        b'{"id":"c","c":[1,0,0,0,0,1]}\n'
+    )
+    p = run_cli(["classify"], stdin)
+    assert p.returncode == 4
+    lines = p.stdout.splitlines()
+    assert [json.loads(line)["id"] for line in lines] == ["a", "bad", "c"]
+    assert lines[2] == lines[0].replace(b'"id":"a"', b'"id":"c"')
+    bad = json.loads(lines[1])
+    assert list(bad) == ["id", "error"]
+    assert bad["error"].startswith("invariant violation: ")
+    assert p.stderr.decode().splitlines() == [bad["error"]]
+    # exit 4 takes precedence over an input error's 2, in either order
+    p = run_cli(["classify"], stdin + b'{"id":"short","c":[1,2]}\n')
+    assert p.returncode == 4
+    assert len(p.stdout.splitlines()) == 4
+    p = run_cli(["classify"], b'{"id":"short","c":[1,2]}\n' + stdin)
+    assert p.returncode == 4
 
 
 def test_usage_errors_exit_3():

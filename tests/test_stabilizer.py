@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
+from conftest import random_light_cone_bivector
 from lbo.errors import InvariantViolationError
-from lbo.minkowski import boost_matrix, is_proper_lorentz
+from lbo.minkowski import boost_matrix, is_proper_lorentz, lorentz_inverse, random_proper_lorentz
 from lbo.orbit import OrbitKind, orbit_class, tangent_frame
 from lbo.stabilizer import (
+    STACK_PARAMETERS,
     Family,
     SubspaceLabel,
     classify_invariant_subspace,
     degenerate_base,
     degenerate_invariant_plane,
     fixing_residual,
+    generator_stack,
     neutral_base,
     neutral_invariant_plane,
     null_rotation_a,
@@ -55,6 +58,37 @@ def test_polynomial_form_matches_composition(t):
     np.testing.assert_allclose(
         stabilizer_element(Family.NULL_ROTATION_B, t).matrix, null_rotation_b(x), atol=1e-13
     )
+
+
+@pytest.mark.parametrize(
+    "kind", [OrbitKind.NEUTRAL_PLUS, OrbitKind.NEUTRAL_MINUS, OrbitKind.DEGENERATE]
+)
+def test_generator_stack_is_cached_read_only_and_ordered(kind):
+    stack, labels = generator_stack(kind)
+    assert generator_stack(kind)[0] is stack
+    assert stack.shape == ((8 if kind == OrbitKind.DEGENERATE else 12), 4, 4)
+    assert not stack.flags.writeable
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 2.0
+    elems = [e for t in STACK_PARAMETERS for e in stabilizer_generators(kind, t)]
+    assert labels == tuple((e.family, e.parameter) for e in elems)
+    for m, e in zip(stack, elems):
+        assert np.array_equal(m, e.matrix)
+
+
+@pytest.mark.parametrize("kind", [OrbitKind.NEUTRAL_PLUS, OrbitKind.DEGENERATE])
+def test_stacked_fixing_residual_is_bit_identical(kind, rng):
+    stack, _ = generator_stack(kind)
+    for _ in range(25):
+        conj = random_proper_lorentz(rng, 4)
+        mats = conj @ stack @ lorentz_inverse(conj)
+        w = random_light_cone_bivector(rng, scale=rng.uniform(0.1, 10.0))
+        stacked = fixing_residual(mats, w)
+        assert stacked.shape == (len(stack),)
+        for k, m in enumerate(stack):
+            single = conj @ m @ lorentz_inverse(conj)
+            assert np.array_equal(mats[k], single)
+            assert stacked[k] == fixing_residual(single, w)
 
 
 def test_null_rotation_angle_identities():

@@ -6,6 +6,7 @@ from lbo.minkowski import (
     BOOST,
     ROTATION,
     GeneratorKind,
+    boost_matrix,
     generator,
     lie_generator,
     random_proper_lorentz,
@@ -14,6 +15,7 @@ from lbo.wedge import (
     HAT_DIAG,
     NULL_BASIS_MATRIX,
     PAIRS,
+    _compound,
     basis_bivector,
     from_null_basis,
     hat_inner,
@@ -186,3 +188,52 @@ def test_hat_metric_in_null_coordinates():
     expected[:3, 3:] = d
     expected[3:, :3] = d
     np.testing.assert_allclose(gram, expected, atol=1e-15)
+
+
+# Bit-identity of the stacked kernels.  Pitfalls met while writing them:
+# - a gathered compound that is not C-contiguous sends the stacked matmul with
+#   it off BLAS, and the residual bits change;
+# - batched norms must use a stacked-matmul dot,
+#   np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0]); np.einsum and
+#   (d * d).sum(1) differ from the 1-D np.linalg.norm in the last bits for
+#   about 15-23% of single norms, so for most 12-matrix records;
+# - np.vecdot matches too, but needs numpy >= 2 and numpy >= 1.24 is supported.
+
+
+def _compound_loop(P):
+    """Reference: the minor-by-minor loop that the gathered _compound replaced."""
+    m = np.empty((6, 6))
+    for row, (k, l) in enumerate(PAIRS):
+        for col, (i, j) in enumerate(PAIRS):
+            m[row, col] = P[k, i] * P[l, j] - P[k, j] * P[l, i]
+    return m
+
+
+def _lorentz_stack(rng, count=40):
+    mats = [random_proper_lorentz(rng, 4) for _ in range(count)]
+    for t in (6.0, 15.0, -25.0):  # large rapidities
+        boost = boost_matrix(2, t)
+        mats.append(random_proper_lorentz(rng, 2) @ boost @ random_proper_lorentz(rng, 2))
+    return np.array(mats)
+
+
+def test_gathered_compound_matches_loop_single(rng):
+    for P in _lorentz_stack(rng):
+        m = _compound(P)
+        assert m.shape == (6, 6)
+        assert m.flags.c_contiguous
+        assert np.array_equal(m, _compound_loop(P))
+    P = random_proper_lorentz(rng, 3).T  # a non-contiguous view
+    assert np.array_equal(_compound(P), _compound_loop(P))
+
+
+def test_gathered_compound_matches_loop_stacked(rng):
+    stack = _lorentz_stack(rng)
+    m = _compound(stack)
+    assert m.shape == (len(stack), 6, 6)
+    assert m.flags.c_contiguous
+    for k, P in enumerate(stack):
+        assert np.array_equal(m[k], _compound_loop(P))
+    nested = _compound(stack.reshape(-1, 1, 4, 4))
+    assert nested.shape == (len(stack), 1, 6, 6)
+    assert np.array_equal(nested[:, 0], m)
