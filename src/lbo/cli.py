@@ -491,19 +491,19 @@ def _suite_stabilizer(samples, seed, tol):
     ker = degenerate_invariant_plane()
     fr = tangent_frame(np.pi / 2)
     labels_ok &= (
-        classify_invariant_subspace(OrbitKind.NEUTRAL_PLUS, [wp[:, 0], wp[:, 1]], tol)
+        classify_invariant_subspace(OrbitKind.NEUTRAL_PLUS, [wp[:, 0], wp[:, 1]])
         is SubspaceLabel.W_PLUS
     )
     labels_ok &= (
-        classify_invariant_subspace(OrbitKind.NEUTRAL_PLUS, [wm[:, 0], wm[:, 1]], tol)
+        classify_invariant_subspace(OrbitKind.NEUTRAL_PLUS, [wm[:, 0], wm[:, 1]])
         is SubspaceLabel.W_MINUS
     )
     labels_ok &= (
-        classify_invariant_subspace(OrbitKind.DEGENERATE, [ker[:, 0], ker[:, 1]], tol)
+        classify_invariant_subspace(OrbitKind.DEGENERATE, [ker[:, 0], ker[:, 1]])
         is SubspaceLabel.W_ZERO
     )
     labels_ok &= (
-        classify_invariant_subspace(OrbitKind.DEGENERATE, [fr.x_plus, fr.y_plus], tol)
+        classify_invariant_subspace(OrbitKind.DEGENERATE, [fr.x_plus, fr.y_plus])
         is SubspaceLabel.NOT_INVARIANT
     )
     return [
@@ -585,7 +585,16 @@ def _open_input(args):
 
 
 def _tolerance(args) -> ToleranceConfig:
-    return ToleranceConfig(abs_tol=args.tol, rel_tol=args.tol)
+    try:
+        return ToleranceConfig(eps=args.tol)
+    except ValueError as exc:
+        raise _UsageError(f"bad --tol or LBO_TOL: {exc}") from exc
+
+
+def _check_radius(r) -> None:
+    """A given --r (or LBO_R) must be positive and finite."""
+    if r is not None and not 0 < r < np.inf:
+        raise _InputError(f"--r must be positive and finite, got {r!r}")
 
 
 def _run_batch(args, one) -> int:
@@ -632,11 +641,8 @@ def _run_batch(args, one) -> int:
 
 
 def _cmd_classify(args) -> int:
-    r_query = args.r
-    if r_query is not None and r_query <= 0:
-        print("input error: --r must be positive", file=sys.stderr)
-        return 2
-    return _run_batch(args, lambda rid, w, tol: _classify_one(rid, w, tol, r_query))
+    _check_radius(args.r)
+    return _run_batch(args, lambda rid, w, tol: _classify_one(rid, w, tol, args.r))
 
 
 def _cmd_canonical(args) -> int:
@@ -646,9 +652,7 @@ def _cmd_canonical(args) -> int:
 def _cmd_slice(args) -> int:
     if args.r is None:
         raise _UsageError("slice requires --r")
-    if args.r <= 0:
-        print("input error: --r must be positive", file=sys.stderr)
-        return 2
+    _check_radius(args.r)
     return _run_batch(args, lambda rid, w, tol: _slice_one(rid, w, tol, args.r))
 
 
@@ -657,6 +661,8 @@ def _cmd_stabilizer(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise _UsageError(f"--samples must be at least 1, got {args.samples}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     tol = _tolerance(args)
     all_ok = True

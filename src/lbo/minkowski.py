@@ -29,21 +29,17 @@ _BOOST_PLANES = {1: (2, 3), 2: (1, 3), 3: (0, 3)}
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical policy knobs used across the package.
+    """Numerical comparison tolerance used across the package.
 
-    abs_tol/rel_tol: absolute and relative comparison tolerances.
-    fd_step: step for central finite differences.
-    rng_seed: default seed for sampling helpers.
+    eps: the comparison tolerance, used both as an absolute floor and as a
+    relative bound; positive and finite.
     """
 
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
-    fd_step: float = 1e-5
-    rng_seed: int = 0
+    eps: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not (self.abs_tol > 0 and self.rel_tol > 0 and self.fd_step > 0):
-            raise ValueError("tolerances and fd_step must be positive")
+        if not (0 < self.eps < np.inf):
+            raise ValueError(f"tolerance must be positive and finite, got {self.eps!r}")
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -123,14 +119,14 @@ def lie_generator(kind: GeneratorKind) -> np.ndarray:
 
 
 def is_proper_lorentz(P, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True iff P preserves the metric (max-norm residual <= abs_tol) and det P = 1."""
+    """True iff P preserves the metric (max-norm residual <= eps) and det P = 1."""
     P = np.asarray(P, dtype=float)
     if P.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {P.shape}")
     if not np.all(np.isfinite(P)):
         return False
     gram_defect = np.max(np.abs(P.T @ ETA @ P - ETA))
-    return gram_defect <= tol.abs_tol and abs(np.linalg.det(P) - 1.0) <= tol.abs_tol
+    return gram_defect <= tol.eps and abs(np.linalg.det(P) - 1.0) <= tol.eps
 
 
 def lorentz_inverse(P) -> np.ndarray:

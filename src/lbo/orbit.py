@@ -49,6 +49,8 @@ from .wedge import (
 # quantities that vanish identically rather than merely tangentially.
 PARALLEL_RESIDUAL_TOL = 1e-4
 NULL_RESIDUAL_TOL = 1e-6
+# Step of the central differences in parallel_frame_check.
+FD_STEP = 1e-5
 
 
 def to_vector_pair(w) -> tuple[np.ndarray, np.ndarray]:
@@ -138,7 +140,7 @@ def canonical_form(w, tol: ToleranceConfig = DEFAULT_TOL) -> CanonicalForm:
     u3 = b / np.linalg.norm(b)
     cross = _cross(b, a)
     cross_norm = np.linalg.norm(cross)
-    if cross_norm > tol.abs_tol * spatial:
+    if cross_norm > tol.eps * spatial:
         u2 = cross / cross_norm
     else:
         for k in range(3):
@@ -180,7 +182,7 @@ class OrbitClass:
 def orbit_class(w, tol: ToleranceConfig = DEFAULT_TOL) -> OrbitClass:
     """Classify by the pfaffian: sign picks the neutral family, zero is degenerate.
 
-    The degenerate band is |pfaffian| <= abs_tol * max(spatial_norm, 1); for
+    The degenerate band is |pfaffian| <= eps * max(spatial_norm, 1); for
     neutral orbits r0 = sqrt(|pfaffian|) is the scale of the reduced element.
     """
     w = as_bivector(w)
@@ -188,7 +190,7 @@ def orbit_class(w, tol: ToleranceConfig = DEFAULT_TOL) -> OrbitClass:
         raise NotInLightConeError("orbit_class requires a light-cone bivector")
     pf = pfaffian(w)
     spatial, _ = split_norms(w)
-    if abs(pf) <= tol.abs_tol * max(spatial, 1.0):
+    if abs(pf) <= tol.eps * max(spatial, 1.0):
         return OrbitClass(OrbitKind.DEGENERATE, 0.0, None)
     if pf > 0:
         return OrbitClass(OrbitKind.NEUTRAL_PLUS, float(np.sqrt(pf)), 1)
@@ -288,7 +290,7 @@ def orthonormal_tangent_frame(phi: float, tol: ToleranceConfig = DEFAULT_TOL):
     matrix is invertible; inside the cutoff band a ValueError is raised.
     """
     c, s = np.cos(phi), np.sin(phi)
-    if abs(c) <= tol.abs_tol:
+    if abs(c) <= tol.eps:
         raise ValueError("orthonormal frame undefined where the x block degenerates")
     w12 = basis_bivector(1, 2)
     w14 = basis_bivector(1, 4)
@@ -354,7 +356,7 @@ def parallel_frame_check(
     y fields stay constant.
     """
     frame0 = tangent_frame(phi).stack()
-    h = tol.fd_step
+    h = FD_STEP
     m_center = _surface_matrix(theta, t)
     d_theta = (_surface_matrix(theta + h, t) - _surface_matrix(theta - h, t)) @ frame0 / (2.0 * h)
     d_t = (_surface_matrix(theta, t + h) - _surface_matrix(theta, t - h)) @ frame0 / (2.0 * h)
@@ -366,7 +368,7 @@ def parallel_frame_check(
         deriv[f"{name}/theta"] = d_theta[:, k]
         deriv[f"{name}/t"] = d_t[:, k]
 
-    degenerate = abs(np.cos(phi)) <= tol.abs_tol
+    degenerate = abs(np.cos(phi)) <= tol.eps
     tangential: dict = {}
     match: dict = {}
     y_norms: dict = {}

@@ -65,27 +65,27 @@ def min_slice_radius(phi: float) -> float:
 
 def in_slice(w, r: float, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff w is a light-cone bivector whose split norm matches r*r relatively."""
-    if r <= 0:
-        raise ValueError("slice radius must be positive")
+    if not 0 < r < np.inf:
+        raise ValueError(f"slice radius must be positive and finite, got {r!r}")
     w = as_bivector(w)
     if not in_light_cone(w, tol):
         return False
     spatial, _ = split_norms(w)
-    return abs(spatial - r * r) <= tol.rel_tol * r * r
+    return abs(spatial - r * r) <= tol.eps * r * r
 
 
 def slice_topology(klass: OrbitClass, r: float, tol: ToleranceConfig = DEFAULT_TOL) -> SliceTopology:
     """Topology certificate of the radius-r slice of an orbit.
 
     Neutral orbits: empty below r0, a two-sphere inside the band
-    |r - r0| <= abs_tol * max(r0, 1), projective 3-space above.  Degenerate
+    |r - r0| <= eps * max(r0, 1), projective 3-space above.  Degenerate
     orbits meet every positive radius in projective 3-space.
     """
-    if r <= 0:
-        raise ValueError("slice radius must be positive")
+    if not 0 < r < np.inf:
+        raise ValueError(f"slice radius must be positive and finite, got {r!r}")
     if klass.kind == OrbitKind.DEGENERATE:
         return SliceTopology.RP3
-    band = tol.abs_tol * max(klass.r0, 1.0)
+    band = tol.eps * max(klass.r0, 1.0)
     if abs(r - klass.r0) <= band:
         return SliceTopology.SPHERE_2
     if r < klass.r0:

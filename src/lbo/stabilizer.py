@@ -22,16 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvariantViolationError
-from .minkowski import (
-    DEFAULT_TOL,
-    BOOST,
-    ROTATION,
-    GeneratorKind,
-    ToleranceConfig,
-    boost_matrix,
-    lie_generator,
-    rotation_matrix,
-)
+from .minkowski import BOOST, ROTATION, GeneratorKind, boost_matrix, lie_generator, rotation_matrix
 from .orbit import OrbitClass, OrbitKind, base_point, normal_form_bivector, tangent_frame
 from .wedge import _compound, as_bivector, from_null_basis, lie_pushforward_matrix
 
@@ -47,17 +38,10 @@ class Family(Enum):
     REFLECTED_BOOST_34 = "reflected_boost34"
     NULL_ROTATION_A = "null_rotation_a"
     NULL_ROTATION_B = "null_rotation_b"
-    NULL_ROTATION_A_EXACT = "null_rotation_a_exact"
-    NULL_ROTATION_B_EXACT = "null_rotation_b_exact"
 
 
 _NEUTRAL_FAMILIES = (Family.ROTATION_12, Family.BOOST_34, Family.REFLECTED_BOOST_34)
-_DEGENERATE_FAMILIES = (
-    Family.NULL_ROTATION_A,
-    Family.NULL_ROTATION_B,
-    Family.NULL_ROTATION_A_EXACT,
-    Family.NULL_ROTATION_B_EXACT,
-)
+_DEGENERATE_FAMILIES = (Family.NULL_ROTATION_A, Family.NULL_ROTATION_B)
 
 
 @dataclass(frozen=True)
@@ -131,10 +115,6 @@ def stabilizer_element(family: Family, parameter: float) -> StabilizerElement:
     elif family is Family.NULL_ROTATION_B:
         theta, s = null_rotation_angles(t)
         m = boost_matrix(1, t) @ rotation_matrix(3, theta) @ boost_matrix(2, s)
-    elif family is Family.NULL_ROTATION_A_EXACT:
-        m = null_rotation_a(t)
-    elif family is Family.NULL_ROTATION_B_EXACT:
-        m = null_rotation_b(t)
     else:  # pragma: no cover - exhaustive over the enum
         raise ValueError(f"unknown family {family!r}")
     return StabilizerElement(matrix=m, family=family, parameter=t)
@@ -142,7 +122,7 @@ def stabilizer_element(family: Family, parameter: float) -> StabilizerElement:
 
 def stabilizer_generators(kind: str, parameter: float) -> list[StabilizerElement]:
     """All generator families fixing the base point of the given orbit kind, at one parameter."""
-    fams = _DEGENERATE_FAMILIES[:2] if kind == OrbitKind.DEGENERATE else _NEUTRAL_FAMILIES
+    fams = _DEGENERATE_FAMILIES if kind == OrbitKind.DEGENERATE else _NEUTRAL_FAMILIES
     return [stabilizer_element(f, parameter) for f in fams]
 
 
@@ -267,37 +247,26 @@ def _same_span(p: np.ndarray, q: np.ndarray) -> bool:
     return p.shape[1] == q.shape[1] and _contained(p, q) and _contained(q, p)
 
 
-def _action_samples(kind: str, include_reflected: bool) -> list[np.ndarray]:
-    """Pushforward and Lie-action matrices of sampled stabilizer elements."""
-    params = (-0.9, -0.3, 0.3, 0.9)
-    mats: list[np.ndarray] = []
+def _action_samples(kind: str) -> list[np.ndarray]:
+    """Pushforwards of the generator stack and of the family derivatives at parameter 0.
+
+    A reflected boost pushes forward exactly like its boost (negation leaves
+    every 2x2 minor unchanged), so the neutral stack repeats those samples.
+    """
     if kind == OrbitKind.DEGENERATE:
-        for fam in (Family.NULL_ROTATION_A, Family.NULL_ROTATION_B):
-            for t in params:
-                mats.append(_compound(stabilizer_element(fam, t).matrix))
-        # derivatives at parameter 0 of the two families
-        x_a = lie_generator(GeneratorKind(3, BOOST)) - lie_generator(GeneratorKind(1, ROTATION))
-        x_b = lie_generator(GeneratorKind(1, BOOST)) + lie_generator(GeneratorKind(3, ROTATION))
-        mats.append(lie_pushforward_matrix(x_a))
-        mats.append(lie_pushforward_matrix(x_b))
+        derivatives = (
+            lie_generator(GeneratorKind(3, BOOST)) - lie_generator(GeneratorKind(1, ROTATION)),
+            lie_generator(GeneratorKind(1, BOOST)) + lie_generator(GeneratorKind(3, ROTATION)),
+        )
     else:
-        fams = [Family.ROTATION_12, Family.BOOST_34]
-        if include_reflected:
-            fams.append(Family.REFLECTED_BOOST_34)
-        for fam in fams:
-            for t in params:
-                mats.append(_compound(stabilizer_element(fam, t).matrix))
-        mats.append(lie_pushforward_matrix(lie_generator(GeneratorKind(1, ROTATION))))
-        mats.append(lie_pushforward_matrix(lie_generator(GeneratorKind(1, BOOST))))
-    return mats
+        derivatives = (
+            lie_generator(GeneratorKind(1, ROTATION)),
+            lie_generator(GeneratorKind(1, BOOST)),
+        )
+    return [*_compound(generator_stack(kind)[0]), *map(lie_pushforward_matrix, derivatives)]
 
 
-def classify_invariant_subspace(
-    kind: str,
-    span,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    include_reflected: bool = True,
-) -> SubspaceLabel:
+def classify_invariant_subspace(kind: str | OrbitClass, span) -> SubspaceLabel:
     """Label a tangent subspace at the base point of the given orbit kind.
 
     The span must consist of vectors tangent to the orbit at the base point
@@ -308,13 +277,9 @@ def classify_invariant_subspace(
     but matches nothing in the lattice signals a structural bug and raises
     InvariantViolationError.
     """
-    if kind == OrbitKind.DEGENERATE:
-        pass
-    elif kind in (OrbitKind.NEUTRAL_PLUS, OrbitKind.NEUTRAL_MINUS):
-        pass
-    elif isinstance(kind, OrbitClass):
-        return classify_invariant_subspace(kind.kind, span, tol, include_reflected)
-    else:
+    if isinstance(kind, OrbitClass):
+        kind = kind.kind
+    if kind not in (OrbitKind.NEUTRAL_PLUS, OrbitKind.NEUTRAL_MINUS, OrbitKind.DEGENERATE):
         raise ValueError(f"unknown orbit kind {kind!r}")
 
     basis = _orthonormal_span(span)
@@ -325,7 +290,7 @@ def classify_invariant_subspace(
     if not _contained(basis, tangent):
         raise ValueError("span is not tangent to the orbit at the base point")
 
-    for m in _action_samples(kind, include_reflected):
+    for m in _action_samples(kind):
         image = m @ basis
         if float(np.max(np.abs(image - basis @ (basis.T @ image)))) > _SPAN_TOL * max(
             1.0, float(np.max(np.abs(image)))

@@ -84,7 +84,7 @@ def split_norms(w) -> tuple[float, float]:
 def in_light_cone(w, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff w is isotropic and nonzero: the two split norms agree and do not vanish."""
     spatial, temporal = split_norms(w)
-    return abs(spatial - temporal) <= tol.rel_tol * max(spatial, temporal, 1.0) and spatial > tol.abs_tol
+    return abs(spatial - temporal) <= tol.eps * max(spatial, temporal, 1.0) and spatial > tol.eps
 
 
 def pfaffian(w) -> float:

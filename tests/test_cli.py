@@ -228,10 +228,33 @@ def test_invariant_violation_is_an_error_record_and_batch_goes_on():
     assert p.returncode == 4
 
 
-def test_usage_errors_exit_3():
-    assert run_cli(["bogus"]).returncode == 3
-    assert run_cli(["verify", "--suite", "nope"]).returncode == 3
-    assert run_cli(["classify"], env_extra={"LBO_FORMAT": "nope"}).returncode == 3
+# (args, environment, exit code): 3 for a bad flag or environment value, 2 for a bad radius
+BAD_SETTINGS = {
+    "unknown-command": (["bogus"], None, 3),
+    "unknown-suite": (["verify", "--suite", "nope"], None, 3),
+    "env-format": (["classify"], {"LBO_FORMAT": "nope"}, 3),
+    "tol-zero": (["classify", "--tol", "0"], None, 3),
+    "tol-negative": (["classify", "--tol", "-1"], None, 3),
+    "tol-nan": (["slice", "--r", "1", "--tol", "nan"], None, 3),
+    "tol-inf": (["stabilizer", "--tol", "inf"], None, 3),
+    "env-tol-zero": (["canonical"], {"LBO_TOL": "0"}, 3),
+    "r-inf-slice": (["slice", "--r", "inf"], None, 2),
+    "r-nan-slice": (["slice", "--r", "nan"], None, 2),
+    "r-inf-classify": (["classify", "--r", "inf"], None, 2),
+    "env-r-inf": (["slice"], {"LBO_R": "inf"}, 2),
+    "samples-negative": (["verify", "--suite", "isometry", "--samples", "-3"], None, 3),
+    "samples-zero": (["verify", "--suite", "pfaffian", "--samples", "0"], None, 3),
+    "env-samples-zero": (["verify", "--suite", "isometry"], {"LBO_SAMPLES": "0"}, 3),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SETTINGS)
+def test_bad_settings_exit_codes(case):
+    args, env, code = BAD_SETTINGS[case]
+    p = run_cli(args, b'{"c":[1,0,0,0,0,1]}\n', env_extra=env)
+    assert p.returncode == code
+    assert p.stdout == b""
+    assert b"Traceback" not in p.stderr
 
 
 def test_whole_document_and_array_inputs():

@@ -159,9 +159,7 @@ def test_kind_validation():
 
 
 def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        ToleranceConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        ToleranceConfig(fd_step=-1e-5)
-    cfg = ToleranceConfig(abs_tol=1e-6, rel_tol=1e-7)
-    assert cfg.abs_tol == 1e-6 and cfg.rel_tol == 1e-7
+    for bad in (0.0, -1e-9, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ToleranceConfig(eps=bad)
+    assert ToleranceConfig(eps=1e-6).eps == 1e-6

@@ -142,7 +142,7 @@ def test_orbit_class_r0_is_sqrt_pfaffian(rng):
 def test_degenerate_band_uses_spatial_scale():
     w = base_point(np.pi / 2) + np.array([2e-10, 0, 0, 0, 0, 0])
     # perturbation pushes the pfaffian off zero but inside the band
-    assert orbit_class(w, ToleranceConfig(abs_tol=1e-6, rel_tol=1e-6)).kind == OrbitKind.DEGENERATE
+    assert orbit_class(w, ToleranceConfig(eps=1e-6)).kind == OrbitKind.DEGENERATE
 
 
 @pytest.mark.parametrize(
@@ -173,7 +173,7 @@ def test_canonical_representative_random(rng):
         np.testing.assert_allclose(
             rep, normal_form_bivector(k.r0, k.epsilon), atol=1e-9 * max(1.0, k.r0)
         )
-        assert is_proper_lorentz(witness, ToleranceConfig(abs_tol=1e-6, rel_tol=1e-6))
+        assert is_proper_lorentz(witness, ToleranceConfig(eps=1e-6))
 
 
 def test_canonical_representative_rejects_degenerate(rng):

@@ -53,10 +53,9 @@ def test_in_slice():
     assert in_slice(w, np.sqrt(2.0))
     assert not in_slice(w, 1.4)
     assert not in_slice([1.0, 0, 0, 0, 0, 0], 1.0)  # off the cone
-    with pytest.raises(ValueError):
-        in_slice(w, 0.0)
-    with pytest.raises(ValueError):
-        in_slice(w, -2.0)
+    for bad in (0.0, -2.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            in_slice(w, bad)
 
 
 def test_slice_topology_neutral_bands():
@@ -64,11 +63,12 @@ def test_slice_topology_neutral_bands():
     assert slice_topology(k, 0.5) is SliceTopology.EMPTY
     assert slice_topology(k, 2.0) is SliceTopology.RP3
     assert slice_topology(k, 1.0) is SliceTopology.SPHERE_2
-    band = ToleranceConfig(abs_tol=1e-3, rel_tol=1e-3)
+    band = ToleranceConfig(eps=1e-3)
     assert slice_topology(k, 1.0005, band) is SliceTopology.SPHERE_2
     assert slice_topology(k, 1.002, band) is SliceTopology.RP3
-    with pytest.raises(ValueError):
-        slice_topology(k, 0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            slice_topology(k, bad)
 
 
 def test_slice_topology_degenerate_everywhere(rng):

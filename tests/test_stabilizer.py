@@ -23,7 +23,7 @@ from lbo.stabilizer import (
     stabilizer_generators,
     stabilizer_sweep_matrix,
 )
-from lbo.wedge import _apply, hat_inner
+from lbo.wedge import _apply, _compound, hat_inner
 
 PARAMS = (-1.3, -0.5, 0.2, 0.8, 1.7)
 
@@ -45,8 +45,8 @@ def test_degenerate_families_fix_base(t):
     ):
         assert fixing_residual(stabilizer_element(fam, t).matrix, w) <= 1e-12
     x = np.tanh(t)
-    for fam in (Family.NULL_ROTATION_A_EXACT, Family.NULL_ROTATION_B_EXACT):
-        assert fixing_residual(stabilizer_element(fam, x).matrix, w) <= 1e-12
+    for m in (null_rotation_a(x), null_rotation_b(x)):
+        assert fixing_residual(m, w) <= 1e-12
 
 
 @pytest.mark.parametrize("t", PARAMS)
@@ -216,12 +216,16 @@ def test_classify_degenerate_lattice(span, expected):
     assert classify_invariant_subspace(OrbitKind.DEGENERATE, span) is expected
 
 
-def test_classify_reflected_flag_agrees():
-    for span, expected in neutral_cases():
-        got = classify_invariant_subspace(
-            OrbitKind.NEUTRAL_PLUS, span, include_reflected=False
-        )
-        assert got is expected
+def test_reflected_boosts_push_forward_like_boosts():
+    # why the neutral invariance samples need no separate reflected pass
+    stack, labels = generator_stack(OrbitKind.NEUTRAL_PLUS)
+    compounds = _compound(stack)
+    boosts = {t: k for k, (fam, t) in enumerate(labels) if fam is Family.BOOST_34}
+    reflected = [(k, t) for k, (fam, t) in enumerate(labels) if fam is Family.REFLECTED_BOOST_34]
+    assert sorted(t for _, t in reflected) == sorted(STACK_PARAMETERS)
+    for k, t in reflected:
+        assert np.array_equal(stack[k], -stack[boosts[t]])
+        assert np.array_equal(compounds[k], compounds[boosts[t]])
 
 
 def test_classify_accepts_orbit_class(rng):

@@ -96,7 +96,7 @@ def test_in_light_cone_band():
     outside = base.copy()
     outside[5] = np.sqrt(1.0 + 4e-9)
     assert not in_light_cone(outside)
-    # scale-free: tiny light-cone bivectors below abs_tol count as zero
+    # scale-free: tiny light-cone bivectors below eps count as zero
     assert not in_light_cone(1e-6 * base)
 
 
