@@ -49,7 +49,6 @@ from .rslice import (
     slice_topology,
 )
 from .stabilizer import (
-    STACK_PARAMETERS,
     Family,
     SubspaceLabel,
     classify_invariant_subspace,
@@ -62,14 +61,13 @@ from .stabilizer import (
     null_rotation_a,
     null_rotation_b,
     stabilizer_element,
-    stabilizer_generators,
 )
 from .wedge import (
     HAT_DIAG,
-    _apply,
     _compound,
     hat_inner,
     in_light_cone,
+    light_cone_reason,
     pfaffian,
     split_norms,
     wedge,
@@ -130,7 +128,7 @@ def _write_array(obj, out: list) -> None:
 
 
 def _write_json(obj, out: list) -> None:
-    # exact types of nearly every value first, then the general isinstance chain
+    # records hold only these exact types, the most frequent first
     t = type(obj)
     if t is float:
         out.append(format(obj, ".17g") if obj != 0.0 else "0")  # collapses negative zero
@@ -144,23 +142,12 @@ def _write_json(obj, out: list) -> None:
         out.append("true")
     elif obj is False:
         out.append("false")
-    elif isinstance(obj, str):
+    elif t is str:
         out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(repr(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        if f == 0.0:
-            f = 0.0  # collapse negative zero
-        out.append(format(f, ".17g"))
-    elif isinstance(obj, dict):
-        _write_object(obj, out)
-    elif isinstance(obj, np.ndarray):
-        _write_json(obj.tolist(), out)
-    elif isinstance(obj, (list, tuple)):
-        _write_array(obj, out)
+    elif t is int:
+        out.append(repr(obj))
     else:
-        raise TypeError(f"cannot serialise {type(obj)!r}")
+        raise TypeError(f"cannot serialise {t!r}")
 
 
 def dumps(obj) -> str:
@@ -209,40 +196,33 @@ def _decode_record(obj) -> tuple:
     return rid, wedge(xv, yv)
 
 
-def _iter_raw(stream):
-    """Yield parsed JSON values: NDJSON line mode with a whole-document fallback.
-
-    A top-level array, on one line or spread over many, batches its elements.
-    """
-    first = None
-    for line in stream:
-        if line.strip():
-            first = line
+def _iter_docs(stream):
+    """Yield parsed JSON documents: NDJSON line mode with a whole-document fallback."""
+    for first in stream:
+        if first.strip():
             break
-    if first is None:
+    else:
         return
     try:
         doc = json.loads(first)
     except json.JSONDecodeError:
-        rest = first + stream.read()
-        doc = json.loads(rest)  # propagate as a hard input error
-        if isinstance(doc, list):
-            yield from doc
-        else:
-            yield doc
+        yield json.loads(first + stream.read())  # propagate as a hard input error
         return
-    if isinstance(doc, list):
-        yield from doc
-    else:
-        yield doc
+    yield doc
     for line in stream:
         if not line.strip():
             continue
         try:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
-            yield _InputError(f"bad JSON line: {exc}")
-            continue
+            doc = _InputError(f"bad JSON line: {exc}")
+        yield doc
+
+
+def _iter_raw(stream):
+    """Yield input records: a top-level array, on one line or spread over many,
+    batches its elements."""
+    for doc in _iter_docs(stream):
         if isinstance(doc, list):
             yield from doc
         else:
@@ -252,27 +232,21 @@ def _iter_raw(stream):
 # --- per-record reports ---------------------------------------------------
 
 
-def _light_cone_reason(w) -> str:
-    spatial, temporal = split_norms(w)
-    if max(spatial, temporal) <= 1e-18:
-        return "zero bivector"
-    return f"split norms differ: spatial {spatial:.6g} vs temporal {temporal:.6g}"
-
-
 def _witness_scale(witness: np.ndarray) -> float:
     return max(1.0, float(np.max(np.abs(witness))) ** 2)
 
 
 def _classify_one(rid, w, tol: ToleranceConfig, r_query):
     spatial, temporal = split_norms(w)
-    rec = {"id": rid, "in_light_cone": in_light_cone(w, tol)}
+    reason = light_cone_reason(w, tol)
+    rec = {"id": rid, "in_light_cone": reason is None}
     rec["A"] = spatial
     rec["B"] = temporal
     rec["pfaffian"] = pfaffian(w)
-    if not rec["in_light_cone"]:
+    if reason is not None:
         rec["canonical"] = None
         rec["class"] = None
-        rec["reason"] = _light_cone_reason(w)
+        rec["reason"] = reason
         return rec
     form = canonical_form(w, tol)
     klass = orbit_class(w, tol)
@@ -305,14 +279,15 @@ def _classify_one(rid, w, tol: ToleranceConfig, r_query):
 
 
 def _canonical_one(rid, w, tol: ToleranceConfig):
-    rec = {"id": rid, "in_light_cone": in_light_cone(w, tol)}
-    if not rec["in_light_cone"]:
+    reason = light_cone_reason(w, tol)
+    rec = {"id": rid, "in_light_cone": reason is None}
+    if reason is not None:
         rec["r"] = None
         rec["phi"] = None
         rec["basis"] = None
         rec["representative"] = None
         rec["witness"] = None
-        rec["reason"] = _light_cone_reason(w)
+        rec["reason"] = reason
         return rec
     form = canonical_form(w, tol)
     rec["r"] = form.r
@@ -330,12 +305,13 @@ def _canonical_one(rid, w, tol: ToleranceConfig):
 
 
 def _slice_one(rid, w, tol: ToleranceConfig, r: float):
-    rec = {"id": rid, "in_light_cone": in_light_cone(w, tol), "r_queried": r}
-    if not rec["in_light_cone"]:
+    reason = light_cone_reason(w, tol)
+    rec = {"id": rid, "in_light_cone": reason is None, "r_queried": r}
+    if reason is not None:
         rec["class"] = None
         rec["topology"] = None
         rec["in_slice"] = False
-        rec["reason"] = _light_cone_reason(w)
+        rec["reason"] = reason
         return rec
     klass = orbit_class(w, tol)
     topo = slice_topology(klass, r, tol)
@@ -347,11 +323,12 @@ def _slice_one(rid, w, tol: ToleranceConfig, r: float):
 
 
 def _stabilizer_one(rid, w, tol: ToleranceConfig):
-    rec = {"id": rid, "in_light_cone": in_light_cone(w, tol)}
-    if not rec["in_light_cone"]:
+    reason = light_cone_reason(w, tol)
+    rec = {"id": rid, "in_light_cone": reason is None}
+    if reason is not None:
         rec["kind"] = None
         rec["families"] = None
-        rec["reason"] = _light_cone_reason(w)
+        rec["reason"] = reason
         return rec
     klass = orbit_class(w, tol)
     rec["kind"] = klass.kind
@@ -386,7 +363,7 @@ def _suite_isometry(samples, seed, tol):
         scale = 1.0 + float(np.linalg.norm(u) * np.linalg.norm(v))
         worst_inner = max(
             worst_inner,
-            abs(hat_inner(_apply(p, u), _apply(p, v)) - hat_inner(u, v)) / scale,
+            abs(hat_inner(_compound(p) @ u, _compound(p) @ v) - hat_inner(u, v)) / scale,
         )
         worst_homo = max(
             worst_homo, float(np.max(np.abs(_compound(p) @ _compound(q) - _compound(p @ q))))
@@ -395,7 +372,7 @@ def _suite_isometry(samples, seed, tol):
         b = rng.normal(size=3)
         b *= np.linalg.norm(a) / np.linalg.norm(b)
         wl = from_vector_pair(a, b)
-        if not in_light_cone(_apply(p, wl), tol):
+        if not in_light_cone(_compound(p) @ wl, tol):
             worst_cone = 1.0
     return [
         ("induced metric preserved", worst_inner, 1e-8),
@@ -410,7 +387,7 @@ def _suite_pfaffian(samples, seed, tol):
     for _ in range(samples):
         p = random_proper_lorentz(rng, 4)
         u = rng.normal(size=6)
-        worst_inv = max(worst_inv, abs(pfaffian(_apply(p, u)) - pfaffian(u)) / (1.0 + u @ u))
+        worst_inv = max(worst_inv, abs(pfaffian(_compound(p) @ u) - pfaffian(u)) / (1.0 + u @ u))
     for phi in np.linspace(0.0, np.pi, 41):
         worst_angle = max(worst_angle, abs(pfaffian(base_point(phi)) - 2.0 * np.cos(phi)))
     return [
@@ -444,13 +421,13 @@ def _suite_frames(samples, seed, tol):
 
 
 def _suite_stabilizer(samples, seed, tol):
-    worst_fix = 0.0
-    for t in STACK_PARAMETERS:
-        for elem in stabilizer_generators(OrbitKind.NEUTRAL_PLUS, t):
-            worst_fix = max(worst_fix, fixing_residual(elem.matrix, neutral_base(1.0, 1)))
-            worst_fix = max(worst_fix, fixing_residual(elem.matrix, neutral_base(2.5, -1)))
-        for elem in stabilizer_generators(OrbitKind.DEGENERATE, t):
-            worst_fix = max(worst_fix, fixing_residual(elem.matrix, degenerate_base()))
+    neutral, _ = generator_stack(OrbitKind.NEUTRAL_PLUS)
+    degenerate, _ = generator_stack(OrbitKind.DEGENERATE)
+    worst_fix = max(
+        fixing_residual(neutral, neutral_base(1.0, 1)).max(),
+        fixing_residual(neutral, neutral_base(2.5, -1)).max(),
+        fixing_residual(degenerate, degenerate_base()).max(),
+    )
     worst_poly = 0.0
     for t in (-1.5, -0.4, 0.6, 2.0):
         x = np.tanh(t)
@@ -680,37 +657,25 @@ def _cmd_verify(args) -> int:
 # --- entry point ----------------------------------------------------------
 
 
-def _env_float(name):
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise _UsageError(f"bad {name}={raw!r}") from exc
-
-
-def _env_int(name, fallback):
+def _env(name, parse, fallback):
     raw = os.environ.get(name)
     if raw is None:
         return fallback
     try:
-        return int(raw)
+        return parse(raw)
     except ValueError as exc:
         raise _UsageError(f"bad {name}={raw!r}") from exc
 
 
 def _build_parser() -> _Parser:
-    tol_default = _env_float("LBO_TOL")
-    if tol_default is None:
-        tol_default = 1e-9
-    seed_default = _env_int("LBO_SEED", 0)
-    samples_default = _env_int("LBO_SAMPLES", 500)
-    r_default = _env_float("LBO_R")
+    tol_default = _env("LBO_TOL", float, 1e-9)
+    seed_default = _env("LBO_SEED", int, 0)
+    samples_default = _env("LBO_SAMPLES", int, 500)
+    r_default = _env("LBO_R", float, None)
     fmt_default = os.environ.get("LBO_FORMAT", "ndjson")
     if fmt_default not in ("ndjson", "json", "table"):
         raise _UsageError(f"bad LBO_FORMAT={fmt_default!r}")
-    threads_default = _env_int("LBO_THREADS", 1)
+    threads_default = _env("LBO_THREADS", int, 1)
 
     parser = _Parser(prog="lbo", description="light-cone bivector orbit reports")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -34,7 +34,7 @@ from .minkowski import (
 )
 from .wedge import (
     HAT_DIAG,
-    _apply,
+    _compound,
     as_bivector,
     basis_bivector,
     from_null_basis,
@@ -51,6 +51,8 @@ PARALLEL_RESIDUAL_TOL = 1e-4
 NULL_RESIDUAL_TOL = 1e-6
 # Step of the central differences in parallel_frame_check.
 FD_STEP = 1e-5
+
+_HALF_PI = np.pi / 2
 
 
 def to_vector_pair(w) -> tuple[np.ndarray, np.ndarray]:
@@ -159,7 +161,7 @@ def canonical_form(w, tol: ToleranceConfig = DEFAULT_TOL) -> CanonicalForm:
 
 def reconstruct(form: CanonicalForm) -> np.ndarray:
     """Push the normal form back through the adapted basis."""
-    return _apply(form.basis, canonical_bivector(form.r, form.phi))
+    return _compound(form.basis) @ canonical_bivector(form.r, form.phi)
 
 
 class OrbitKind:
@@ -197,6 +199,22 @@ def orbit_class(w, tol: ToleranceConfig = DEFAULT_TOL) -> OrbitClass:
     return OrbitClass(OrbitKind.NEUTRAL_MINUS, float(np.sqrt(-pf)), -1)
 
 
+def critical_rapidity(phi: float) -> float:
+    """Rapidity of the reduction boost, where the surface sweep reaches its minimal radius.
+
+    Uses tan of the half angle below the right angle and its reciprocal
+    above; symmetric under phi -> pi - phi.  Undefined at the right angle,
+    where the minimising rapidity runs away to infinity.
+    """
+    if not 0.0 <= phi <= np.pi:
+        raise ValueError("phi must lie in [0, pi]")
+    if phi == _HALF_PI:
+        raise ValueError("no finite minimising rapidity at phi = pi/2")
+    if phi < _HALF_PI:
+        return float(np.arctanh(np.tan(0.5 * phi)))
+    return float(np.arctanh(1.0 / np.tan(0.5 * phi)))
+
+
 def canonical_representative(
     w,
     tol: ToleranceConfig = DEFAULT_TOL,
@@ -210,9 +228,10 @@ def canonical_representative(
     composed with a boost along the second axis whose rapidity has hyperbolic
     tangent tan(phi/2) kills the e2^e3 and e1^e4 components.  Past the right
     angle the roles of sine and cosine swap: the rotation gains a quarter
-    turn and the rapidity uses the cotangent.  The witness is the accumulated
-    Lorentz matrix, so pushing w through it yields the returned element
-    r0 * (e1^e2 + epsilon * e3^e4).
+    turn and the rapidity uses the cotangent; critical_rapidity gives it, and
+    raises ValueError if phi rounds to the right angle.  The witness is the
+    accumulated Lorentz matrix, so pushing w through it yields the returned
+    element r0 * (e1^e2 + epsilon * e3^e4).
 
     A caller that already holds canonical_form(w, tol) or orbit_class(w, tol)
     passes it as form or klass, and it is not computed again.
@@ -223,13 +242,10 @@ def canonical_representative(
         raise DegenerateOrbitError("degenerate orbits contain no fully reduced element")
     if form is None:
         form = canonical_form(w, tol)
-    half = 0.5 * form.phi
-    if form.phi < np.pi / 2:
-        theta, t = half, float(np.arctanh(np.tan(half)))
-    else:
-        theta, t = half + np.pi / 2, float(np.arctanh(1.0 / np.tan(half)))
+    theta = 0.5 * form.phi if form.phi < _HALF_PI else 0.5 * form.phi + _HALF_PI
+    t = critical_rapidity(form.phi)
     witness = rotation_matrix(2, theta) @ boost_matrix(2, t) @ lorentz_inverse(form.basis)
-    return _apply(witness, w), witness
+    return _compound(witness) @ as_bivector(w), witness
 
 
 # --- tangent frames along the normal-form curve ---------------------------
@@ -309,12 +325,10 @@ def surface_point(phi: float, theta: float, t: float) -> np.ndarray:
     The sweep over (theta, t) fills out the two-parameter surface inside the
     orbit on which the reduction of canonical_representative takes place.
     """
-    return _apply(rotation_matrix(2, theta) @ boost_matrix(2, t), base_point(phi))
+    return _surface_matrix(theta, t) @ base_point(phi)
 
 
 def _surface_matrix(theta: float, t: float) -> np.ndarray:
-    from .wedge import _compound
-
     return _compound(rotation_matrix(2, theta) @ boost_matrix(2, t))
 
 

@@ -22,33 +22,14 @@ from .minkowski import (
     random_proper_lorentz,
     rotation_matrix,
 )
-from .orbit import OrbitClass, OrbitKind, base_point, canonical_form
-from .wedge import _apply, _compound, as_bivector, in_light_cone, split_norms
+from .orbit import _HALF_PI, OrbitClass, OrbitKind, base_point, canonical_form, critical_rapidity
+from .wedge import _compound, as_bivector, in_light_cone, split_norms
 
 
 class SliceTopology(Enum):
     EMPTY = "Empty"
     SPHERE_2 = "Sphere2"
     RP3 = "RP3"
-
-
-_HALF_PI = np.pi / 2
-
-
-def critical_rapidity(phi: float) -> float:
-    """Rapidity at which the surface sweep reaches its minimal radius.
-
-    Uses tan of the half angle below the right angle and its reciprocal
-    above; symmetric under phi -> pi - phi.  Undefined at the right angle,
-    where the minimising rapidity runs away to infinity.
-    """
-    if not 0.0 <= phi <= np.pi:
-        raise ValueError("phi must lie in [0, pi]")
-    if phi == _HALF_PI:
-        raise ValueError("no finite minimising rapidity at phi = pi/2")
-    if phi < _HALF_PI:
-        return float(np.arctanh(np.tan(0.5 * phi)))
-    return float(np.arctanh(1.0 / np.tan(0.5 * phi)))
 
 
 def min_slice_radius(phi: float) -> float:
@@ -122,11 +103,11 @@ def empirical_min_radius(
     for theta in thetas:
         rot = rotation_matrix(2, theta)
         for t in ts:
-            c = _apply(rot @ boost_matrix(2, t), scaled)
+            c = _compound(rot @ boost_matrix(2, t)) @ scaled
             best = min(best, float(np.sqrt(split_norms(c)[0])))
 
     for t in np.linspace(0.0, 10.0, 1001):
-        c = _apply(boost_matrix(2, t), scaled)
+        c = _compound(boost_matrix(2, t)) @ scaled
         best = min(best, float(np.sqrt(split_norms(c)[0])))
 
     rng = np.random.default_rng(seed)

@@ -150,15 +150,15 @@ def generator_stack(kind: str) -> tuple[np.ndarray, tuple]:
 def fixing_residual(P, w) -> float | np.ndarray:
     """Relative residual of the pushforward of w by P against w itself.
 
-    P is one 4x4 matrix (returns a float) or an (n, 4, 4) stack (returns n
-    residuals, bit-identical to the one-matrix values).
+    P is an (n, 4, 4) stack (returns n residuals) or one 4x4 matrix, taken as
+    a stack of one (returns a float).
     """
     w = as_bivector(w)
-    d = _compound(P) @ w - w
-    if d.ndim == 1:
-        return float(np.linalg.norm(d) / np.linalg.norm(w))
-    # stacked dot, not einsum or (d * d).sum(1): only this matches norm's bits
-    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0]) / np.linalg.norm(w)
+    P = np.asarray(P, dtype=float)
+    d = _compound(P.reshape(-1, 4, 4)) @ w - w
+    # stacked dot, not einsum or (d * d).sum(1): only this matches np.linalg.norm's bits
+    res = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0]) / np.linalg.norm(w)
+    return float(res[0]) if P.ndim == 2 else res
 
 
 def stabilizer_sweep_matrix(a: float, b: float, c: float, d: float):

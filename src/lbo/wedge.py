@@ -81,10 +81,27 @@ def split_norms(w) -> tuple[float, float]:
     return spatial, temporal
 
 
+def light_cone_reason(w, tol: ToleranceConfig = DEFAULT_TOL) -> str | None:
+    """Why w is off the light cone, or None when it is on it.
+
+    On the cone the two split norms agree and the spatial one lies above eps.
+    """
+    spatial, temporal = split_norms(w)
+    if spatial == 0.0 and temporal == 0.0:
+        return "zero bivector"
+    if not abs(spatial - temporal) <= tol.eps * max(spatial, temporal, 1.0):
+        return f"split norms differ: spatial {spatial:.6g} vs temporal {temporal:.6g}"
+    if spatial <= tol.eps:
+        return (
+            f"split norms at or below the tolerance {tol.eps:.6g}: "
+            f"spatial {spatial:.6g} vs temporal {temporal:.6g}"
+        )
+    return None
+
+
 def in_light_cone(w, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff w is isotropic and nonzero: the two split norms agree and do not vanish."""
-    spatial, temporal = split_norms(w)
-    return abs(spatial - temporal) <= tol.eps * max(spatial, temporal, 1.0) and spatial > tol.eps
+    return light_cone_reason(w, tol) is None
 
 
 def pfaffian(w) -> float:
@@ -110,6 +127,11 @@ def _compound(P) -> np.ndarray:
 
     One gather of the four minor factors; the result is C-contiguous so that
     stacked products with it take the same BLAS path as single matrices.
+    The library pushes its own matrices forward as _compound(P) @ w: they are
+    Lorentz by construction, and the check in pushforward costs more than the
+    product (and, being absolute, rejects exact boosts at large rapidity).
+    pushforward and pushforward_matrix are the validated entry points for
+    matrices from outside.
     """
     P = np.asarray(P, dtype=float)
     f = P.reshape(P.shape[:-2] + (16,))[..., _MINOR_FACTORS]
@@ -128,12 +150,6 @@ def pushforward_matrix(P, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 def pushforward(P, w, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Apply the induced action of P to a bivector."""
     return pushforward_matrix(P, tol) @ as_bivector(w)
-
-
-def _apply(P: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # Trusted path for matrices the library built itself; skips revalidation
-    # so large-rapidity compositions are not rejected by the fixed tolerance.
-    return _compound(P) @ np.asarray(w, dtype=float)
 
 
 def lie_pushforward_matrix(X) -> np.ndarray:

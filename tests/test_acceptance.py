@@ -50,7 +50,6 @@ from lbo.stabilizer import (
 from lbo.wedge import (
     HAT_DIAG,
     NULL_BASIS_MATRIX,
-    _apply,
     _compound,
     hat_inner,
     in_light_cone,
@@ -69,10 +68,10 @@ def test_criterion_1_isometry():
         u, v = rng.normal(size=(2, 6))
         scale = 1.0 + np.linalg.norm(u) * np.linalg.norm(v)
         worst = max(
-            worst, abs(hat_inner(_apply(p, u), _apply(p, v)) - hat_inner(u, v)) / scale
+            worst, abs(hat_inner(_compound(p) @ u, _compound(p) @ v) - hat_inner(u, v)) / scale
         )
         w = random_light_cone_bivector(rng)
-        cone_ok = cone_ok and in_light_cone(_apply(p, w))
+        cone_ok = cone_ok and in_light_cone(_compound(p) @ w)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and cone_ok and elapsed < 1.0
     assert record_criterion(
@@ -184,7 +183,7 @@ def test_criterion_3_round_trip_and_angle_invariance():
         u = np.eye(4)
         for axis in (1, 2, 3):
             u = u @ rotation_matrix(axis, rng.uniform(-np.pi, np.pi))
-        moved = _apply(u, w)
+        moved = _compound(u) @ w
         worst_phi = max(worst_phi, abs(canonical_form(moved).phi - phi0))
     ok = worst_rt <= 1e-9 and worst_phi <= 1e-10
     assert record_criterion(
@@ -214,7 +213,7 @@ def test_criterion_4_reduction_uniqueness():
     k = orbit_class(w0)
     thetas = np.linspace(0.0, np.pi, 400)
     ts = np.linspace(-5.0, 5.0, 400)
-    boosted = np.column_stack([_apply(boost_matrix(2, t), w0) for t in ts])
+    boosted = np.column_stack([_compound(boost_matrix(2, t)) @ w0 for t in ts])
     found = []
     for i, th in enumerate(thetas):
         cells = _compound(rotation_matrix(2, th)) @ boosted

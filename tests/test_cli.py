@@ -315,6 +315,34 @@ def test_verify_suites_pass():
     assert "PASS" in out and "FAIL" not in out
     p = run_cli(["verify", "--suite", "stabilizer"])
     assert p.returncode == 0
+    # isometry 3, pfaffian 2, frames 3, stabilizer 4, slice 3
+    p = run_cli(["verify", "--suite", "all", "--samples", "50"])
+    assert p.returncode == 0
+    lines = p.stdout.decode().splitlines()
+    assert len(lines) == 15
+    assert all(" PASS " in line for line in lines)
+
+
+def test_off_cone_reasons():
+    stdin = (
+        b'{"id":"zero","c":[0,0,0,0,0,0]}\n'
+        b'{"id":"small","c":[1e-6,0,0,0,0,1e-6]}\n'
+        b'{"id":"tiny","c":[1e-10,0,0,0,0,1e-10]}\n'
+        b'{"id":"apart","c":[0.5,-0.25,0.75,0.125,0.6,0.3]}\n'
+    )
+    floor = "split norms at or below the tolerance 1e-09: "
+    expected = [
+        "zero bivector",
+        floor + "spatial 1e-12 vs temporal 1e-12",
+        floor + "spatial 1e-20 vs temporal 1e-20",
+        "split norms differ: spatial 0.328125 vs temporal 1.0125",
+    ]
+    for args in (["classify"], ["canonical"], ["slice", "--r", "1"], ["stabilizer"]):
+        p = run_cli(args, stdin)
+        assert p.returncode == 0
+        recs = [json.loads(line) for line in p.stdout.splitlines()]
+        assert [rec["in_light_cone"] for rec in recs] == [False] * 4
+        assert [rec["reason"] for rec in recs] == expected
 
 
 def test_file_input(tmp_path):

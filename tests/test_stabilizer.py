@@ -23,7 +23,7 @@ from lbo.stabilizer import (
     stabilizer_generators,
     stabilizer_sweep_matrix,
 )
-from lbo.wedge import _apply, _compound, hat_inner
+from lbo.wedge import _compound, hat_inner
 
 PARAMS = (-1.3, -0.5, 0.2, 0.8, 1.7)
 
@@ -89,6 +89,10 @@ def test_stacked_fixing_residual_is_bit_identical(kind, rng):
             single = conj @ m @ lorentz_inverse(conj)
             assert np.array_equal(mats[k], single)
             assert stacked[k] == fixing_residual(single, w)
+            # reference: the one-matrix residual through np.linalg.norm
+            assert fixing_residual(single, w) == np.linalg.norm(
+                _compound(single) @ w - w
+            ) / np.linalg.norm(w)
 
 
 def test_null_rotation_angle_identities():
@@ -117,7 +121,7 @@ def test_axis2_boost_scales_degenerate_base():
     w = degenerate_base()
     for s in (-1.0, 0.3, 1.4):
         np.testing.assert_allclose(
-            _apply(boost_matrix(2, s), w), np.exp(-s) * w, atol=1e-13
+            _compound(boost_matrix(2, s)) @ w, np.exp(-s) * w, atol=1e-13
         )
 
 

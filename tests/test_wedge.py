@@ -20,6 +20,7 @@ from lbo.wedge import (
     from_null_basis,
     hat_inner,
     in_light_cone,
+    light_cone_reason,
     lie_pushforward_matrix,
     null_basis_vector,
     pfaffian,
@@ -98,6 +99,12 @@ def test_in_light_cone_band():
     assert not in_light_cone(outside)
     # scale-free: tiny light-cone bivectors below eps count as zero
     assert not in_light_cone(1e-6 * base)
+    assert light_cone_reason(1e-6 * base).startswith("split norms at or below the tolerance")
+    assert light_cone_reason(np.zeros(6)) == "zero bivector"
+    assert light_cone_reason(outside).startswith("split norms differ")
+    assert light_cone_reason(inside) is None
+    # NaN never lands on the cone
+    assert not in_light_cone(np.full(6, np.nan))
 
 
 def test_pushforward_preserves_inner_and_cone(rng):
