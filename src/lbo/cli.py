@@ -7,8 +7,11 @@ line); a single pretty-printed object or a top-level array also works.
 
 Output is deterministic byte-for-byte: keys appear in fixed order and reals
 are printed with 17 significant digits, so re-runs compare equal.  Records
-are processed one after another on a single path; --threads and LBO_THREADS
-are still accepted for compatibility and have no effect.  Exit codes:
+are read in chunks of up to CHUNK: each chunk is decoded into one array,
+reduced by one reduce_orbits call and written in input order, error records
+included, with the same bytes and exit code as a record-by-record run.
+--threads and LBO_THREADS are still accepted for compatibility and have no
+effect.  Exit codes:
 0 success, 2 input error, 3 usage error, 4 internal invariant violation.  A
 record that fails with an input error or an invariant violation is emitted
 as an error record and the batch continues; 4 wins over 2 in the exit code.
@@ -19,7 +22,9 @@ LBO_SEED, LBO_SAMPLES, LBO_R, LBO_FORMAT, LBO_THREADS); explicit flags win.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import os
 import sys
 
@@ -28,23 +33,23 @@ import numpy as np
 from .errors import DegenerateOrbitError, InvariantViolationError, NotInLightConeError
 from .minkowski import ToleranceConfig, lorentz_inverse, random_proper_lorentz
 from .orbit import (
+    RIGHT_ANGLE,
     OrbitKind,
     base_point,
-    canonical_form,
-    canonical_representative,
     from_vector_pair,
     normal_form_bivector,
     orbit_class,
     orthonormal_tangent_frame,
     parallel_frame_check,
     reconstruct,
+    reduce_orbits,
     tangent_frame,
     tangent_gram,
 )
 from .rslice import (
     SliceTopology,
+    _on_radius,
     empirical_min_radius,
-    in_slice,
     min_slice_radius,
     slice_topology,
 )
@@ -65,13 +70,17 @@ from .stabilizer import (
 from .wedge import (
     HAT_DIAG,
     _compound,
+    _rows_dot,
     hat_inner,
     in_light_cone,
-    light_cone_reason,
     pfaffian,
-    split_norms,
     wedge,
 )
+
+# Records per chunk: each chunk is decoded into one array and reduced by one
+# reduce_orbits call.  Large enough to spread the kernel's fixed cost, small
+# enough that the first output line is not held back.
+CHUNK = 128
 
 # Residuals past this ceiling (scaled by witness conditioning) indicate a bug,
 # not an input problem, and map to exit code 4.
@@ -176,24 +185,24 @@ def _decode_record(obj) -> tuple:
         if not (isinstance(c, list) and len(c) == 6):
             raise _InputError('"c" must be a list of 6 numbers')
         try:
-            w = np.array([float(v) for v in c])
-        except (TypeError, ValueError) as exc:
+            c = [float(v) for v in c]
+        except (TypeError, ValueError, OverflowError) as exc:
             raise _InputError(f'"c" entries must be numbers: {exc}') from exc
-        if not np.all(np.isfinite(w)):
+        if not all(map(math.isfinite, c)):
             raise _InputError('"c" entries must be finite')
-        return rid, w
+        return rid, np.array(c)
     x, y = obj.get("x"), obj.get("y")
     for name, v in (("x", x), ("y", y)):
         if not (isinstance(v, list) and len(v) == 4):
             raise _InputError(f'"{name}" must be a list of 4 numbers')
     try:
-        xv = np.array([float(v) for v in x])
-        yv = np.array([float(v) for v in y])
-    except (TypeError, ValueError) as exc:
+        x = [float(v) for v in x]
+        y = [float(v) for v in y]
+    except (TypeError, ValueError, OverflowError) as exc:
         raise _InputError(f"vector entries must be numbers: {exc}") from exc
-    if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(yv))):
+    if not all(map(math.isfinite, x + y)):
         raise _InputError("vector entries must be finite")
-    return rid, wedge(xv, yv)
+    return rid, wedge(x, y)
 
 
 def _iter_docs(stream):
@@ -214,7 +223,7 @@ def _iter_docs(stream):
             continue
         try:
             doc = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             doc = _InputError(f"bad JSON line: {exc}")
         yield doc
 
@@ -229,124 +238,147 @@ def _iter_raw(stream):
             yield doc
 
 
-# --- per-record reports ---------------------------------------------------
+# --- chunk reports ----------------------------------------------------------
+#
+# Each report takes the ids and the (n, 6) array of one chunk of decoded
+# records, reduces them with one reduce_orbits call and yields, in order, one
+# output record per row, or (id, exception) for a row that fails.
 
 
-def _witness_scale(witness: np.ndarray) -> float:
-    return max(1.0, float(np.max(np.abs(witness))) ** 2)
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row, bit for bit."""
+    return np.sqrt(_rows_dot(x, x))
 
 
-def _classify_one(rid, w, tol: ToleranceConfig, r_query):
-    spatial, temporal = split_norms(w)
-    reason = light_cone_reason(w, tol)
-    rec = {"id": rid, "in_light_cone": reason is None}
-    rec["A"] = spatial
-    rec["B"] = temporal
-    rec["pfaffian"] = pfaffian(w)
-    if reason is not None:
-        rec["canonical"] = None
-        rec["class"] = None
-        rec["reason"] = reason
-        return rec
-    form = canonical_form(w, tol)
-    klass = orbit_class(w, tol)
-    rec["canonical"] = {"r": form.r, "phi": form.phi}
-    rec["class"] = {"kind": klass.kind, "r0": klass.r0, "epsilon": klass.epsilon}
-    recon = float(np.linalg.norm(reconstruct(form) - w) / np.linalg.norm(w))
-    rep_residual = None
-    if klass.kind != OrbitKind.DEGENERATE:
-        rep, witness = canonical_representative(w, tol, form=form, klass=klass)
-        expected = normal_form_bivector(klass.r0, klass.epsilon)
-        rep_residual = float(np.linalg.norm(rep - expected) / max(klass.r0, 1.0))
-        if rep_residual > _BUG_CEILING * _witness_scale(witness):
-            raise InvariantViolationError(
-                f"reduced element off its normal form (residual {rep_residual:.3e})"
+def _right_angle(rid):
+    return rid, _InputError(f"neutral bivector: {RIGHT_ANGLE}")
+
+
+def _classify_chunk(rids, W, tol: ToleranceConfig, r_query):
+    b = reduce_orbits(W, tol)
+    on, ok = b.on_cone, b.witnessed
+    recon, rep_residual, witness_max = np.zeros(len(W)), np.zeros(len(W)), np.zeros(len(W))
+    recon[on] = _row_norms(reconstruct(b)[on] - W[on]) / _row_norms(W[on])
+    expected = normal_form_bivector(b.r0[ok], b.epsilon[ok])
+    rep_residual[ok] = _row_norms(b.reduced[ok] - expected) / np.maximum(b.r0[ok], 1.0)
+    witness_max[ok] = np.abs(b.witness[ok]).max(axis=(1, 2))
+    columns = (b.spatial, b.temporal, b.pfaffian, b.r, b.phi, b.r0, b.epsilon, on, ok)
+    A, B, pf, r, phi, r0, eps, on, ok, recon, rep_residual, witness_max = (
+        x.tolist() for x in (*columns, recon, rep_residual, witness_max)
+    )
+    for i, rid in enumerate(rids):
+        rec = {"id": rid, "in_light_cone": on[i], "A": A[i], "B": B[i], "pfaffian": pf[i]}
+        if not on[i]:
+            rec["canonical"] = None
+            rec["class"] = None
+            rec["reason"] = b.reason[i]
+            yield rec
+            continue
+        if eps[i] and not ok[i]:
+            yield _right_angle(rid)
+            continue
+        rec["canonical"] = {"r": r[i], "phi": phi[i]}
+        rec["class"] = {"kind": b.kind[i], "r0": r0[i], "epsilon": eps[i] or None}
+        rep = rep_residual[i] if ok[i] else None
+        if ok[i] and rep > _BUG_CEILING * max(1.0, witness_max[i] ** 2):  # conditioning
+            yield rid, InvariantViolationError(
+                f"reduced element off its normal form (residual {rep:.3e})"
             )
-    if recon > _BUG_CEILING:
-        raise InvariantViolationError(f"canonical form fails to reconstruct (residual {recon:.3e})")
-    if r_query is not None:
-        topo = slice_topology(klass, r_query, tol)
-        rec["slice"] = {
-            "r_queried": r_query,
-            "topology": topo.value,
-            "boundary": topo is SliceTopology.SPHERE_2,
-        }
-    rec["diagnostics"] = {
-        "reconstruction_residual": recon,
-        "representative_residual": rep_residual,
-    }
-    return rec
+            continue
+        if recon[i] > _BUG_CEILING:
+            yield rid, InvariantViolationError(
+                f"canonical form fails to reconstruct (residual {recon[i]:.3e})"
+            )
+            continue
+        if r_query is not None:
+            topo = slice_topology(b.orbit_class(i), r_query, tol)
+            rec["slice"] = {
+                "r_queried": r_query,
+                "topology": topo.value,
+                "boundary": topo is SliceTopology.SPHERE_2,
+            }
+        rec["diagnostics"] = {"reconstruction_residual": recon[i], "representative_residual": rep}
+        yield rec
 
 
-def _canonical_one(rid, w, tol: ToleranceConfig):
-    reason = light_cone_reason(w, tol)
-    rec = {"id": rid, "in_light_cone": reason is None}
-    if reason is not None:
-        rec["r"] = None
-        rec["phi"] = None
-        rec["basis"] = None
-        rec["representative"] = None
-        rec["witness"] = None
-        rec["reason"] = reason
-        return rec
-    form = canonical_form(w, tol)
-    rec["r"] = form.r
-    rec["phi"] = form.phi
-    rec["basis"] = [float(v) for v in form.basis.ravel()]
-    try:
-        rep, witness = canonical_representative(w, tol, form=form)
-        rec["representative"] = [float(v) for v in rep]
-        rec["witness"] = [float(v) for v in witness.ravel()]
-    except DegenerateOrbitError:
-        rec["representative"] = None
-        rec["witness"] = None
-        rec["note"] = "degenerate orbit: no element of the form r0*(e12 + eps*e34) exists"
-    return rec
+def _canonical_chunk(rids, W, tol: ToleranceConfig):
+    b = reduce_orbits(W, tol)
+    on, ok, eps, r, phi = (x.tolist() for x in (b.on_cone, b.witnessed, b.epsilon, b.r, b.phi))
+    basis = b.basis.reshape(-1, 16).tolist()
+    reduced = b.reduced.tolist()
+    witness = b.witness.reshape(-1, 16).tolist()
+    for i, rid in enumerate(rids):
+        rec = {"id": rid, "in_light_cone": on[i]}
+        if not on[i]:
+            rec["r"] = None
+            rec["phi"] = None
+            rec["basis"] = None
+            rec["representative"] = None
+            rec["witness"] = None
+            rec["reason"] = b.reason[i]
+        elif eps[i] and not ok[i]:
+            rec = _right_angle(rid)
+        else:
+            rec["r"] = r[i]
+            rec["phi"] = phi[i]
+            rec["basis"] = basis[i]
+            rec["representative"] = reduced[i] if ok[i] else None
+            rec["witness"] = witness[i] if ok[i] else None
+            if not ok[i]:
+                rec["note"] = "degenerate orbit: no element of the form r0*(e12 + eps*e34) exists"
+        yield rec
 
 
-def _slice_one(rid, w, tol: ToleranceConfig, r: float):
-    reason = light_cone_reason(w, tol)
-    rec = {"id": rid, "in_light_cone": reason is None, "r_queried": r}
-    if reason is not None:
-        rec["class"] = None
-        rec["topology"] = None
-        rec["in_slice"] = False
-        rec["reason"] = reason
-        return rec
-    klass = orbit_class(w, tol)
-    topo = slice_topology(klass, r, tol)
-    rec["class"] = {"kind": klass.kind, "r0": klass.r0, "epsilon": klass.epsilon}
-    rec["topology"] = topo.value
-    rec["boundary"] = topo is SliceTopology.SPHERE_2
-    rec["in_slice"] = in_slice(w, r, tol)
-    return rec
+def _slice_chunk(rids, W, tol: ToleranceConfig, r: float):
+    b = reduce_orbits(W, tol, frames=False)
+    on = b.on_cone.tolist()
+    member = _on_radius(b.spatial, r, tol).tolist()
+    for i, rid in enumerate(rids):
+        rec = {"id": rid, "in_light_cone": on[i], "r_queried": r}
+        if not on[i]:
+            rec["class"] = None
+            rec["topology"] = None
+            rec["in_slice"] = False
+            rec["reason"] = b.reason[i]
+            yield rec
+            continue
+        klass = b.orbit_class(i)
+        topo = slice_topology(klass, r, tol)
+        rec["class"] = {"kind": klass.kind, "r0": klass.r0, "epsilon": klass.epsilon}
+        rec["topology"] = topo.value
+        rec["boundary"] = topo is SliceTopology.SPHERE_2
+        rec["in_slice"] = member[i]
+        yield rec
 
 
-def _stabilizer_one(rid, w, tol: ToleranceConfig):
-    reason = light_cone_reason(w, tol)
-    rec = {"id": rid, "in_light_cone": reason is None}
-    if reason is not None:
-        rec["kind"] = None
-        rec["families"] = None
-        rec["reason"] = reason
-        return rec
-    klass = orbit_class(w, tol)
-    rec["kind"] = klass.kind
-    if klass.kind == OrbitKind.DEGENERATE:
-        # conjugate the base-point stabilizer through the adapted basis
-        form = canonical_form(w, tol)
-        conj, conj_inv = form.basis, lorentz_inverse(form.basis)
-    else:
-        _, witness = canonical_representative(w, tol, klass=klass)
-        conj, conj_inv = lorentz_inverse(witness), witness
-    stack, labels = generator_stack(klass.kind)
-    residuals = fixing_residual(conj @ stack @ conj_inv, w).tolist()
-    rec["families"] = [
-        {"family": family.value, "parameter": t, "fixing_residual": res}
-        for (family, t), res in zip(labels, residuals)
-    ]
-    rec["max_residual"] = max([0.0, *residuals])
-    return rec
+def _stabilizer_chunk(rids, W, tol: ToleranceConfig):
+    b = reduce_orbits(W, tol)
+    on, ok = b.on_cone.tolist(), b.witnessed.tolist()
+    for i, rid in enumerate(rids):
+        rec = {"id": rid, "in_light_cone": on[i]}
+        if not on[i]:
+            rec["kind"] = None
+            rec["families"] = None
+            rec["reason"] = b.reason[i]
+            yield rec
+            continue
+        kind = rec["kind"] = b.kind[i]
+        if kind == OrbitKind.DEGENERATE:
+            # conjugate the base-point stabilizer through the adapted basis
+            conj, conj_inv = b.basis[i], lorentz_inverse(b.basis[i])
+        elif ok[i]:
+            conj, conj_inv = lorentz_inverse(b.witness[i]), b.witness[i]
+        else:
+            yield _right_angle(rid)
+            continue
+        stack, labels = generator_stack(kind)
+        residuals = fixing_residual(conj @ stack @ conj_inv, W[i]).tolist()
+        rec["families"] = [
+            {"family": family.value, "parameter": t, "fixing_residual": res}
+            for (family, t), res in zip(labels, residuals)
+        ]
+        rec["max_residual"] = max([0.0, *residuals])
+        yield rec
 
 
 # --- verify suites --------------------------------------------------------
@@ -574,33 +606,46 @@ def _check_radius(r) -> None:
         raise _InputError(f"--r must be positive and finite, got {r!r}")
 
 
-def _run_batch(args, one) -> int:
+def _run_batch(args, report) -> int:
     tol = _tolerance(args)
     code = 0
 
     def records(stream):
         # one failed record becomes an error record; the batch goes on
         nonlocal code
-        for raw in _iter_raw(stream):
-            if isinstance(raw, _InputError):
-                code = max(code, 2)
-                yield {"id": None, "error": str(raw)}
-                continue
-            try:
-                rid, w = _decode_record(raw)
-            except _InputError as exc:
-                code = max(code, 2)
-                rid = raw.get("id") if isinstance(raw, dict) and isinstance(raw.get("id"), str) else None
-                yield {"id": rid, "error": str(exc)}
-                continue
-            try:
-                rec = one(rid, w, tol)
-            except InvariantViolationError as exc:
-                code = 4
-                message = f"invariant violation: {exc}"
-                print(message, file=sys.stderr)
-                rec = {"id": rid, "error": message}
-            yield rec
+        raws = _iter_raw(stream)
+        while True:
+            items, rids, rows = [], [], []  # items: None where the report's next row goes
+            for raw in itertools.islice(raws, CHUNK):
+                if isinstance(raw, _InputError):
+                    items.append((None, raw))
+                    continue
+                try:
+                    rid, w = _decode_record(raw)
+                except _InputError as exc:
+                    rid = raw.get("id") if isinstance(raw, dict) else None
+                    items.append((rid if isinstance(rid, str) else None, exc))
+                    continue
+                items.append(None)
+                rids.append(rid)
+                rows.append(w)
+            if not items:
+                return
+            reported = report(rids, np.array(rows).reshape(-1, 6), tol)
+            for item in items:
+                if item is None:
+                    item = next(reported)
+                if type(item) is tuple:
+                    rid, exc = item
+                    if isinstance(exc, InvariantViolationError):
+                        code = 4
+                        message = f"invariant violation: {exc}"
+                        print(message, file=sys.stderr)
+                    else:
+                        code = max(code, 2)
+                        message = str(exc)
+                    item = {"id": rid, "error": message}
+                yield item
 
     stream = _open_input(args)
     try:
@@ -619,22 +664,22 @@ def _run_batch(args, one) -> int:
 
 def _cmd_classify(args) -> int:
     _check_radius(args.r)
-    return _run_batch(args, lambda rid, w, tol: _classify_one(rid, w, tol, args.r))
+    return _run_batch(args, lambda rids, W, tol: _classify_chunk(rids, W, tol, args.r))
 
 
 def _cmd_canonical(args) -> int:
-    return _run_batch(args, _canonical_one)
+    return _run_batch(args, _canonical_chunk)
 
 
 def _cmd_slice(args) -> int:
     if args.r is None:
         raise _UsageError("slice requires --r")
     _check_radius(args.r)
-    return _run_batch(args, lambda rid, w, tol: _slice_one(rid, w, tol, args.r))
+    return _run_batch(args, lambda rids, W, tol: _slice_chunk(rids, W, tol, args.r))
 
 
 def _cmd_stabilizer(args) -> int:
-    return _run_batch(args, _stabilizer_one)
+    return _run_batch(args, _stabilizer_chunk)
 
 
 def _cmd_verify(args) -> int:

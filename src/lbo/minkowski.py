@@ -130,9 +130,9 @@ def is_proper_lorentz(P, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 
 
 def lorentz_inverse(P) -> np.ndarray:
-    """Inverse of a metric-preserving matrix, computed without a linear solve."""
+    """Inverse of a metric-preserving matrix (or a (..., 4, 4) stack), without a linear solve."""
     P = np.asarray(P, dtype=float)
-    return ETA @ P.T @ ETA
+    return ETA @ P.swapaxes(-1, -2) @ ETA
 
 
 def random_generator_word(rng: np.random.Generator, word_length: int) -> list[GeneratorKind]:

@@ -21,11 +21,14 @@ its rank-2 induced metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateOrbitError, NotInLightConeError
 from .minkowski import (
+    _BOOST_PLANES,
+    _ROTATION_PLANES,
     DEFAULT_TOL,
     ToleranceConfig,
     boost_matrix,
@@ -35,13 +38,14 @@ from .minkowski import (
 from .wedge import (
     HAT_DIAG,
     _compound,
+    _cone_reason,
+    _rows_dot,
+    _split_norms_rows,
     as_bivector,
     basis_bivector,
     from_null_basis,
     hat_inner,
-    in_light_cone,
     pfaffian,
-    split_norms,
 )
 
 # Residual ceilings for the transported-frame checks.  The first bounds both
@@ -77,8 +81,10 @@ def from_vector_pair(a, b) -> np.ndarray:
     return np.array([a[2], -a[1], b[0], a[0], b[1], b[2]])
 
 
-def canonical_bivector(r: float, phi: float) -> np.ndarray:
-    """r * (cos(phi) e1^e2 + sin(phi) e2^e3 + e3^e4)."""
+def canonical_bivector(r, phi) -> np.ndarray:
+    """r * (cos(phi) e1^e2 + sin(phi) e2^e3 + e3^e4); arrays of r and phi give one row each."""
+    r = np.asarray(r, dtype=float)[..., None]
+    phi = np.asarray(phi, dtype=float)[..., None]
     return r * (
         np.cos(phi) * basis_bivector(1, 2)
         + np.sin(phi) * basis_bivector(2, 3)
@@ -91,11 +97,16 @@ def base_point(phi: float) -> np.ndarray:
     return canonical_bivector(np.sqrt(2.0), phi)
 
 
-def normal_form_bivector(r0: float, epsilon: int) -> np.ndarray:
-    """The fully reduced element r0 * (e1^e2 + epsilon * e3^e4) of a neutral orbit."""
-    if epsilon not in (1, -1):
+def normal_form_bivector(r0, epsilon) -> np.ndarray:
+    """The fully reduced element r0 * (e1^e2 + epsilon * e3^e4) of a neutral orbit.
+
+    Arrays of r0 and epsilon give one row each.
+    """
+    epsilon = np.asarray(epsilon)
+    if not np.all((epsilon == 1) | (epsilon == -1)):
         raise ValueError("epsilon must be +1 or -1")
-    return r0 * (basis_bivector(1, 2) + epsilon * basis_bivector(3, 4))
+    r0 = np.asarray(r0, dtype=float)[..., None]
+    return r0 * (basis_bivector(1, 2) + epsilon[..., None] * basis_bivector(3, 4))
 
 
 @dataclass(frozen=True)
@@ -112,11 +123,176 @@ class CanonicalForm:
     basis: np.ndarray
 
 
+class OrbitKind:
+    """Orbit type labels; plain strings so they serialise directly."""
+
+    NEUTRAL_PLUS = "NeutralPlus"
+    NEUTRAL_MINUS = "NeutralMinus"
+    DEGENERATE = "Degenerate"
+
+
+_KIND_BY_SIGN = {1: OrbitKind.NEUTRAL_PLUS, -1: OrbitKind.NEUTRAL_MINUS, 0: OrbitKind.DEGENERATE}
+
+
+@dataclass(frozen=True)
+class OrbitClass:
+    """Orbit type with its invariants: reduced scale r0 and sign epsilon."""
+
+    kind: str
+    r0: float
+    epsilon: int | None
+
+
+class OrbitBatch(NamedTuple):
+    """What reduce_orbits finds for each row of an (n, 6) batch of bivectors.
+
+    Every row: spatial and temporal split norms, pfaffian, and reason (why the
+    row is off the light cone, None on it; on_cone is the mask of None).
+    Rows on the cone: r, phi and basis of canonical_form; kind, r0 and
+    epsilon of orbit_class (epsilon 0 for degenerate rows, kind None off the
+    cone).  Neutral rows whose angle does not round to pi/2 (the mask
+    witnessed): witness and reduced element of canonical_representative.
+    Entries a row does not have, or that reduce_orbits was asked not to
+    compute, are NaN.
+    """
+
+    spatial: np.ndarray
+    temporal: np.ndarray
+    pfaffian: np.ndarray
+    reason: tuple
+    on_cone: np.ndarray
+    r: np.ndarray
+    phi: np.ndarray
+    basis: np.ndarray
+    kind: tuple
+    r0: np.ndarray
+    epsilon: np.ndarray
+    witnessed: np.ndarray
+    witness: np.ndarray
+    reduced: np.ndarray
+
+    def canonical_form(self, i: int) -> CanonicalForm:
+        return CanonicalForm(r=float(self.r[i]), phi=float(self.phi[i]), basis=self.basis[i])
+
+    def orbit_class(self, i: int) -> OrbitClass:
+        return OrbitClass(self.kind[i], float(self.r0[i]), int(self.epsilon[i]) or None)
+
+
 def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """np.cross of two 3-vectors in closed form: the same products and differences."""
-    x0, x1, x2 = x.tolist()
-    y0, y1, y2 = y.tolist()
-    return np.array([x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0])
+    """np.cross of (..., 3) vectors in closed form: the same products and differences."""
+    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+    y0, y1, y2 = y[..., 0], y[..., 1], y[..., 2]
+    return np.stack([x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0], axis=-1)
+
+
+def _adapted_frames(w: np.ndarray, tol: ToleranceConfig):
+    """r, phi and adapted basis of (m, 6) light-cone rows; see canonical_form."""
+    a = np.stack([w[:, 3], -w[:, 1], w[:, 0]], axis=1)
+    b = np.stack([w[:, 2], w[:, 4], w[:, 5]], axis=1)
+    spatial = _rows_dot(a, a)
+    r = np.sqrt(spatial)
+    phi = np.arccos(np.clip(_rows_dot(a, b) / spatial, -1.0, 1.0))
+
+    u3 = b / np.sqrt(_rows_dot(b, b))[:, None]
+    cross = _cross(b, a)
+    cross_norm = np.sqrt(_rows_dot(cross, cross))
+    generic = cross_norm > tol.eps * spatial
+    u2 = np.empty_like(u3)
+    u2[generic] = cross[generic] / cross_norm[generic, None]
+    if not generic.all():
+        # parallel rows: the first coordinate axis not parallel to u3 (else the
+        # last), orthogonalised against it
+        u3p = u3[~generic]
+        fits = np.abs(u3p) < 1.0 - 1e-9
+        axis = np.eye(3)[np.where(fits.any(axis=1), fits.argmax(axis=1), 2)]
+        v = axis - _rows_dot(axis, u3p)[:, None] * u3p
+        u2[~generic] = v / np.sqrt(_rows_dot(v, v))[:, None]
+    u1 = _cross(u2, u3)
+
+    basis = np.zeros((len(w), 4, 4))
+    basis[:, :3, :3] = np.stack([u1, u2, u3], axis=2)
+    basis[:, 3, 3] = 1.0
+    return r, phi, basis
+
+
+def _plane_stack(plane: tuple, diag, upper, lower) -> np.ndarray:
+    """Identity matrices whose block on plane (i, j) is [[diag, upper], [lower, diag]]."""
+    i, j = plane
+    m = np.zeros((len(diag), 4, 4))
+    m[:, range(4), range(4)] = 1.0
+    m[:, i, i] = m[:, j, j] = diag
+    m[:, i, j] = upper
+    m[:, j, i] = lower
+    return m
+
+
+def _reduction_witnesses(phi: np.ndarray, basis: np.ndarray, w: np.ndarray):
+    """Witnesses (m, 4, 4) and reduced elements (m, 6) of neutral rows.
+
+    See canonical_representative; no angle may be the right angle.
+    """
+    half = 0.5 * phi
+    theta = np.where(phi < _HALF_PI, half, half + _HALF_PI)
+    t = np.array([critical_rapidity(p) for p in phi.tolist()])
+    # rotation_matrix(2, theta) @ boost_matrix(2, t) @ lorentz_inverse(basis), row by row
+    c, s = np.cos(theta), np.sin(theta)
+    sinh = np.sinh(t)
+    witness = (
+        _plane_stack(_ROTATION_PLANES[2], c, -s, s)
+        @ _plane_stack(_BOOST_PLANES[2], np.cosh(t), sinh, sinh)
+        @ lorentz_inverse(basis)
+    )
+    return witness, (_compound(witness) @ w[:, :, None])[:, :, 0]
+
+
+def reduce_orbits(W, tol: ToleranceConfig = DEFAULT_TOL, *, frames: bool = True) -> OrbitBatch:
+    """canonical_form, orbit_class and canonical_representative of each row of an (n, 6) array.
+
+    Off-cone rows get their reason, and neutral rows whose angle rounds to
+    pi/2 get no witness, instead of an exception, so one row never stops the
+    others.  With frames=False only the split norms, pfaffian, reason and
+    class are computed.  Each row gets the bits the scalar functions give it
+    alone (they call this with n = 1): dot products are stacked one-row
+    matrix products, never sums over an axis, and the squares of the split
+    norms go through libm pow.
+    """
+    W = np.ascontiguousarray(W, dtype=float)
+    if W.ndim != 2 or W.shape[1] != 6:
+        raise ValueError(f"expected an (n, 6) array of bivectors, got shape {W.shape}")
+    n = len(W)
+    spatial, temporal = _split_norms_rows(W)
+    pf = pfaffian(W)
+    reason = tuple(_cone_reason(s, t, tol) for s, t in zip(spatial.tolist(), temporal.tolist()))
+    on = np.array([x is None for x in reason], dtype=bool)
+
+    degenerate = np.abs(pf) <= tol.eps * np.maximum(spatial, 1.0)
+    epsilon = np.zeros(n, dtype=int)
+    epsilon[on & ~degenerate] = np.where(pf[on & ~degenerate] > 0, 1, -1)
+    r0 = np.full(n, np.nan)
+    r0[on] = np.where(degenerate[on], 0.0, np.sqrt(np.abs(pf[on])))
+    kind = tuple(_KIND_BY_SIGN[e] if o else None for e, o in zip(epsilon.tolist(), on.tolist()))
+
+    r, phi = np.full(n, np.nan), np.full(n, np.nan)
+    basis, witness = np.full((n, 4, 4), np.nan), np.full((n, 4, 4), np.nan)
+    reduced = np.full((n, 6), np.nan)
+    witnessed = np.zeros(n, dtype=bool)
+    if frames:
+        r[on], phi[on], basis[on] = _adapted_frames(W[on], tol)
+        witnessed = (epsilon != 0) & (phi != _HALF_PI)
+        witness[witnessed], reduced[witnessed] = _reduction_witnesses(
+            phi[witnessed], basis[witnessed], W[witnessed]
+        )
+    return OrbitBatch(
+        spatial, temporal, pf, reason, on, r, phi, basis, kind, r0, epsilon,
+        witnessed, witness, reduced,
+    )
+
+
+def _reduce_one(w, tol: ToleranceConfig, caller: str, frames: bool = True) -> OrbitBatch:
+    batch = reduce_orbits(as_bivector(w)[None], tol, frames=frames)
+    if not batch.on_cone[0]:
+        raise NotInLightConeError(f"{caller} requires a light-cone bivector")
+    return batch
 
 
 def canonical_form(w, tol: ToleranceConfig = DEFAULT_TOL) -> CanonicalForm:
@@ -130,55 +306,16 @@ def canonical_form(w, tol: ToleranceConfig = DEFAULT_TOL) -> CanonicalForm:
     falls back to the smallest-index coordinate axis not parallel to u3,
     orthogonalised against it; any such choice yields the same normal form.
     """
-    w = as_bivector(w)
-    if not in_light_cone(w, tol):
-        raise NotInLightConeError("canonical_form requires a light-cone bivector")
-    a, b = to_vector_pair(w)
-    spatial = float(a @ a)
-    r = float(np.sqrt(spatial))
-    cos_phi = float(np.clip((a @ b) / spatial, -1.0, 1.0))
-    phi = float(np.arccos(cos_phi))
-
-    u3 = b / np.linalg.norm(b)
-    cross = _cross(b, a)
-    cross_norm = np.linalg.norm(cross)
-    if cross_norm > tol.eps * spatial:
-        u2 = cross / cross_norm
-    else:
-        for k in range(3):
-            axis = np.zeros(3)
-            axis[k] = 1.0
-            if abs(axis @ u3) < 1.0 - 1e-9:
-                break
-        v = axis - (axis @ u3) * u3
-        u2 = v / np.linalg.norm(v)
-    u1 = _cross(u2, u3)
-
-    basis = np.eye(4)
-    basis[:3, :3] = np.column_stack([u1, u2, u3])
-    return CanonicalForm(r=r, phi=phi, basis=basis)
+    return _reduce_one(w, tol, "canonical_form").canonical_form(0)
 
 
-def reconstruct(form: CanonicalForm) -> np.ndarray:
-    """Push the normal form back through the adapted basis."""
-    return _compound(form.basis) @ canonical_bivector(form.r, form.phi)
+def reconstruct(form) -> np.ndarray:
+    """Push the normal form back through the adapted basis.
 
-
-class OrbitKind:
-    """Orbit type labels; plain strings so they serialise directly."""
-
-    NEUTRAL_PLUS = "NeutralPlus"
-    NEUTRAL_MINUS = "NeutralMinus"
-    DEGENERATE = "Degenerate"
-
-
-@dataclass(frozen=True)
-class OrbitClass:
-    """Orbit type with its invariants: reduced scale r0 and sign epsilon."""
-
-    kind: str
-    r0: float
-    epsilon: int | None
+    form is a CanonicalForm, or an OrbitBatch for one reconstruction per row.
+    """
+    normal = canonical_bivector(form.r, form.phi)
+    return (_compound(form.basis) @ normal[..., None])[..., 0]
 
 
 def orbit_class(w, tol: ToleranceConfig = DEFAULT_TOL) -> OrbitClass:
@@ -187,16 +324,11 @@ def orbit_class(w, tol: ToleranceConfig = DEFAULT_TOL) -> OrbitClass:
     The degenerate band is |pfaffian| <= eps * max(spatial_norm, 1); for
     neutral orbits r0 = sqrt(|pfaffian|) is the scale of the reduced element.
     """
-    w = as_bivector(w)
-    if not in_light_cone(w, tol):
-        raise NotInLightConeError("orbit_class requires a light-cone bivector")
-    pf = pfaffian(w)
-    spatial, _ = split_norms(w)
-    if abs(pf) <= tol.eps * max(spatial, 1.0):
-        return OrbitClass(OrbitKind.DEGENERATE, 0.0, None)
-    if pf > 0:
-        return OrbitClass(OrbitKind.NEUTRAL_PLUS, float(np.sqrt(pf)), 1)
-    return OrbitClass(OrbitKind.NEUTRAL_MINUS, float(np.sqrt(-pf)), -1)
+    return _reduce_one(w, tol, "orbit_class", frames=False).orbit_class(0)
+
+
+# Why a neutral bivector at the right angle has no reduced element.
+RIGHT_ANGLE = "no finite minimising rapidity at the right angle phi = pi/2"
 
 
 def critical_rapidity(phi: float) -> float:
@@ -209,7 +341,7 @@ def critical_rapidity(phi: float) -> float:
     if not 0.0 <= phi <= np.pi:
         raise ValueError("phi must lie in [0, pi]")
     if phi == _HALF_PI:
-        raise ValueError("no finite minimising rapidity at phi = pi/2")
+        raise ValueError(RIGHT_ANGLE)
     if phi < _HALF_PI:
         return float(np.arctanh(np.tan(0.5 * phi)))
     return float(np.arctanh(1.0 / np.tan(0.5 * phi)))
@@ -236,16 +368,15 @@ def canonical_representative(
     A caller that already holds canonical_form(w, tol) or orbit_class(w, tol)
     passes it as form or klass, and it is not computed again.
     """
+    w = np.ascontiguousarray(as_bivector(w))
     if klass is None:
         klass = orbit_class(w, tol)
     if klass.kind == OrbitKind.DEGENERATE:
         raise DegenerateOrbitError("degenerate orbits contain no fully reduced element")
     if form is None:
         form = canonical_form(w, tol)
-    theta = 0.5 * form.phi if form.phi < _HALF_PI else 0.5 * form.phi + _HALF_PI
-    t = critical_rapidity(form.phi)
-    witness = rotation_matrix(2, theta) @ boost_matrix(2, t) @ lorentz_inverse(form.basis)
-    return _compound(witness) @ as_bivector(w), witness
+    witness, reduced = _reduction_witnesses(np.array([form.phi]), form.basis[None], w[None])
+    return reduced[0], witness[0]
 
 
 # --- tangent frames along the normal-form curve ---------------------------

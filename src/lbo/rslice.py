@@ -51,7 +51,11 @@ def in_slice(w, r: float, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     w = as_bivector(w)
     if not in_light_cone(w, tol):
         return False
-    spatial, _ = split_norms(w)
+    return _on_radius(split_norms(w)[0], r, tol)
+
+
+def _on_radius(spatial, r: float, tol: ToleranceConfig):
+    """in_slice for a light-cone bivector with split norm spatial (or an array of them)."""
     return abs(spatial - r * r) <= tol.eps * r * r
 
 

@@ -76,17 +76,30 @@ def split_norms(w) -> tuple[float, float]:
     square norm of w, and they agree exactly on the light cone.
     """
     w = as_bivector(w)
+    # the squares are libm pow (numpy scalar ** 2); batch code must square the same way
     spatial = float(w[0] ** 2 + w[1] ** 2 + w[3] ** 2)
     temporal = float(w[2] ** 2 + w[4] ** 2 + w[5] ** 2)
     return spatial, temporal
 
 
-def light_cone_reason(w, tol: ToleranceConfig = DEFAULT_TOL) -> str | None:
-    """Why w is off the light cone, or None when it is on it.
+def _split_norms_rows(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """split_norms of each row of an (n, 6) array, bit for bit.
 
-    On the cone the two split norms agree and the spatial one lies above eps.
+    The array square (W * W, W ** 2, np.power) rounds differently from pow
+    in about one value in 1200, so the entries are squared one by one as
+    Python floats, which calls pow like numpy's scalar power does.
     """
-    spatial, temporal = split_norms(w)
+    try:
+        sq = [x ** 2 for x in W.ravel().tolist()]
+    except OverflowError:  # a Python float square past the largest double
+        with np.errstate(over="ignore"):
+            sq = [x ** 2 for x in W.ravel()]  # numpy scalars: pow, inf on overflow
+    sq = np.array(sq).reshape(-1, 6)
+    return sq[:, 0] + sq[:, 1] + sq[:, 3], sq[:, 2] + sq[:, 4] + sq[:, 5]
+
+
+def _cone_reason(spatial: float, temporal: float, tol: ToleranceConfig) -> str | None:
+    """light_cone_reason from the two split norms."""
     if spatial == 0.0 and temporal == 0.0:
         return "zero bivector"
     if not abs(spatial - temporal) <= tol.eps * max(spatial, temporal, 1.0):
@@ -99,19 +112,41 @@ def light_cone_reason(w, tol: ToleranceConfig = DEFAULT_TOL) -> str | None:
     return None
 
 
+def light_cone_reason(w, tol: ToleranceConfig = DEFAULT_TOL) -> str | None:
+    """Why w is off the light cone, or None when it is on it.
+
+    On the cone the two split norms agree and the spatial one lies above eps.
+    """
+    return _cone_reason(*split_norms(w), tol)
+
+
 def in_light_cone(w, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff w is isotropic and nonzero: the two split norms agree and do not vanish."""
     return light_cone_reason(w, tol) is None
 
 
-def pfaffian(w) -> float:
+def pfaffian(w):
     """The degree-2 invariant c12*c34 - c13*c24 + c14*c23.
 
     Twice the wedge of w with itself against the volume form; invariant under
-    every determinant-1 pushforward, so constant on orbits.
+    every determinant-1 pushforward, so constant on orbits.  An (n, 6) stack
+    gives an (n,) array.
     """
+    w = np.asarray(w, dtype=float)
+    if w.ndim == 2 and w.shape[1] == 6:
+        return w[:, 0] * w[:, 5] - w[:, 1] * w[:, 4] + w[:, 2] * w[:, 3]
     w = as_bivector(w)
     return float(w[0] * w[5] - w[1] * w[4] + w[2] * w[3])
+
+
+def _rows_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two C-contiguous (n, k) stacks.
+
+    A stacked one-row matrix product takes one ddot per row, so row i has the
+    bits of x[i] @ y[i] and of np.linalg.norm's square; einsum and sums over
+    an axis round differently.
+    """
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
 # Flat offsets into a row-major 4x4 matrix of the minor factors P[k,i], P[l,j],

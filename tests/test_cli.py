@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -70,6 +72,37 @@ GOLD_CANONICAL = (
     b'"note":"degenerate orbit: no element of the form r0*(e12 + eps*e34) exists"}\n'
 )
 
+# classify --r 1.0 on GOLD_PAIR, frozen from the record-by-record implementation.
+GOLD_CLASSIFY = (
+    b'{"id":"n","in_light_cone":true,"A":9,"B":9,"pfaffian":3,'
+    b'"canonical":{"r":3,"phi":1.2309594173407747},'
+    b'"class":{"kind":"NeutralPlus","r0":1.7320508075688772,"epsilon":1},'
+    b'"slice":{"r_queried":1,"topology":"Empty","boundary":false},'
+    b'"diagnostics":{"reconstruction_residual":0,'
+    b'"representative_residual":7.5025670612102912e-16}}\n'
+    b'{"id":"d","in_light_cone":true,"A":9,"B":9,"pfaffian":0,'
+    b'"canonical":{"r":3,"phi":1.5707963267948966},'
+    b'"class":{"kind":"Degenerate","r0":0,"epsilon":null},'
+    b'"slice":{"r_queried":1,"topology":"RP3","boundary":false},'
+    b'"diagnostics":{"reconstruction_residual":7.4014868308343778e-17,'
+    b'"representative_residual":null}}\n'
+)
+
+# canonical on parallel and anti-parallel pairs with the polar vector on the
+# first axis, where the adapted frame falls back to the second axis; frozen
+# from the record-by-record implementation.
+PARALLEL_PAIR = b'{"id":"p","c":[0,0,1.5,1.5,0,0]}\n{"id":"q","c":[0,0,-2,2,0,0]}\n'
+GOLD_PARALLEL = (
+    b'{"id":"p","in_light_cone":true,"r":1.5,"phi":0,'
+    b'"basis":[0,0,1,0,0,1,0,0,-1,0,0,0,0,0,0,1],"representative":[1.5,0,0,0,0,1.5],'
+    b'"witness":[0,0,-1,0,0,1,0,0,1,0,0,0,0,0,0,1]}\n'
+    b'{"id":"q","in_light_cone":true,"r":2,"phi":3.1415926535897931,'
+    b'"basis":[0,0,-1,0,0,1,0,0,1,0,0,0,0,0,0,1],'
+    b'"representative":[2,0,-1.2246467991473532e-16,3.6739403974420594e-16,0,-2],'
+    b'"witness":[1.2246467991473532e-16,0,-1,0,0,1,0,6.123233995736766e-17,1,0,'
+    b'1.2246467991473532e-16,0,0,6.123233995736766e-17,0,1]}\n'
+)
+
 
 def run_cli(args, stdin=b"", env_extra=None):
     env = os.environ.copy()
@@ -122,6 +155,115 @@ def test_stabilizer_and_canonical_golden_bytes(command, gold):
         p = run_cli([command, "--threads", threads], GOLD_PAIR)
         assert p.returncode == 0
         assert p.stdout == gold
+
+def test_classify_generic_golden_bytes():
+    for threads in ("1", "4"):
+        p = run_cli(["classify", "--r", "1.0", "--threads", threads], GOLD_PAIR)
+        assert p.returncode == 0
+        assert p.stdout == GOLD_CLASSIFY
+
+
+def test_canonical_parallel_golden_bytes():
+    p = run_cli(["canonical"], PARALLEL_PAIR)
+    assert p.returncode == 0
+    assert p.stdout == GOLD_PARALLEL
+
+
+@pytest.mark.parametrize("command", ["classify", "canonical", "stabilizer"])
+def test_right_angle_neutral_is_an_input_error(command):
+    # with --tol 1e-300 this record is neutral and its angle rounds to pi/2
+    good_a = b'{"id":"a","c":[1,0,0,0,0,1]}\n'
+    right = b'{"id":"pi2","c":[1,0,1,0,0,1e-20]}\n'
+    good_b = b'{"id":"b","c":[2,-2,3,1,0,0]}\n'
+    args = [command, "--tol", "1e-300"]
+    p = run_cli(args, good_a + right + good_b)
+    assert p.returncode == 2
+    assert b"Traceback" not in p.stderr
+    lines = p.stdout.splitlines(keepends=True)
+    assert len(lines) == 3
+    bad = json.loads(lines[1])
+    assert list(bad) == ["id", "error"] and bad["id"] == "pi2"
+    assert "right angle" in bad["error"] and "rapidity" in bad["error"]
+    assert lines[0] == run_cli(args, good_a).stdout
+    assert lines[2] == run_cli(args, good_b).stdout
+
+
+def _chunk_test_lines(count):
+    """Records of every kind: neutral, degenerate, off-cone, zero, parallel, pairs, bad ones."""
+    rng = np.random.default_rng(11)
+    lines = []
+    for k in range(count):
+        rid = f"k{k}"
+        a, b = rng.normal(size=3), rng.normal(size=3)
+        kind = k % 11
+        if kind == 1:
+            b = np.cross(a, b)
+        elif kind == 4:
+            b = -a if k % 2 else a
+        if kind in (0, 1, 4):
+            b *= np.linalg.norm(a) / np.linalg.norm(b)
+            c = [a[2], -a[1], b[0], a[0], b[1], b[2]]
+            rec = {"id": rid, "c": [float(v) * 10.0 ** (k % 5 - 2) for v in c]}
+        elif kind == 2:
+            rec = {"id": rid, "c": [float(v) for v in rng.normal(size=6)]}
+        elif kind == 3:
+            rec = {"id": rid, "c": [0, 0, 0, 0, 0, 0]}
+        elif kind == 5:
+            rec = {"id": rid, "c": [0, 0, 1.5, 1.5, 0, 0]}  # axial and polar along one axis
+        elif kind == 6:
+            rec = {"id": rid, "x": [float(v) for v in rng.normal(size=4)], "y": [1, 0, 0, 0]}
+        elif kind == 7:
+            u = rng.normal(size=3)
+            x = [*map(float, u), float(np.linalg.norm(u))]
+            rec = {"id": rid, "x": x, "y": [*map(float, np.cross(u, rng.normal(size=3))), 0.0]}
+        elif kind == 8:
+            rec = {"id": rid, "c": [1, 2]}
+        elif kind == 9:
+            rec = {"id": rid, "c": [1, 0, 0, 0, 0, "x" if k % 2 else 10**400]}
+        else:
+            rec = {"id": rid, "c": [7e-5, 0, 0, 0, 0, 6.3e-5]}  # classify: invariant violation
+        lines.append(json.dumps(rec))
+    lines[count // 2] = "{not json"
+    lines[count // 3] = "[" * 100000 + "]" * 100000  # nested past the recursion limit
+    return [line + "\n" for line in lines]
+
+
+def _main_in_process(args, text):
+    import lbo.cli as cli
+
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    try:
+        sys.stdin = io.StringIO(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(args)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "args", [["classify", "--r", "1"], ["canonical"], ["slice", "--r", "1"], ["stabilizer"]]
+)
+def test_output_does_not_depend_on_the_chunk(args, monkeypatch):
+    import lbo.cli as cli
+
+    for name in ("LBO_FORMAT", "LBO_R", "LBO_TOL", "LBO_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    count = cli.CHUNK + 45  # more than one chunk, not a multiple of it
+    lines = _chunk_test_lines(count)
+    code, batch = _main_in_process(args, "".join(lines))
+    # each record alone, after the same leading record (a bad JSON line
+    # cannot come first without failing the whole input)
+    lead = '{"id":"lead","c":[1,0,0,0,0,1]}\n'
+    codes, parts = [0], []
+    for line in lines:
+        one_code, one = _main_in_process(args, lead + line)
+        codes.append(one_code)
+        parts.append(one.split("\n", 1)[1])
+    assert code == max(codes) == (4 if args[0] == "classify" else 2)
+    assert batch == "".join(parts)
+
 
 def test_vector_pair_input_matches_coefficients():
     by_c = run_cli(["classify"], b'{"c":[0,0,0,1,1,0]}\n')

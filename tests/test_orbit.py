@@ -5,6 +5,7 @@ from conftest import random_degenerate_bivector, random_light_cone_bivector
 from lbo.errors import DegenerateOrbitError, NotInLightConeError
 from lbo.minkowski import ToleranceConfig, is_proper_lorentz, rotation_matrix
 from lbo.orbit import (
+    RIGHT_ANGLE,
     OrbitKind,
     base_point,
     canonical_bivector,
@@ -17,6 +18,7 @@ from lbo.orbit import (
     orthonormal_tangent_frame,
     parallel_frame_check,
     reconstruct,
+    reduce_orbits,
     surface_point,
     tangent_frame,
     tangent_gram,
@@ -27,6 +29,7 @@ from lbo.wedge import (
     hat_inner,
     in_light_cone,
     lie_pushforward_matrix,
+    light_cone_reason,
     pfaffian,
     pushforward,
     split_norms,
@@ -179,6 +182,79 @@ def test_canonical_representative_random(rng):
 def test_canonical_representative_rejects_degenerate(rng):
     with pytest.raises(DegenerateOrbitError):
         canonical_representative(random_degenerate_bivector(rng))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_reduce_orbits_split_norms_square_through_pow(rng):
+    # libm pow(c, 2) gives ...037 here, c * c gives ...04
+    first = [0.3, 0.1, 0.2, 0.4, -0.13617704005841821, 0.5]
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(10000, 1))
+    W = np.vstack([first, rng.normal(size=(10000, 6)) * scale])
+    batch = reduce_orbits(W, frames=False)
+    expected = np.array([split_norms(w) for w in W])
+    assert np.array_equal(_bits(batch.spatial), _bits(expected[:, 0]))
+    assert np.array_equal(_bits(batch.temporal), _bits(expected[:, 1]))
+
+
+def test_reduce_orbits_rows_match_one_row_calls(rng):
+    rows = [random_light_cone_bivector(rng, 10.0 ** rng.uniform(-2, 2)) for _ in range(60)]
+    rows += [random_degenerate_bivector(rng, 10.0 ** rng.uniform(-2, 2)) for _ in range(20)]
+    rows += [
+        [1.0, 0.0, 0.0, 0.0, 0.0, 1.0],  # parallel pair
+        [0.0, 0.0, -1.5, 0.0, 0.0, 0.0],  # anti-parallel pair along the first axis
+        [0.0, 0.0, 0.0, 1.0, 0.0, 1.0],  # degenerate at exactly pi/2
+        [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],  # off the cone
+        [0.0] * 6,
+        [1e200, 0.0, 0.0, 0.0, 0.0, 1e200],  # squares past the largest double
+    ]
+    W = np.array(rows)
+    with np.errstate(over="ignore"):
+        batch = reduce_orbits(W)
+    fields = ("spatial", "temporal", "pfaffian", "r", "phi", "basis", "r0", "witness", "reduced")
+    for i, w in enumerate(W):
+        with np.errstate(over="ignore"):
+            one = reduce_orbits(w[None])
+            assert batch.reason[i] == light_cone_reason(w)
+        for name in fields:
+            assert np.array_equal(_bits(getattr(batch, name)[i]), _bits(getattr(one, name)[0]))
+        assert batch.reason[i] == one.reason[0]
+        assert batch.on_cone[i] == (batch.reason[i] is None)
+        if not batch.on_cone[i]:
+            assert batch.kind[i] is None and not batch.witnessed[i]
+            continue
+        a, b = to_vector_pair(w)  # the kernel's dots are x @ y row by row
+        assert batch.r[i] == np.sqrt(a @ a)
+        assert batch.phi[i] == np.arccos(np.clip((a @ b) / (a @ a), -1.0, 1.0))
+        form = canonical_form(w)
+        assert (form.r, form.phi) == (batch.r[i], batch.phi[i])
+        assert np.array_equal(form.basis, batch.basis[i])
+        assert orbit_class(w) == batch.orbit_class(i)
+        assert batch.witnessed[i] == (batch.kind[i] != OrbitKind.DEGENERATE)
+        if batch.witnessed[i]:
+            rep, witness = canonical_representative(w)
+            assert np.array_equal(rep, batch.reduced[i])
+            assert np.array_equal(witness, batch.witness[i])
+
+
+def test_reduce_orbits_right_angle_row_has_no_witness():
+    tiny = ToleranceConfig(eps=1e-300)
+    w = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1e-20])  # neutral at this tolerance, phi == pi/2
+    batch = reduce_orbits(np.array([[1.0, 0.0, 0.0, 0.0, 0.0, 1.0], w]), tiny)
+    assert batch.kind[1] == OrbitKind.NEUTRAL_PLUS and batch.phi[1] == np.pi / 2
+    assert list(batch.witnessed) == [True, False]
+    assert np.isnan(batch.witness[1]).all() and np.isnan(batch.reduced[1]).all()
+    with pytest.raises(ValueError, match=RIGHT_ANGLE):
+        canonical_representative(w, tiny)
+
+
+def test_reduce_orbits_shapes():
+    empty = reduce_orbits(np.zeros((0, 6)))
+    assert empty.on_cone.shape == (0,) and empty.basis.shape == (0, 4, 4)
+    with pytest.raises(ValueError):
+        reduce_orbits(np.zeros(6))
 
 
 def test_tangent_frame_gram_closed_form():
