@@ -7,14 +7,20 @@ line); a single pretty-printed object or a top-level array also works.
 
 Output is deterministic byte-for-byte: keys appear in fixed order and reals
 are printed with 17 significant digits, so re-runs compare equal.  Records
-are read in chunks of up to CHUNK: each chunk is decoded into one array,
-reduced by one reduce_orbits call and written in input order, error records
-included, with the same bytes and exit code as a record-by-record run.
---threads and LBO_THREADS are still accepted for compatibility and have no
-effect.  Exit codes:
-0 success, 2 input error, 3 usage error, 4 internal invariant violation.  A
-record that fails with an input error or an invariant violation is emitted
-as an error record and the batch continues; 4 wins over 2 in the exit code.
+are read in chunks of up to CHUNK: each chunk is decoded into one array
+(its vector pairs wedged in one stacked call), reduced by one reduce_orbits
+call and written in input order, error records included, with the same
+bytes and exit code as a record-by-record run.  Stabilizer rows are
+conjugated in stacked products of STABILIZER_BLOCK records.  Every output
+record has one of a few shapes, each compiled once to a %-template that
+dumps fills from the chunk's columns; json output joins those lines and
+table output rebuilds its rows from the same values.  --threads and
+LBO_THREADS are still accepted for compatibility and have no effect.
+Exit codes: 0 success, 2 input error, 3 usage error, 4 internal invariant
+violation.  A record that fails with an input error or an invariant
+violation is emitted as an error record and the batch continues; 4 wins
+over 2 in the exit code.  When the reader of stdout goes away, a batch
+stops writing and exits with the code of the records written so far.
 
 Flags can be seeded from the environment with the LBO_ prefix (LBO_TOL,
 LBO_SEED, LBO_SAMPLES, LBO_R, LBO_FORMAT, LBO_THREADS); explicit flags win.
@@ -22,6 +28,7 @@ LBO_SEED, LBO_SAMPLES, LBO_R, LBO_FORMAT, LBO_THREADS); explicit flags win.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -82,6 +89,11 @@ from .wedge import (
 # enough that the first output line is not held back.
 CHUNK = 128
 
+# Stabilizer rows conjugated per stacked product: the (rows, 12, 4, 4) stack
+# and its second compounds stay small, where a whole chunk at once raises the
+# peak memory of a run by several percent.
+STABILIZER_BLOCK = 16
+
 # Residuals past this ceiling (scaled by witness conditioning) indicate a bug,
 # not an input problem, and map to exit code 4.
 _BUG_CEILING = 1e-6
@@ -101,76 +113,80 @@ class _Parser(argparse.ArgumentParser):
 
 
 # --- deterministic serialisation ------------------------------------------
+#
+# Every output record has one of a few shapes: a skeleton of keys and fixed
+# values with slots for what varies from record to record.  A shape is
+# compiled once to a %-template, and a record travels as (shape, values), one
+# value per slot in the order the skeleton lists them.
+
+_SLOT = object()  # skeleton leaf filled per record
+# What json.dumps returns for a str, without its dispatch on the argument's type.
+_json_string = json.encoder.encode_basestring_ascii
 
 
-# Encoded '"key":' prefixes of str keys; records reuse a few dozen, the cap bounds the rest.
-_KEYS: dict = {}
-_MAX_KEYS = 256
-
-
-def _write_object(obj, out: list) -> None:
-    out.append("{")
-    first = True
-    for k, v in obj.items():
-        if not first:
-            out.append(",")
-        first = False
-        key = _KEYS.get(k)
-        if key is None:
-            key = json.dumps(str(k)) + ":"
-            if type(k) is str and len(_KEYS) < _MAX_KEYS:
-                _KEYS[k] = key
-        out.append(key)
-        _write_json(v, out)
-    out.append("}")
-
-
-def _write_array(obj, out: list) -> None:
-    out.append("[")
-    first = True
-    for v in obj:
-        if not first:
-            out.append(",")
-        first = False
-        _write_json(v, out)
-    out.append("]")
-
-
-def _write_json(obj, out: list) -> None:
-    # records hold only these exact types, the most frequent first
-    t = type(obj)
+def _scalar(v) -> str:
+    """JSON text of one leaf: reals to 17 significant digits, negative zero as 0."""
+    t = type(v)
     if t is float:
-        out.append(format(obj, ".17g") if obj != 0.0 else "0")  # collapses negative zero
-    elif t is dict:
-        _write_object(obj, out)
-    elif t is list:
-        _write_array(obj, out)
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif t is str:
-        out.append(json.dumps(obj))
-    elif t is int:
-        out.append(repr(obj))
-    else:
-        raise TypeError(f"cannot serialise {t!r}")
+        return "%.17g" % v if v != 0.0 else "0"
+    if t is str:
+        return _json_string(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if t is int:
+        return repr(v)
+    raise TypeError(f"cannot serialise {t!r}")
 
 
-def dumps(obj) -> str:
-    """Canonical JSON: insertion-ordered keys, reals at 17 significant digits."""
-    out: list = []
-    _write_json(obj, out)
-    return "".join(out)
+def _compile(node) -> str:
+    if node is _SLOT:
+        return "%s"
+    if type(node) is dict:
+        return "{" + ",".join(json.dumps(k) + ":" + _compile(v) for k, v in node.items()) + "}"
+    if type(node) is list:
+        return "[" + ",".join(map(_compile, node)) + "]"
+    return _scalar(node).replace("%", "%%")
+
+
+def _fill(node, values):
+    """The record as Python objects: the skeleton with its slots taken from the iterator values."""
+    if node is _SLOT:
+        return next(values)
+    if type(node) is dict:
+        return {k: _fill(v, values) for k, v in node.items()}
+    if type(node) is list:
+        return [_fill(v, values) for v in node]
+    return node
+
+
+class _Shape:
+    """One record shape: its skeleton and the %-template compiled from it."""
+
+    __slots__ = ("skeleton", "template")
+
+    def __init__(self, skeleton: dict):
+        self.skeleton = skeleton
+        self.template = _compile(skeleton)
+
+
+def dumps(shape: _Shape, values: tuple) -> str:
+    """Canonical JSON of one record, without a newline: its shape's template filled with values."""
+    return shape.template % tuple([_scalar(v) for v in values])
+
+
+_ERROR = _Shape({"id": _SLOT, "error": _SLOT})
 
 
 # --- record parsing -------------------------------------------------------
 
 
 def _decode_record(obj) -> tuple:
-    """Return (id, bivector) or raise _InputError."""
+    """Return (id, the six coefficients) or (id, the entries of x then y), as
+    lists of floats, or raise _InputError."""
     if not isinstance(obj, dict):
         raise _InputError("record must be a JSON object")
     rid = obj.get("id")
@@ -190,19 +206,30 @@ def _decode_record(obj) -> tuple:
             raise _InputError(f'"c" entries must be numbers: {exc}') from exc
         if not all(map(math.isfinite, c)):
             raise _InputError('"c" entries must be finite')
-        return rid, np.array(c)
+        return rid, c
     x, y = obj.get("x"), obj.get("y")
     for name, v in (("x", x), ("y", y)):
         if not (isinstance(v, list) and len(v) == 4):
             raise _InputError(f'"{name}" must be a list of 4 numbers')
     try:
-        x = [float(v) for v in x]
-        y = [float(v) for v in y]
+        xy = [float(v) for v in x + y]
     except (TypeError, ValueError, OverflowError) as exc:
         raise _InputError(f"vector entries must be numbers: {exc}") from exc
-    if not all(map(math.isfinite, x + y)):
+    if not all(map(math.isfinite, xy)):
         raise _InputError("vector entries must be finite")
-    return rid, wedge(x, y)
+    return rid, xy
+
+
+def _bivectors(rows: list) -> np.ndarray:
+    """The (n, 6) array of decoded rows: one array of the coefficient rows and
+    one stacked wedge of the vector-pair rows."""
+    W = np.empty((len(rows), 6))
+    coefficients = [i for i, row in enumerate(rows) if len(row) == 6]
+    pairs = [i for i, row in enumerate(rows) if len(row) == 8]
+    W[coefficients] = np.array([rows[i] for i in coefficients]).reshape(-1, 6)
+    XY = np.array([rows[i] for i in pairs]).reshape(-1, 8)
+    W[pairs] = wedge(XY[:, :4], XY[:, 4:])
+    return W
 
 
 def _iter_docs(stream):
@@ -241,8 +268,65 @@ def _iter_raw(stream):
 # --- chunk reports ----------------------------------------------------------
 #
 # Each report takes the ids and the (n, 6) array of one chunk of decoded
-# records, reduces them with one reduce_orbits call and yields, in order, one
-# output record per row, or (id, exception) for a row that fails.
+# records, reduces them with one reduce_orbits call, turns its columns into
+# lists once and yields, in order, one (shape, values) record per row; a row
+# that fails yields (_ERROR, (id, exception)).
+
+_CLASSIFY_OFF = _Shape(
+    {"id": _SLOT, "in_light_cone": False, "A": _SLOT, "B": _SLOT, "pfaffian": _SLOT,
+     "canonical": None, "class": None, "reason": _SLOT}
+)
+_CLASSIFY_ON, _CLASSIFY_ON_SLICE = (
+    _Shape(
+        {"id": _SLOT, "in_light_cone": True, "A": _SLOT, "B": _SLOT, "pfaffian": _SLOT,
+         "canonical": {"r": _SLOT, "phi": _SLOT},
+         "class": {"kind": _SLOT, "r0": _SLOT, "epsilon": _SLOT},
+         **slice_block,
+         "diagnostics": {"reconstruction_residual": _SLOT, "representative_residual": _SLOT}}
+    )
+    for slice_block in ({}, {"slice": {"r_queried": _SLOT, "topology": _SLOT, "boundary": _SLOT}})
+)
+
+_CANONICAL_OFF = _Shape(
+    {"id": _SLOT, "in_light_cone": False, "r": None, "phi": None, "basis": None,
+     "representative": None, "witness": None, "reason": _SLOT}
+)
+_CANONICAL_NEUTRAL = _Shape(
+    {"id": _SLOT, "in_light_cone": True, "r": _SLOT, "phi": _SLOT, "basis": [_SLOT] * 16,
+     "representative": [_SLOT] * 6, "witness": [_SLOT] * 16}
+)
+_CANONICAL_DEGENERATE = _Shape(
+    {"id": _SLOT, "in_light_cone": True, "r": _SLOT, "phi": _SLOT, "basis": [_SLOT] * 16,
+     "representative": None, "witness": None,
+     "note": "degenerate orbit: no element of the form r0*(e12 + eps*e34) exists"}
+)
+
+_SLICE_OFF = _Shape(
+    {"id": _SLOT, "in_light_cone": False, "r_queried": _SLOT, "class": None, "topology": None,
+     "in_slice": False, "reason": _SLOT}
+)
+_SLICE_ON = _Shape(
+    {"id": _SLOT, "in_light_cone": True, "r_queried": _SLOT,
+     "class": {"kind": _SLOT, "r0": _SLOT, "epsilon": _SLOT},
+     "topology": _SLOT, "boundary": _SLOT, "in_slice": _SLOT}
+)
+
+_STABILIZER_OFF = _Shape(
+    {"id": _SLOT, "in_light_cone": False, "kind": None, "families": None, "reason": _SLOT}
+)
+
+
+@functools.cache
+def _stabilizer_on(kind: str) -> _Shape:
+    """The on-cone stabilizer shape of kind: its families and parameters are fixed text."""
+    families = [
+        {"family": family.value, "parameter": t, "fixing_residual": _SLOT}
+        for family, t in generator_stack(kind)[1]
+    ]
+    return _Shape(
+        {"id": _SLOT, "in_light_cone": True, "kind": kind, "families": families,
+         "max_residual": _SLOT}
+    )
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -251,7 +335,12 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 
 def _right_angle(rid):
-    return rid, _InputError(f"neutral bivector: {RIGHT_ANGLE}")
+    return _ERROR, (rid, _InputError(f"neutral bivector: {RIGHT_ANGLE}"))
+
+
+def _topology_slots(b, r: float, tol: ToleranceConfig) -> list:
+    """The (topology, boundary) values of each row's radius-r slice; None off the cone."""
+    return [t and (t.value, t is SliceTopology.SPHERE_2) for t in slice_topology(b, r, tol)]
 
 
 def _classify_chunk(rids, W, tol: ToleranceConfig, r_query):
@@ -266,39 +355,29 @@ def _classify_chunk(rids, W, tol: ToleranceConfig, r_query):
     A, B, pf, r, phi, r0, eps, on, ok, recon, rep_residual, witness_max = (
         x.tolist() for x in (*columns, recon, rep_residual, witness_max)
     )
+    if r_query is not None:
+        topologies = _topology_slots(b, r_query, tol)
     for i, rid in enumerate(rids):
-        rec = {"id": rid, "in_light_cone": on[i], "A": A[i], "B": B[i], "pfaffian": pf[i]}
         if not on[i]:
-            rec["canonical"] = None
-            rec["class"] = None
-            rec["reason"] = b.reason[i]
-            yield rec
+            yield _CLASSIFY_OFF, (rid, A[i], B[i], pf[i], b.reason[i])
             continue
         if eps[i] and not ok[i]:
             yield _right_angle(rid)
             continue
-        rec["canonical"] = {"r": r[i], "phi": phi[i]}
-        rec["class"] = {"kind": b.kind[i], "r0": r0[i], "epsilon": eps[i] or None}
         rep = rep_residual[i] if ok[i] else None
         if ok[i] and rep > _BUG_CEILING * max(1.0, witness_max[i] ** 2):  # conditioning
-            yield rid, InvariantViolationError(
-                f"reduced element off its normal form (residual {rep:.3e})"
-            )
+            message = f"reduced element off its normal form (residual {rep:.3e})"
+            yield _ERROR, (rid, InvariantViolationError(message))
             continue
         if recon[i] > _BUG_CEILING:
-            yield rid, InvariantViolationError(
-                f"canonical form fails to reconstruct (residual {recon[i]:.3e})"
-            )
+            message = f"canonical form fails to reconstruct (residual {recon[i]:.3e})"
+            yield _ERROR, (rid, InvariantViolationError(message))
             continue
-        if r_query is not None:
-            topo = slice_topology(b.orbit_class(i), r_query, tol)
-            rec["slice"] = {
-                "r_queried": r_query,
-                "topology": topo.value,
-                "boundary": topo is SliceTopology.SPHERE_2,
-            }
-        rec["diagnostics"] = {"reconstruction_residual": recon[i], "representative_residual": rep}
-        yield rec
+        values = (rid, A[i], B[i], pf[i], r[i], phi[i], b.kind[i], r0[i], eps[i] or None)
+        if r_query is None:
+            yield _CLASSIFY_ON, (*values, recon[i], rep)
+        else:
+            yield _CLASSIFY_ON_SLICE, (*values, r_query, *topologies[i], recon[i], rep)
 
 
 def _canonical_chunk(rids, W, tol: ToleranceConfig):
@@ -308,77 +387,63 @@ def _canonical_chunk(rids, W, tol: ToleranceConfig):
     reduced = b.reduced.tolist()
     witness = b.witness.reshape(-1, 16).tolist()
     for i, rid in enumerate(rids):
-        rec = {"id": rid, "in_light_cone": on[i]}
         if not on[i]:
-            rec["r"] = None
-            rec["phi"] = None
-            rec["basis"] = None
-            rec["representative"] = None
-            rec["witness"] = None
-            rec["reason"] = b.reason[i]
-        elif eps[i] and not ok[i]:
-            rec = _right_angle(rid)
+            yield _CANONICAL_OFF, (rid, b.reason[i])
+        elif ok[i]:
+            yield _CANONICAL_NEUTRAL, (rid, r[i], phi[i], *basis[i], *reduced[i], *witness[i])
+        elif eps[i]:
+            yield _right_angle(rid)
         else:
-            rec["r"] = r[i]
-            rec["phi"] = phi[i]
-            rec["basis"] = basis[i]
-            rec["representative"] = reduced[i] if ok[i] else None
-            rec["witness"] = witness[i] if ok[i] else None
-            if not ok[i]:
-                rec["note"] = "degenerate orbit: no element of the form r0*(e12 + eps*e34) exists"
-        yield rec
+            yield _CANONICAL_DEGENERATE, (rid, r[i], phi[i], *basis[i])
 
 
 def _slice_chunk(rids, W, tol: ToleranceConfig, r: float):
     b = reduce_orbits(W, tol, frames=False)
-    on = b.on_cone.tolist()
+    on, r0, eps = b.on_cone.tolist(), b.r0.tolist(), b.epsilon.tolist()
     member = _on_radius(b.spatial, r, tol).tolist()
+    topologies = _topology_slots(b, r, tol)
     for i, rid in enumerate(rids):
-        rec = {"id": rid, "in_light_cone": on[i], "r_queried": r}
         if not on[i]:
-            rec["class"] = None
-            rec["topology"] = None
-            rec["in_slice"] = False
-            rec["reason"] = b.reason[i]
-            yield rec
+            yield _SLICE_OFF, (rid, r, b.reason[i])
             continue
-        klass = b.orbit_class(i)
-        topo = slice_topology(klass, r, tol)
-        rec["class"] = {"kind": klass.kind, "r0": klass.r0, "epsilon": klass.epsilon}
-        rec["topology"] = topo.value
-        rec["boundary"] = topo is SliceTopology.SPHERE_2
-        rec["in_slice"] = member[i]
-        yield rec
+        yield _SLICE_ON, (rid, r, b.kind[i], r0[i], eps[i] or None, *topologies[i], member[i])
+
+
+def _conjugated_residuals(kind: str, conj, conj_inv, W) -> list:
+    """fixing_residual(conj[i] @ stack @ conj_inv[i], W[i]) for each row i, with
+    the generator stack of kind, STABILIZER_BLOCK rows per stacked product."""
+    stack = generator_stack(kind)[0]
+    residuals = np.empty((len(W), len(stack)))
+    for start in range(0, len(W), STABILIZER_BLOCK):
+        rows = slice(start, start + STABILIZER_BLOCK)
+        conjugated = conj[rows, None] @ stack @ conj_inv[rows, None]
+        residuals[rows] = fixing_residual(conjugated, W[rows])
+    return residuals.tolist()
 
 
 def _stabilizer_chunk(rids, W, tol: ToleranceConfig):
     b = reduce_orbits(W, tol)
-    on, ok = b.on_cone.tolist(), b.witnessed.tolist()
+    # degenerate rows conjugate the base-point stabilizer through the adapted
+    # basis, witnessed neutral rows through the inverse of the witness
+    degenerate = np.flatnonzero(b.on_cone & (b.epsilon == 0))
+    neutral = np.flatnonzero(b.witnessed)
+    basis, witness = b.basis[degenerate], b.witness[neutral]
+    residuals = dict(zip(degenerate.tolist(), _conjugated_residuals(
+        OrbitKind.DEGENERATE, basis, lorentz_inverse(basis), W[degenerate]
+    )))
+    residuals.update(zip(neutral.tolist(), _conjugated_residuals(
+        OrbitKind.NEUTRAL_PLUS, lorentz_inverse(witness), witness, W[neutral]
+    )))
+    on = b.on_cone.tolist()
     for i, rid in enumerate(rids):
-        rec = {"id": rid, "in_light_cone": on[i]}
         if not on[i]:
-            rec["kind"] = None
-            rec["families"] = None
-            rec["reason"] = b.reason[i]
-            yield rec
+            yield _STABILIZER_OFF, (rid, b.reason[i])
             continue
-        kind = rec["kind"] = b.kind[i]
-        if kind == OrbitKind.DEGENERATE:
-            # conjugate the base-point stabilizer through the adapted basis
-            conj, conj_inv = b.basis[i], lorentz_inverse(b.basis[i])
-        elif ok[i]:
-            conj, conj_inv = lorentz_inverse(b.witness[i]), b.witness[i]
-        else:
+        res = residuals.get(i)
+        if res is None:
             yield _right_angle(rid)
             continue
-        stack, labels = generator_stack(kind)
-        residuals = fixing_residual(conj @ stack @ conj_inv, W[i]).tolist()
-        rec["families"] = [
-            {"family": family.value, "parameter": t, "fixing_residual": res}
-            for (family, t), res in zip(labels, residuals)
-        ]
-        rec["max_residual"] = max([0.0, *residuals])
-        yield rec
+        yield _stabilizer_on(b.kind[i]), (rid, *res, max(0.0, *res))
 
 
 # --- verify suites --------------------------------------------------------
@@ -554,12 +619,12 @@ _SUITES = {
 
 def _emit(records, fmt: str, out) -> None:
     if fmt == "ndjson":
-        for rec in records:
-            out.write(dumps(rec) + "\n")
+        for shape, values in records:
+            out.write(dumps(shape, values) + "\n")
     elif fmt == "json":
-        out.write(dumps(list(records)) + "\n")
+        out.write("[" + ",".join([dumps(shape, values) for shape, values in records]) + "]\n")
     else:  # table
-        rows = list(records)
+        rows = [_fill(shape.skeleton, iter(values)) for shape, values in records]
         cols: list[str] = []
         for rec in rows:
             for key in rec:
@@ -571,8 +636,8 @@ def _emit(records, fmt: str, out) -> None:
             cells = {}
             for c in cols:
                 v = rec.get(c)
-                if isinstance(v, (float, np.floating)):
-                    cells[c] = format(float(v), ".6g")
+                if isinstance(v, float):
+                    cells[c] = format(v, ".6g")
                 elif v is None:
                     cells[c] = "-"
                 else:
@@ -618,25 +683,25 @@ def _run_batch(args, report) -> int:
             items, rids, rows = [], [], []  # items: None where the report's next row goes
             for raw in itertools.islice(raws, CHUNK):
                 if isinstance(raw, _InputError):
-                    items.append((None, raw))
+                    items.append((_ERROR, (None, raw)))
                     continue
                 try:
-                    rid, w = _decode_record(raw)
+                    rid, row = _decode_record(raw)
                 except _InputError as exc:
                     rid = raw.get("id") if isinstance(raw, dict) else None
-                    items.append((rid if isinstance(rid, str) else None, exc))
+                    items.append((_ERROR, (rid if isinstance(rid, str) else None, exc)))
                     continue
                 items.append(None)
                 rids.append(rid)
-                rows.append(w)
+                rows.append(row)
             if not items:
                 return
-            reported = report(rids, np.array(rows).reshape(-1, 6), tol)
+            reported = report(rids, _bivectors(rows), tol)
             for item in items:
                 if item is None:
                     item = next(reported)
-                if type(item) is tuple:
-                    rid, exc = item
+                if item[0] is _ERROR:
+                    rid, exc = item[1]
                     if isinstance(exc, InvariantViolationError):
                         code = 4
                         message = f"invariant violation: {exc}"
@@ -644,7 +709,7 @@ def _run_batch(args, report) -> int:
                     else:
                         code = max(code, 2)
                         message = str(exc)
-                    item = {"id": rid, "error": message}
+                    item = _ERROR, (rid, message)
                 yield item
 
     stream = _open_input(args)
@@ -653,6 +718,12 @@ def _run_batch(args, report) -> int:
             _emit(records(stream), "ndjson", sys.stdout)
         else:
             _emit(list(records(stream)), args.format, sys.stdout)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+    except BrokenPipeError:
+        # the reader is gone: stop, and send what is still buffered to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     except json.JSONDecodeError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

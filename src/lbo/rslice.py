@@ -22,7 +22,15 @@ from .minkowski import (
     random_proper_lorentz,
     rotation_matrix,
 )
-from .orbit import _HALF_PI, OrbitClass, OrbitKind, base_point, canonical_form, critical_rapidity
+from .orbit import (
+    _HALF_PI,
+    OrbitBatch,
+    OrbitClass,
+    OrbitKind,
+    base_point,
+    canonical_form,
+    critical_rapidity,
+)
 from .wedge import _compound, as_bivector, in_light_cone, split_norms
 
 
@@ -59,23 +67,35 @@ def _on_radius(spatial, r: float, tol: ToleranceConfig):
     return abs(spatial - r * r) <= tol.eps * r * r
 
 
-def slice_topology(klass: OrbitClass, r: float, tol: ToleranceConfig = DEFAULT_TOL) -> SliceTopology:
+# Topologies by the code slice_topology computes for a neutral row.
+_NEUTRAL_TOPOLOGY = (SliceTopology.EMPTY, SliceTopology.SPHERE_2, SliceTopology.RP3)
+
+
+def slice_topology(
+    klass: OrbitClass | OrbitBatch, r: float, tol: ToleranceConfig = DEFAULT_TOL
+) -> SliceTopology | list:
     """Topology certificate of the radius-r slice of an orbit.
 
     Neutral orbits: empty below r0, a two-sphere inside the band
     |r - r0| <= eps * max(r0, 1), projective 3-space above.  Degenerate
-    orbits meet every positive radius in projective 3-space.
+    orbits meet every positive radius in projective 3-space.  klass is an
+    OrbitClass, or an OrbitBatch for a list with the topology of each row
+    (None for rows off the cone), each row compared as one alone.
     """
     if not 0 < r < np.inf:
         raise ValueError(f"slice radius must be positive and finite, got {r!r}")
-    if klass.kind == OrbitKind.DEGENERATE:
-        return SliceTopology.RP3
-    band = tol.eps * max(klass.r0, 1.0)
-    if abs(r - klass.r0) <= band:
-        return SliceTopology.SPHERE_2
-    if r < klass.r0:
-        return SliceTopology.EMPTY
-    return SliceTopology.RP3
+    one = isinstance(klass, OrbitClass)
+    kinds = (klass.kind,) if one else klass.kind
+    r0 = np.array([klass.r0]) if one else klass.r0
+    band = tol.eps * np.maximum(r0, 1.0)
+    code = np.where(np.abs(r - r0) <= band, 1, np.where(r < r0, 0, 2)).tolist()
+    topologies = [
+        None if kind is None
+        else SliceTopology.RP3 if kind == OrbitKind.DEGENERATE
+        else _NEUTRAL_TOPOLOGY[c]
+        for kind, c in zip(kinds, code)
+    ]
+    return topologies[0] if one else topologies
 
 
 def empirical_min_radius(

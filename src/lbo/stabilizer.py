@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InvariantViolationError
 from .minkowski import BOOST, ROTATION, GeneratorKind, boost_matrix, lie_generator, rotation_matrix
 from .orbit import OrbitClass, OrbitKind, base_point, normal_form_bivector, tangent_frame
-from .wedge import _compound, as_bivector, from_null_basis, lie_pushforward_matrix
+from .wedge import _compound, _rows_dot, as_bivector, from_null_basis, lie_pushforward_matrix
 
 # Span-comparison ceiling for subspace membership and equality tests.
 _SPAN_TOL = 1e-8
@@ -151,14 +151,23 @@ def fixing_residual(P, w) -> float | np.ndarray:
     """Relative residual of the pushforward of w by P against w itself.
 
     P is an (n, 4, 4) stack (returns n residuals) or one 4x4 matrix, taken as
-    a stack of one (returns a float).
+    a stack of one (returns a float).  For an (m, 6) stack of bivectors P is
+    an (m, n, 4, 4) stack, and row i of the (m, n) result pushes w[i] forward
+    by the matrices P[i], with the bits of fixing_residual(P[i], w[i]).
     """
-    w = as_bivector(w)
     P = np.asarray(P, dtype=float)
-    d = _compound(P.reshape(-1, 4, 4)) @ w - w
-    # stacked dot, not einsum or (d * d).sum(1): only this matches np.linalg.norm's bits
-    res = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0]) / np.linalg.norm(w)
-    return float(res[0]) if P.ndim == 2 else res
+    w = np.ascontiguousarray(w, dtype=float)
+    if w.ndim == 1:
+        res = fixing_residual(P.reshape(1, -1, 4, 4), as_bivector(w)[None])[0]
+        return float(res[0]) if P.ndim == 2 else res
+    if w.shape[1:] != (6,) or P.ndim != 4 or P.shape[0] != len(w) or P.shape[2:] != (4, 4):
+        raise ValueError(
+            f"expected (m, 6) bivectors and (m, n, 4, 4) matrices, got {w.shape} and {P.shape}"
+        )
+    d = (_compound(P) @ w[:, None, :, None])[..., 0] - w[:, None, :]
+    # stacked dots, not einsum or (d * d).sum(-1): only these match np.linalg.norm's bits
+    norms = np.sqrt(_rows_dot(w, w))
+    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0]) / norms[:, None]
 
 
 def stabilizer_sweep_matrix(a: float, b: float, c: float, d: float):

@@ -27,6 +27,8 @@ from .minkowski import DEFAULT_TOL, ToleranceConfig, is_proper_lorentz
 # Lexicographic 0-based index pairs for the six coordinate planes.
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _PAIR_INDEX = {p: k for k, p in enumerate(PAIRS)}
+# First and second index of each pair, for gathers over stacks.
+_K, _L = (np.array([pair[n] for pair in PAIRS]) for n in (0, 1))
 
 # Diagonal of the induced metric over (c12, c13, c14, c23, c24, c34).
 HAT_DIAG = np.array([1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
@@ -40,12 +42,16 @@ def as_bivector(w) -> np.ndarray:
 
 
 def wedge(x, y) -> np.ndarray:
-    """Coefficients of x ^ y."""
+    """Coefficients of x ^ y; two (..., 4) stacks give (..., 6), one wedge per row.
+
+    Each coefficient is x_i*y_j - x_j*y_i, two roundings of products and one
+    of their difference, so a row of a stack has the bits of its own wedge.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != (4,) or y.shape != (4,):
-        raise ValueError("wedge expects two 4-vectors")
-    return np.array([x[i] * y[j] - x[j] * y[i] for i, j in PAIRS])
+    if x.shape != y.shape or x.shape[-1:] != (4,):
+        raise ValueError("wedge expects two 4-vectors or two (..., 4) stacks of one shape")
+    return x[..., _K] * y[..., _L] - x[..., _L] * y[..., _K]
 
 
 def basis_bivector(i: int, j: int) -> np.ndarray:
@@ -151,7 +157,6 @@ def _rows_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 # Flat offsets into a row-major 4x4 matrix of the minor factors P[k,i], P[l,j],
 # P[k,j], P[l,i] for row (k,l) and column (i,j) of the second compound.
-_K, _L = (np.array([pair[n] for pair in PAIRS]) for n in (0, 1))
 _MINOR_FACTORS = np.stack(
     [4 * _K[:, None] + _K, 4 * _L[:, None] + _L, 4 * _K[:, None] + _L, 4 * _L[:, None] + _K]
 )

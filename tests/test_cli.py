@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,9 +243,10 @@ def _main_in_process(args, text):
     return code, out.getvalue()
 
 
-@pytest.mark.parametrize(
-    "args", [["classify", "--r", "1"], ["canonical"], ["slice", "--r", "1"], ["stabilizer"]]
-)
+CHUNK_ARGS = [["classify", "--r", "1"], ["canonical"], ["slice", "--r", "1"], ["stabilizer"]]
+
+
+@pytest.mark.parametrize("args", CHUNK_ARGS)
 def test_output_does_not_depend_on_the_chunk(args, monkeypatch):
     import lbo.cli as cli
 
@@ -263,6 +265,122 @@ def test_output_does_not_depend_on_the_chunk(args, monkeypatch):
         parts.append(one.split("\n", 1)[1])
     assert code == max(codes) == (4 if args[0] == "classify" else 2)
     assert batch == "".join(parts)
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("args", CHUNK_ARGS)
+def test_formatted_output_does_not_depend_on_the_chunk(args, fmt, monkeypatch):
+    import lbo.cli as cli
+
+    for name in ("LBO_FORMAT", "LBO_R", "LBO_TOL", "LBO_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    args = [*args, "--format", fmt]
+    text = "".join(_chunk_test_lines(cli.CHUNK + 45))
+    code, batch = _main_in_process(args, text)
+    assert code == (4 if args[0] == "classify" else 2)
+    # one record per chunk and per stabilizer block
+    monkeypatch.setattr(cli, "CHUNK", 1)
+    monkeypatch.setattr(cli, "STABILIZER_BLOCK", 1)
+    assert _main_in_process(args, text) == (code, batch)
+
+
+def test_stacked_stabilizer_residuals_are_bit_identical():
+    import lbo.cli as cli
+    from lbo.minkowski import ToleranceConfig, lorentz_inverse
+    from lbo.orbit import OrbitKind, reduce_orbits
+    from lbo.stabilizer import fixing_residual, generator_stack
+
+    # neutral of both signs, degenerate and off-cone rows over six decades,
+    # more than two stabilizer blocks and not a multiple of one
+    rng = np.random.default_rng(3)
+    rows = []
+    for k in range(2 * cli.STABILIZER_BLOCK + 7):
+        a, b = rng.normal(size=3), rng.normal(size=3)
+        if k % 4 == 1:
+            b = np.cross(a, b)
+        if k % 4 != 3:
+            b *= np.linalg.norm(a) / np.linalg.norm(b)
+        rows.append(np.array([a[2], -a[1], b[0], a[0], b[1], b[2]]) * 10.0 ** (k % 7 - 3))
+    W = np.array(rows)
+    tol = ToleranceConfig(eps=1e-9)
+    batch = reduce_orbits(W, tol)
+    records = list(cli._stabilizer_chunk([f"r{i}" for i in range(len(W))], W, tol))
+    seen = set()
+    for i, (shape, values) in enumerate(records):
+        kind = batch.kind[i]
+        seen.add(kind)
+        if kind is None:
+            assert shape is cli._STABILIZER_OFF
+            continue
+        if kind == OrbitKind.DEGENERATE:
+            conj, conj_inv = batch.basis[i], lorentz_inverse(batch.basis[i])
+        else:
+            conj, conj_inv = lorentz_inverse(batch.witness[i]), batch.witness[i]
+        stack, _ = generator_stack(kind)
+        expected = fixing_residual(conj @ stack @ conj_inv, W[i])
+        assert values[0] == f"r{i}"
+        assert np.array_equal(values[1:-1], expected)
+        assert values[-1] == max(0.0, *expected)
+    assert seen == {None, OrbitKind.NEUTRAL_PLUS, OrbitKind.NEUTRAL_MINUS, OrbitKind.DEGENERATE}
+
+
+# Golden outputs frozen from the dict-building serialiser that the column
+# templates replaced: (output file, input file, arguments, exit code).
+# mixed.ndjson holds ids with escapes and non-ASCII characters, a missing id,
+# negative-zero coefficients, a right-angle neutral record (an error with
+# --tol 1e-300), a decode error, a bad JSON line after a valid first line, a
+# non-string id, integral float outputs, an exit-4 record for classify,
+# off-cone, zero, vector-pair and array records, and split norms that
+# overflow to inf.  slice.ndjson meets the radius 1 in every topology.
+GOLDEN = Path(__file__).parent / "golden"
+CLASSIFY, SLICE = ["classify", "--r", "1.0"], ["slice", "--r", "1.0"]
+JSON, TABLE, TINY_TOL = ["--format", "json"], ["--format", "table"], ["--tol", "1e-300"]
+GOLDEN_CASES = [
+    ("classify.json", "mixed.ndjson", [*CLASSIFY, *JSON], 4),
+    ("canonical.json", "mixed.ndjson", ["canonical", *JSON], 2),
+    ("slice.json", "mixed.ndjson", [*SLICE, *JSON], 2),
+    ("stabilizer.json", "mixed.ndjson", ["stabilizer", *JSON], 2),
+    ("classify.table", "mixed.ndjson", [*CLASSIFY, *TABLE], 4),
+    ("canonical.table", "mixed.ndjson", ["canonical", *TABLE], 2),
+    ("slice.table", "mixed.ndjson", [*SLICE, *TABLE], 2),
+    ("stabilizer.table", "mixed.ndjson", ["stabilizer", *TABLE], 2),
+    ("classify.tol300.json", "mixed.ndjson", [*CLASSIFY, *JSON, *TINY_TOL], 2),
+    ("canonical.tol300.json", "mixed.ndjson", ["canonical", *JSON, *TINY_TOL], 2),
+    ("slice.tol300.json", "mixed.ndjson", [*SLICE, *JSON, *TINY_TOL], 2),
+    ("stabilizer.tol300.json", "mixed.ndjson", ["stabilizer", *JSON, *TINY_TOL], 2),
+    ("slice-topologies.ndjson", "slice.ndjson", SLICE, 0),
+    ("slice-topologies.table", "slice.ndjson", [*SLICE, *TABLE], 0),
+]
+
+@pytest.mark.parametrize(
+    "output,source,args,code", GOLDEN_CASES, ids=[case[0] for case in GOLDEN_CASES]
+)
+def test_golden_formats(output, source, args, code):
+    p = run_cli(args, (GOLDEN / source).read_bytes())
+    assert p.returncode == code
+    assert p.stdout == (GOLDEN / output).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["classify", "stabilizer"])
+def test_closed_pipe_ends_quietly(command, tmp_path):
+    # more output than a pipe holds, so the program is still writing when the reader leaves
+    path = tmp_path / "records.ndjson"
+    path.write_bytes(batch_lines(3000))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("LBO_")}
+    p = subprocess.Popen(
+        [sys.executable, "-m", "lbo.cli", command, "--in", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = p.stdout.readline()
+    p.stdout.close()
+    stderr = p.stderr.read()
+    p.stderr.close()
+    code = p.wait()
+    assert json.loads(first)["id"] == "r0"
+    assert code in (0, 2, 4)
+    assert b"Traceback" not in stderr and b"Exception ignored" not in stderr
 
 
 def test_vector_pair_input_matches_coefficients():

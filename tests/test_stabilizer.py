@@ -95,6 +95,22 @@ def test_stacked_fixing_residual_is_bit_identical(kind, rng):
             ) / np.linalg.norm(w)
 
 
+
+def test_fixing_residual_of_a_bivector_stack(rng):
+    stack, _ = generator_stack(OrbitKind.NEUTRAL_PLUS)
+    conj = np.array([random_proper_lorentz(rng, 4) for _ in range(7)])
+    mats = conj[:, None] @ stack @ lorentz_inverse(conj)[:, None]
+    scales = (1e-3, 0.5, 1.0, 3.0, 1e3, 1.0, 2.0)
+    W = np.array([random_light_cone_bivector(rng, scale=s) for s in scales])
+    stacked = fixing_residual(mats, W)
+    assert stacked.shape == (7, len(stack))
+    for i in range(7):
+        assert np.array_equal(stacked[i], fixing_residual(mats[i], W[i]))
+    with pytest.raises(ValueError):
+        fixing_residual(mats[:-1], W)
+    with pytest.raises(ValueError):
+        fixing_residual(mats[0], W)
+
 def test_null_rotation_angle_identities():
     for t in PARAMS:
         theta, s = null_rotation_angles(t)

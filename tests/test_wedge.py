@@ -50,6 +50,25 @@ def test_wedge_antisymmetric_and_bilinear(rng):
     np.testing.assert_allclose(wedge(x, x), np.zeros(6), atol=0)
 
 
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+def test_stacked_wedge_is_bit_identical(scale, rng):
+    X = rng.normal(size=(300, 4)) * scale
+    Y = rng.normal(size=(300, 4)) * rng.uniform(0.5, 2.0, size=(300, 1))
+    stacked = wedge(X, Y)
+    assert stacked.shape == (300, 6)
+    for x, y, row in zip(X.tolist(), Y.tolist(), stacked):
+        # the definition on Python floats: two rounded products, one rounded difference
+        expected = [x[i] * y[j] - x[j] * y[i] for i, j in PAIRS]
+        assert np.array_equal(row, expected)
+        assert np.array_equal(wedge(x, y), expected)
+    nested = wedge(X.reshape(20, 15, 4), Y.reshape(20, 15, 4))
+    assert np.array_equal(nested, stacked.reshape(20, 15, 6))
+    with pytest.raises(ValueError):
+        wedge(X, Y[:-1])
+    with pytest.raises(ValueError):
+        wedge(X[:, :3], Y[:, :3])
+
 def test_basis_bivector_sign_flip_and_errors():
     np.testing.assert_allclose(basis_bivector(3, 1), -basis_bivector(1, 3), atol=0)
     with pytest.raises(ValueError):
