@@ -38,7 +38,7 @@ import sys
 import numpy as np
 
 from .errors import DegenerateOrbitError, InvariantViolationError, NotInLightConeError
-from .minkowski import ToleranceConfig, lorentz_inverse, random_proper_lorentz
+from .minkowski import SAMPLE_BLOCK, ToleranceConfig, _draw_word, _word_matrices, lorentz_inverse
 from .orbit import (
     RIGHT_ANGLE,
     OrbitKind,
@@ -74,15 +74,7 @@ from .stabilizer import (
     null_rotation_b,
     stabilizer_element,
 )
-from .wedge import (
-    HAT_DIAG,
-    _compound,
-    _rows_dot,
-    hat_inner,
-    in_light_cone,
-    pfaffian,
-    wedge,
-)
+from .wedge import HAT_DIAG, _compound, _rows_dot, pfaffian, wedge
 
 # Records per chunk: each chunk is decoded into one array and reduced by one
 # reduce_orbits call.  Large enough to spread the kernel's fixed cost, small
@@ -447,29 +439,37 @@ def _stabilizer_chunk(rids, W, tol: ToleranceConfig):
 
 
 # --- verify suites --------------------------------------------------------
+#
+# The isometry and pfaffian suites draw each sample's words and vectors in
+# the order of a per-sample loop, then evaluate SAMPLE_BLOCK samples per
+# stacked pass, each with the bits of its own one-sample evaluation.
+
+
+def _pushed(C, X) -> np.ndarray:
+    """Each row of an (m, 6) stack times its own matrix of an (m, 6, 6) stack of compounds."""
+    return (C @ X[:, :, None])[:, :, 0]
 
 
 def _suite_isometry(samples, seed, tol):
     rng = np.random.default_rng([seed, 0])
     worst_inner = worst_homo = worst_cone = 0.0
-    for _ in range(samples):
-        p = random_proper_lorentz(rng, 4)
-        q = random_proper_lorentz(rng, 3)
-        u = rng.normal(size=6)
-        v = rng.normal(size=6)
-        scale = 1.0 + float(np.linalg.norm(u) * np.linalg.norm(v))
-        worst_inner = max(
-            worst_inner,
-            abs(hat_inner(_compound(p) @ u, _compound(p) @ v) - hat_inner(u, v)) / scale,
-        )
-        worst_homo = max(
-            worst_homo, float(np.max(np.abs(_compound(p) @ _compound(q) - _compound(p @ q))))
-        )
-        a = rng.normal(size=3)
-        b = rng.normal(size=3)
-        b *= np.linalg.norm(a) / np.linalg.norm(b)
-        wl = from_vector_pair(a, b)
-        if not in_light_cone(_compound(p) @ wl, tol):
+    for lo in range(0, samples, SAMPLE_BLOCK):
+        draws = [
+            (_draw_word(rng, 4), _draw_word(rng, 3), *(rng.normal(size=k) for k in (6, 6, 3, 3)))
+            for _ in range(min(SAMPLE_BLOCK, samples - lo))
+        ]
+        p_words, q_words, *vectors = zip(*draws)
+        p, q = _word_matrices(p_words), _word_matrices(q_words)
+        cp = _compound(p)
+        u, v, a, b = (np.array(x) for x in vectors)
+        scale = 1.0 + np.sqrt(_rows_dot(u, u)) * np.sqrt(_rows_dot(v, v))
+        inner = np.sum(HAT_DIAG * _pushed(cp, u) * _pushed(cp, v), axis=1)
+        inner = np.abs(inner - np.sum(HAT_DIAG * u * v, axis=1)) / scale
+        worst_inner = max(worst_inner, float(inner.max()))
+        homo = np.abs(cp @ _compound(q) - _compound(p @ q))
+        worst_homo = max(worst_homo, float(homo.max()))
+        b *= (np.sqrt(_rows_dot(a, a)) / np.sqrt(_rows_dot(b, b)))[:, None]
+        if not reduce_orbits(_pushed(cp, from_vector_pair(a, b)), tol, frames=False).on_cone.all():
             worst_cone = 1.0
     return [
         ("induced metric preserved", worst_inner, 1e-8),
@@ -480,13 +480,15 @@ def _suite_isometry(samples, seed, tol):
 
 def _suite_pfaffian(samples, seed, tol):
     rng = np.random.default_rng([seed, 1])
-    worst_inv = worst_angle = 0.0
-    for _ in range(samples):
-        p = random_proper_lorentz(rng, 4)
-        u = rng.normal(size=6)
-        worst_inv = max(worst_inv, abs(pfaffian(_compound(p) @ u) - pfaffian(u)) / (1.0 + u @ u))
-    for phi in np.linspace(0.0, np.pi, 41):
-        worst_angle = max(worst_angle, abs(pfaffian(base_point(phi)) - 2.0 * np.cos(phi)))
+    worst_inv = 0.0
+    for lo in range(0, samples, SAMPLE_BLOCK):
+        m = min(SAMPLE_BLOCK, samples - lo)
+        words, u = zip(*[(_draw_word(rng, 4), rng.normal(size=6)) for _ in range(m)])
+        u = np.array(u)
+        inv = np.abs(pfaffian(_pushed(_compound(_word_matrices(words)), u)) - pfaffian(u))
+        worst_inv = max(worst_inv, float((inv / (1.0 + _rows_dot(u, u))).max()))
+    phi = np.linspace(0.0, np.pi, 41)
+    worst_angle = float(np.abs(pfaffian(base_point(phi)) - 2.0 * np.cos(phi)).max())
     return [
         ("invariant under pushforward", worst_inv, 1e-8),
         ("equals twice the cosine on the base curve", worst_angle, 1e-12),
@@ -756,6 +758,8 @@ def _cmd_stabilizer(args) -> int:
 def _cmd_verify(args) -> int:
     if args.samples < 1:
         raise _UsageError(f"--samples must be at least 1, got {args.samples}")
+    if args.seed < 0:  # numpy seeds are nonnegative
+        raise _UsageError(f"--seed must be at least 0, got {args.seed}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     tol = _tolerance(args)
     all_ok = True

@@ -21,10 +21,18 @@ ETA = np.diag([1.0, 1.0, 1.0, -1.0])
 ROTATION = "rotation"
 BOOST = "boost"
 
-# 0-based index pairs of the plane each family acts on.  Rotation k turns
-# inside a purely spatial plane; boost k mixes one spatial axis with time.
-_ROTATION_PLANES = {1: (0, 1), 2: (0, 2), 3: (1, 2)}
-_BOOST_PLANES = {1: (2, 3), 2: (1, 3), 3: (0, 3)}
+# 0-based index pairs (i, j) of the plane each family acts on, by [boost][axis - 1]:
+# rotation k turns inside a purely spatial plane, boost k mixes one spatial
+# axis with time.  _PLANE_ENTRIES holds the flat offsets of the entries
+# (i, i), (j, j), (i, j) and (j, i) of a row-major 4x4 matrix.
+_PLANES = (((0, 1), (0, 2), (1, 2)), ((2, 3), (1, 3), (0, 3)))
+_PLANE_ENTRIES = np.array(
+    [[(5 * i, 5 * j, 4 * i + j, 4 * j + i) for i, j in row] for row in _PLANES]
+)
+
+# Rows per stacked pass over sampled group elements (verify's isometry and
+# pfaffian suites, empirical_min_radius); it bounds the peak memory of a run.
+SAMPLE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -75,46 +83,48 @@ def minkowski_inner(x, y) -> float:
     return float(x[0] * y[0] + x[1] * y[1] + x[2] * y[2] - x[3] * y[3])
 
 
+def _plane_matrices(boost, axis, parameter) -> np.ndarray:
+    """Rotation (boost false) or boost matrices of broadcast arrays: a (..., 4, 4) stack.
+
+    The only code that writes a generator matrix.  Each entry has the bits of
+    its own one-entry call: cos, sin, cosh and sinh are elementwise.
+    """
+    boost, axis, p = np.broadcast_arrays(
+        np.asarray(boost, dtype=bool), np.asarray(axis), np.asarray(parameter, dtype=float)
+    )
+    if not ((axis == 1) | (axis == 2) | (axis == 3)).all():
+        raise ValueError(f"axis must be 1, 2 or 3, got {axis.tolist()!r}")
+    c, s = np.empty(p.shape), np.empty(p.shape)
+    c[~boost], s[~boost] = np.cos(p[~boost]), np.sin(p[~boost])
+    c[boost], s[boost] = np.cosh(p[boost]), np.sinh(p[boost])
+    m = np.zeros(p.shape + (16,))
+    m[..., ::5] = 1.0
+    entries = _PLANE_ENTRIES[boost.astype(int), axis.astype(int) - 1]
+    np.put_along_axis(m, entries, np.stack([c, c, np.where(boost, s, -s), s], axis=-1), axis=-1)
+    return m.reshape(p.shape + (4, 4))
+
+
 def generator(kind: GeneratorKind) -> np.ndarray:
     """Matrix of one generator family member at its parameter value."""
-    m = np.eye(4)
-    p = float(kind.parameter)
-    if kind.family == ROTATION:
-        i, j = _ROTATION_PLANES[kind.axis]
-        c, s = np.cos(p), np.sin(p)
-        m[i, i] = c
-        m[i, j] = -s
-        m[j, i] = s
-        m[j, j] = c
-    else:
-        i, j = _BOOST_PLANES[kind.axis]
-        c, s = np.cosh(p), np.sinh(p)
-        m[i, i] = c
-        m[i, j] = s
-        m[j, i] = s
-        m[j, j] = c
-    return m
+    return _plane_matrices(kind.family == BOOST, kind.axis, kind.parameter)
 
 
-def rotation_matrix(axis: int, angle: float) -> np.ndarray:
-    return generator(GeneratorKind(axis, ROTATION, angle))
+def rotation_matrix(axis, angle) -> np.ndarray:
+    """Rotation in the plane of axis; arrays of axis and angle give one matrix per entry."""
+    return _plane_matrices(False, axis, angle)
 
 
-def boost_matrix(axis: int, rapidity: float) -> np.ndarray:
-    return generator(GeneratorKind(axis, BOOST, rapidity))
+def boost_matrix(axis, rapidity) -> np.ndarray:
+    """Boost along axis; arrays of axis and rapidity give one matrix per entry."""
+    return _plane_matrices(True, axis, rapidity)
 
 
 def lie_generator(kind: GeneratorKind) -> np.ndarray:
     """Derivative of the family at parameter 0; ignores kind.parameter."""
+    i, j = _PLANES[kind.family == BOOST][kind.axis - 1]
     x = np.zeros((4, 4))
-    if kind.family == ROTATION:
-        i, j = _ROTATION_PLANES[kind.axis]
-        x[i, j] = -1.0
-        x[j, i] = 1.0
-    else:
-        i, j = _BOOST_PLANES[kind.axis]
-        x[i, j] = 1.0
-        x[j, i] = 1.0
+    x[i, j] = 1.0 if kind.family == BOOST else -1.0
+    x[j, i] = 1.0
     return x
 
 
@@ -135,30 +145,49 @@ def lorentz_inverse(P) -> np.ndarray:
     return ETA @ P.swapaxes(-1, -2) @ ETA
 
 
-def random_generator_word(rng: np.random.Generator, word_length: int) -> list[GeneratorKind]:
-    """Draw word_length generators; rotation angles in [-pi, pi], rapidities in [-1, 1]."""
+def _draw_word(rng: np.random.Generator, word_length: int) -> list[tuple]:
+    """One random word as (boost, axis, parameter) letters.
+
+    Per letter: axis, family, then a rotation angle in [-pi, pi] or a rapidity in [-1, 1].
+    """
     if word_length < 1:
         raise ValueError("word_length must be at least 1")
     word = []
     for _ in range(word_length):
         axis = int(rng.integers(1, 4))
-        family = ROTATION if rng.integers(2) == 0 else BOOST
-        if family == ROTATION:
-            p = rng.uniform(-np.pi, np.pi)
-        else:
-            p = rng.uniform(-1.0, 1.0)
-        word.append(GeneratorKind(axis, family, float(p)))
+        boost = bool(rng.integers(2) != 0)
+        p = rng.uniform(-1.0, 1.0) if boost else rng.uniform(-np.pi, np.pi)
+        word.append((boost, axis, float(p)))
     return word
+
+
+def _word_matrices(words) -> np.ndarray:
+    """(n, 4, 4) products of n equal-length words of (boost, axis, parameter) letters.
+
+    Left factor first, stacked from the identity one letter at a time: each
+    product has the bits of its own word.
+    """
+    letters = np.array(words, dtype=float).reshape(len(words), -1, 3)
+    factors = _plane_matrices(letters[..., 0], letters[..., 1], letters[..., 2])
+    m = np.tile(np.eye(4), (len(words), 1, 1))
+    for k in range(factors.shape[1]):
+        m = m @ factors[:, k]
+    return m
+
+
+def random_generator_word(rng: np.random.Generator, word_length: int) -> list[GeneratorKind]:
+    """Draw word_length generators; rotation angles in [-pi, pi], rapidities in [-1, 1]."""
+    return [
+        GeneratorKind(axis, BOOST if boost else ROTATION, p)
+        for boost, axis, p in _draw_word(rng, word_length)
+    ]
 
 
 def word_matrix(word) -> np.ndarray:
     """Product of the generator matrices of a word, left factor first."""
-    m = np.eye(4)
-    for kind in word:
-        m = m @ generator(kind)
-    return m
+    return _word_matrices([[(k.family == BOOST, k.axis, k.parameter) for k in word]])[0]
 
 
 def random_proper_lorentz(rng: np.random.Generator, word_length: int = 3) -> np.ndarray:
     """A reproducible group element: the matrix of a random generator word."""
-    return word_matrix(random_generator_word(rng, word_length))
+    return _word_matrices([_draw_word(rng, word_length)])[0]

@@ -27,8 +27,6 @@ import numpy as np
 
 from .errors import DegenerateOrbitError, NotInLightConeError
 from .minkowski import (
-    _BOOST_PLANES,
-    _ROTATION_PLANES,
     DEFAULT_TOL,
     ToleranceConfig,
     boost_matrix,
@@ -73,12 +71,12 @@ def to_vector_pair(w) -> tuple[np.ndarray, np.ndarray]:
 
 
 def from_vector_pair(a, b) -> np.ndarray:
-    """Inverse of to_vector_pair."""
+    """Inverse of to_vector_pair; two (..., 3) stacks of one shape give (..., 6)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape != (3,) or b.shape != (3,):
-        raise ValueError("expected two 3-vectors")
-    return np.array([a[2], -a[1], b[0], a[0], b[1], b[2]])
+    if a.shape[-1:] != (3,) or b.shape != a.shape:
+        raise ValueError("expected two 3-vectors or two (..., 3) stacks of one shape")
+    return np.stack([a[..., 2], -a[..., 1], b[..., 0], a[..., 0], b[..., 1], b[..., 2]], axis=-1)
 
 
 def canonical_bivector(r, phi) -> np.ndarray:
@@ -215,36 +213,6 @@ def _adapted_frames(w: np.ndarray, tol: ToleranceConfig):
     return r, phi, basis
 
 
-def _plane_stack(plane: tuple, diag, upper, lower) -> np.ndarray:
-    """Identity matrices whose block on plane (i, j) is [[diag, upper], [lower, diag]]."""
-    i, j = plane
-    m = np.zeros((len(diag), 4, 4))
-    m[:, range(4), range(4)] = 1.0
-    m[:, i, i] = m[:, j, j] = diag
-    m[:, i, j] = upper
-    m[:, j, i] = lower
-    return m
-
-
-def _reduction_witnesses(phi: np.ndarray, basis: np.ndarray, w: np.ndarray):
-    """Witnesses (m, 4, 4) and reduced elements (m, 6) of neutral rows.
-
-    See canonical_representative; no angle may be the right angle.
-    """
-    half = 0.5 * phi
-    theta = np.where(phi < _HALF_PI, half, half + _HALF_PI)
-    t = np.array([critical_rapidity(p) for p in phi.tolist()])
-    # rotation_matrix(2, theta) @ boost_matrix(2, t) @ lorentz_inverse(basis), row by row
-    c, s = np.cos(theta), np.sin(theta)
-    sinh = np.sinh(t)
-    witness = (
-        _plane_stack(_ROTATION_PLANES[2], c, -s, s)
-        @ _plane_stack(_BOOST_PLANES[2], np.cosh(t), sinh, sinh)
-        @ lorentz_inverse(basis)
-    )
-    return witness, (_compound(witness) @ w[:, :, None])[:, :, 0]
-
-
 def reduce_orbits(W, tol: ToleranceConfig = DEFAULT_TOL, *, frames: bool = True) -> OrbitBatch:
     """canonical_form, orbit_class and canonical_representative of each row of an (n, 6) array.
 
@@ -279,9 +247,13 @@ def reduce_orbits(W, tol: ToleranceConfig = DEFAULT_TOL, *, frames: bool = True)
     if frames:
         r[on], phi[on], basis[on] = _adapted_frames(W[on], tol)
         witnessed = (epsilon != 0) & (phi != _HALF_PI)
-        witness[witnessed], reduced[witnessed] = _reduction_witnesses(
-            phi[witnessed], basis[witnessed], W[witnessed]
-        )
+        # the reduction of canonical_representative, row by row
+        p = phi[witnessed]
+        theta = np.where(p < _HALF_PI, 0.5 * p, 0.5 * p + _HALF_PI)
+        t = [critical_rapidity(x) for x in p.tolist()]
+        rotation_boost = rotation_matrix(2, theta) @ boost_matrix(2, t)
+        witness[witnessed] = rotation_boost @ lorentz_inverse(basis[witnessed])
+        reduced[witnessed] = (_compound(witness[witnessed]) @ W[witnessed][:, :, None])[:, :, 0]
     return OrbitBatch(
         spatial, temporal, pf, reason, on, r, phi, basis, kind, r0, epsilon,
         witnessed, witness, reduced,
@@ -348,11 +320,7 @@ def critical_rapidity(phi: float) -> float:
 
 
 def canonical_representative(
-    w,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    *,
-    form: CanonicalForm | None = None,
-    klass: OrbitClass | None = None,
+    w, tol: ToleranceConfig = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
     """Carry a neutral bivector to its reduced element; returns (element, witness).
 
@@ -364,19 +332,13 @@ def canonical_representative(
     raises ValueError if phi rounds to the right angle.  The witness is the
     accumulated Lorentz matrix, so pushing w through it yields the returned
     element r0 * (e1^e2 + epsilon * e3^e4).
-
-    A caller that already holds canonical_form(w, tol) or orbit_class(w, tol)
-    passes it as form or klass, and it is not computed again.
     """
-    w = np.ascontiguousarray(as_bivector(w))
-    if klass is None:
-        klass = orbit_class(w, tol)
-    if klass.kind == OrbitKind.DEGENERATE:
+    batch = _reduce_one(w, tol, "canonical_representative")
+    if batch.kind[0] == OrbitKind.DEGENERATE:
         raise DegenerateOrbitError("degenerate orbits contain no fully reduced element")
-    if form is None:
-        form = canonical_form(w, tol)
-    witness, reduced = _reduction_witnesses(np.array([form.phi]), form.basis[None], w[None])
-    return reduced[0], witness[0]
+    if not batch.witnessed[0]:
+        raise ValueError(RIGHT_ANGLE)
+    return batch.reduced[0], batch.witness[0]
 
 
 # --- tangent frames along the normal-form curve ---------------------------

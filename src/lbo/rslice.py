@@ -17,9 +17,11 @@ import numpy as np
 from .errors import NotInLightConeError
 from .minkowski import (
     DEFAULT_TOL,
+    SAMPLE_BLOCK,
     ToleranceConfig,
+    _draw_word,
+    _word_matrices,
     boost_matrix,
-    random_proper_lorentz,
     rotation_matrix,
 )
 from .orbit import (
@@ -31,7 +33,7 @@ from .orbit import (
     canonical_form,
     critical_rapidity,
 )
-from .wedge import _compound, as_bivector, in_light_cone, split_norms
+from .wedge import _compound, _split_norms_rows, as_bivector, in_light_cone, split_norms
 
 
 class SliceTopology(Enum):
@@ -107,7 +109,10 @@ def empirical_min_radius(
     two-parameter reduction surface through w (grid density grows with
     samples and always contains the identity), a deep one-sided rapidity
     sweep that chases the shrinking radius of degenerate orbits, and random
-    generator-word pushforwards of w itself.
+    generator-word pushforwards of w itself.  Each search runs as stacked
+    passes of SAMPLE_BLOCK group elements (one _compound and one
+    _split_norms_rows per pass); every point gets the bits of its own
+    one-matrix pushforward, so the minimum does not depend on the blocks.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -117,26 +122,26 @@ def empirical_min_radius(
     form = canonical_form(w, tol)
     scaled = (form.r / np.sqrt(2.0)) * base_point(form.phi)
 
+    def least_radius(P, v) -> float:
+        return float(np.sqrt(_split_norms_rows(_compound(P) @ v)[0]).min())
+
     best = float(np.sqrt(split_norms(w)[0]))
 
     n = max(40, int(np.sqrt(samples)))
     if n % 2 == 0:
         n += 1  # odd count keeps 0 on the rapidity grid
-    thetas = np.linspace(0.0, np.pi, n)
-    ts = np.linspace(-2.5, 2.5, n)
-    for theta in thetas:
-        rot = rotation_matrix(2, theta)
-        for t in ts:
-            c = _compound(rot @ boost_matrix(2, t)) @ scaled
-            best = min(best, float(np.sqrt(split_norms(c)[0])))
+    thetas, ts = np.repeat(np.linspace(0.0, np.pi, n), n), np.tile(np.linspace(-2.5, 2.5, n), n)
+    for lo in range(0, n * n, SAMPLE_BLOCK):
+        block = slice(lo, lo + SAMPLE_BLOCK)
+        surface = rotation_matrix(2, thetas[block]) @ boost_matrix(2, ts[block])
+        best = min(best, least_radius(surface, scaled))
 
-    for t in np.linspace(0.0, 10.0, 1001):
-        c = _compound(boost_matrix(2, t)) @ scaled
-        best = min(best, float(np.sqrt(split_norms(c)[0])))
+    sweep = np.linspace(0.0, 10.0, 1001)
+    for lo in range(0, len(sweep), SAMPLE_BLOCK):
+        best = min(best, least_radius(boost_matrix(2, sweep[lo : lo + SAMPLE_BLOCK]), scaled))
 
     rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        p = random_proper_lorentz(rng, 4)
-        c = _compound(p) @ w
-        best = min(best, float(np.sqrt(split_norms(c)[0])))
+    for lo in range(0, samples, SAMPLE_BLOCK):
+        words = [_draw_word(rng, 4) for _ in range(min(SAMPLE_BLOCK, samples - lo))]
+        best = min(best, least_radius(_word_matrices(words), w))
     return best

@@ -505,6 +505,8 @@ BAD_SETTINGS = {
     "samples-negative": (["verify", "--suite", "isometry", "--samples", "-3"], None, 3),
     "samples-zero": (["verify", "--suite", "pfaffian", "--samples", "0"], None, 3),
     "env-samples-zero": (["verify", "--suite", "isometry"], {"LBO_SAMPLES": "0"}, 3),
+    "seed-negative": (["verify", "--suite", "isometry", "--seed", "-1"], None, 3),
+    "env-seed-negative": (["verify", "--suite", "all"], {"LBO_SEED": "-3"}, 3),
 }
 
 

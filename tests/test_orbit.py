@@ -48,6 +48,11 @@ def test_vector_pair_round_trip(rng):
     a0, b0 = to_vector_pair([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     np.testing.assert_allclose(a0, [4.0, -2.0, 1.0], atol=0)
     np.testing.assert_allclose(b0, [3.0, 5.0, 6.0], atol=0)
+    # stacks of pairs give one bivector per row
+    A, B = rng.normal(size=(2, 5, 3))
+    assert np.array_equal(from_vector_pair(A, B), [from_vector_pair(x, y) for x, y in zip(A, B)])
+    with pytest.raises(ValueError):
+        from_vector_pair(A, B[0])
 
 
 def test_canonical_bivector_coefficients():

@@ -1,0 +1,201 @@
+"""The stacked group-element paths against scalar references, bit for bit.
+
+The references are the one-letter, one-sample and one-point loops the
+library ran before its stacked passes: a generator matrix written from an
+identity per letter, a word product taken letter by letter, the isometry and
+pfaffian suites of `verify` and empirical_min_radius.  Both sides run under
+the same numpy, so they must agree exactly (never allclose), including
+across the edges of the SAMPLE_BLOCK passes.
+"""
+import numpy as np
+import pytest
+
+from lbo.cli import _suite_isometry, _suite_pfaffian
+from lbo.minkowski import (
+    BOOST,
+    ROTATION,
+    SAMPLE_BLOCK,
+    DEFAULT_TOL,
+    GeneratorKind,
+    boost_matrix,
+    generator,
+    random_generator_word,
+    random_proper_lorentz,
+    rotation_matrix,
+    word_matrix,
+)
+from lbo.orbit import base_point, canonical_form
+from lbo.rslice import empirical_min_radius
+from lbo.wedge import _compound, hat_inner, in_light_cone, pfaffian, split_norms
+
+_ROTATION_PLANES = {1: (0, 1), 2: (0, 2), 3: (1, 2)}
+_BOOST_PLANES = {1: (2, 3), 2: (1, 3), 3: (0, 3)}
+
+
+def reference_generator(kind):
+    m = np.eye(4)
+    p = float(kind.parameter)
+    if kind.family == ROTATION:
+        i, j = _ROTATION_PLANES[kind.axis]
+        c, s = np.cos(p), np.sin(p)
+        m[i, i] = c
+        m[i, j] = -s
+        m[j, i] = s
+        m[j, j] = c
+    else:
+        i, j = _BOOST_PLANES[kind.axis]
+        c, s = np.cosh(p), np.sinh(p)
+        m[i, i] = c
+        m[i, j] = s
+        m[j, i] = s
+        m[j, j] = c
+    return m
+
+
+def reference_word(rng, word_length):
+    word = []
+    for _ in range(word_length):
+        axis = int(rng.integers(1, 4))
+        family = ROTATION if rng.integers(2) == 0 else BOOST
+        if family == ROTATION:
+            p = rng.uniform(-np.pi, np.pi)
+        else:
+            p = rng.uniform(-1.0, 1.0)
+        word.append(GeneratorKind(axis, family, float(p)))
+    return word
+
+
+def reference_word_matrix(word):
+    m = np.eye(4)
+    for kind in word:
+        m = m @ reference_generator(kind)
+    return m
+
+
+def reference_random_proper_lorentz(rng, word_length):
+    return reference_word_matrix(reference_word(rng, word_length))
+
+
+def reference_isometry(samples, seed, tol):
+    rng = np.random.default_rng([seed, 0])
+    worst_inner = worst_homo = worst_cone = 0.0
+    for _ in range(samples):
+        p = reference_random_proper_lorentz(rng, 4)
+        q = reference_random_proper_lorentz(rng, 3)
+        u = rng.normal(size=6)
+        v = rng.normal(size=6)
+        scale = 1.0 + float(np.linalg.norm(u) * np.linalg.norm(v))
+        worst_inner = max(
+            worst_inner,
+            abs(hat_inner(_compound(p) @ u, _compound(p) @ v) - hat_inner(u, v)) / scale,
+        )
+        worst_homo = max(
+            worst_homo, float(np.max(np.abs(_compound(p) @ _compound(q) - _compound(p @ q))))
+        )
+        a = rng.normal(size=3)
+        b = rng.normal(size=3)
+        b *= np.linalg.norm(a) / np.linalg.norm(b)
+        wl = np.array([a[2], -a[1], b[0], a[0], b[1], b[2]])
+        if not in_light_cone(_compound(p) @ wl, tol):
+            worst_cone = 1.0
+    return [worst_inner, worst_homo, worst_cone]
+
+
+def reference_pfaffian(samples, seed):
+    rng = np.random.default_rng([seed, 1])
+    worst_inv = worst_angle = 0.0
+    for _ in range(samples):
+        p = reference_random_proper_lorentz(rng, 4)
+        u = rng.normal(size=6)
+        worst_inv = max(worst_inv, abs(pfaffian(_compound(p) @ u) - pfaffian(u)) / (1.0 + u @ u))
+    for phi in np.linspace(0.0, np.pi, 41):
+        worst_angle = max(worst_angle, abs(pfaffian(base_point(phi)) - 2.0 * np.cos(phi)))
+    return [worst_inv, worst_angle]
+
+
+def reference_empirical_min_radius(w, samples, seed, tol=DEFAULT_TOL):
+    form = canonical_form(w, tol)
+    scaled = (form.r / np.sqrt(2.0)) * base_point(form.phi)
+    best = float(np.sqrt(split_norms(w)[0]))
+    n = max(40, int(np.sqrt(samples)))
+    if n % 2 == 0:
+        n += 1
+    for theta in np.linspace(0.0, np.pi, n):
+        rot = reference_generator(GeneratorKind(2, ROTATION, theta))
+        for t in np.linspace(-2.5, 2.5, n):
+            c = _compound(rot @ reference_generator(GeneratorKind(2, BOOST, t))) @ scaled
+            best = min(best, float(np.sqrt(split_norms(c)[0])))
+    for t in np.linspace(0.0, 10.0, 1001):
+        c = _compound(reference_generator(GeneratorKind(2, BOOST, t))) @ scaled
+        best = min(best, float(np.sqrt(split_norms(c)[0])))
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        c = _compound(reference_random_proper_lorentz(rng, 4)) @ w
+        best = min(best, float(np.sqrt(split_norms(c)[0])))
+    return best
+
+
+def same_bits(x, y):
+    return np.array_equal(np.asarray(x).view(np.int64), np.asarray(y).view(np.int64))
+
+
+def test_plane_matrices_match_the_reference(rng):
+    axes = rng.integers(1, 4, size=(5, 40))
+    angles, rapidities = rng.uniform(-np.pi, np.pi, size=(5, 20)), rng.normal(size=(5, 20))
+    params = np.concatenate([angles, rapidities], axis=1)
+    params[0, :3] = [0.0, -0.0, 30.0]
+    for family, build in ((ROTATION, rotation_matrix), (BOOST, boost_matrix)):
+        stack = build(axes, params)
+        assert stack.shape == (5, 40, 4, 4)
+        for idx in np.ndindex(axes.shape):
+            one = build(int(axes[idx]), float(params[idx]))
+            kind = GeneratorKind(int(axes[idx]), family, float(params[idx]))
+            assert same_bits(one, reference_generator(kind))
+            assert same_bits(generator(kind), one)
+            assert same_bits(stack[idx], one)
+        # a scalar axis broadcasts against an array of parameters
+        assert same_bits(build(2, params[1]), [build(2, p) for p in params[1]])
+
+
+def test_plane_matrices_reject_bad_axes():
+    for bad in (0, 4, [1, 2, 5]):
+        with pytest.raises(ValueError, match="axis must be 1, 2 or 3"):
+            rotation_matrix(bad, 0.3)
+        with pytest.raises(ValueError, match="axis must be 1, 2 or 3"):
+            boost_matrix(bad, 0.3)
+
+
+def test_words_match_the_reference():
+    for seed in range(5):
+        for length in (1, 3, 4, 9):
+            assert random_generator_word(np.random.default_rng(seed), length) == reference_word(
+                np.random.default_rng(seed), length
+            )
+            got = random_proper_lorentz(np.random.default_rng(seed), length)
+            want = reference_random_proper_lorentz(np.random.default_rng(seed), length)
+            assert same_bits(got, want)
+            word = reference_word(np.random.default_rng(seed + 10), length)
+            assert same_bits(word_matrix(word), reference_word_matrix(word))
+    assert same_bits(word_matrix([]), np.eye(4))
+
+
+@pytest.mark.parametrize("samples", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 300])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stacked_suites_match_the_per_sample_loops(seed, samples):
+    isometry = [value for _, value, _ in _suite_isometry(samples, seed, DEFAULT_TOL)]
+    assert isometry == reference_isometry(samples, seed, DEFAULT_TOL)
+    pfaff = [value for _, value, _ in _suite_pfaffian(samples, seed, DEFAULT_TOL)]
+    assert pfaff == reference_pfaffian(samples, seed)
+
+
+@pytest.mark.parametrize("pushed", [False, True])
+@pytest.mark.parametrize("phi,seed", [(0.0, 0), (np.pi / 3, 1), (np.pi / 2, 2), (2.5, 3)])
+def test_empirical_min_radius_matches_the_per_point_loops(phi, seed, pushed):
+    # a normal form, or another point of its orbit; at phi = 2.5 the latter's
+    # minimum comes from the grid, not the sweep
+    w = 1.7 * base_point(phi)
+    if pushed:
+        w = _compound(reference_random_proper_lorentz(np.random.default_rng(9), 3)) @ w
+    samples = 2 * SAMPLE_BLOCK + 44
+    want = reference_empirical_min_radius(w, samples, seed)
+    assert empirical_min_radius(w, samples, seed) == want
