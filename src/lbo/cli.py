@@ -455,13 +455,14 @@ def _suite_isometry(samples, seed, tol):
     worst_inner = worst_homo = worst_cone = 0.0
     for lo in range(0, samples, SAMPLE_BLOCK):
         draws = [
-            (_draw_word(rng, 4), _draw_word(rng, 3), *(rng.normal(size=k) for k in (6, 6, 3, 3)))
+            (_draw_word(rng, 4), _draw_word(rng, 3), rng.normal(size=18))
             for _ in range(min(SAMPLE_BLOCK, samples - lo))
         ]
-        p_words, q_words, *vectors = zip(*draws)
+        p_words, q_words, vectors = zip(*draws)
         p, q = _word_matrices(p_words), _word_matrices(q_words)
         cp = _compound(p)
-        u, v, a, b = (np.array(x) for x in vectors)
+        # u and v (6 each), then a and b (3 each): the draws of four normal(size=k) calls
+        u, v, a, b = map(np.ascontiguousarray, np.split(np.array(vectors), [6, 12, 15], axis=1))
         scale = 1.0 + np.sqrt(_rows_dot(u, u)) * np.sqrt(_rows_dot(v, v))
         inner = np.sum(HAT_DIAG * _pushed(cp, u) * _pushed(cp, v), axis=1)
         inner = np.abs(inner - np.sum(HAT_DIAG * u * v, axis=1)) / scale
@@ -673,6 +674,13 @@ def _check_radius(r) -> None:
         raise _InputError(f"--r must be positive and finite, got {r!r}")
 
 
+def _drop_stdout() -> None:
+    """The reader is gone: stop, and send what is still buffered to devnull."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def _run_batch(args, report) -> int:
     tol = _tolerance(args)
     code = 0
@@ -722,10 +730,7 @@ def _run_batch(args, report) -> int:
             _emit(list(records(stream)), args.format, sys.stdout)
         sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
     except BrokenPipeError:
-        # the reader is gone: stop, and send what is still buffered to devnull
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _drop_stdout()
     except json.JSONDecodeError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -763,12 +768,16 @@ def _cmd_verify(args) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     tol = _tolerance(args)
     all_ok = True
-    for name in names:
-        for check, value, threshold in _SUITES[name](args.samples, args.seed, tol):
-            ok = value <= threshold
-            all_ok = all_ok and ok
-            status = "PASS" if ok else "FAIL"
-            print(f"{name:<10} {check:<44} {status}  {value:.3e} <= {threshold:.0e}")
+    try:
+        for name in names:
+            for check, value, threshold in _SUITES[name](args.samples, args.seed, tol):
+                ok = value <= threshold
+                all_ok = all_ok and ok
+                status = "PASS" if ok else "FAIL"
+                print(f"{name:<10} {check:<44} {status}  {value:.3e} <= {threshold:.0e}")
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+    except BrokenPipeError:
+        _drop_stdout()  # the exit code still reports the checks written so far
     if not all_ok:
         raise InvariantViolationError("verification suite failed")
     return 0

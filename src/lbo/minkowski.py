@@ -8,7 +8,10 @@ where e1..e3 are space-like and e4 is time-like.  The inner product is
 The proper Lorentz group is generated by six one-parameter families: three
 plane rotations (axes 1..3 pick the plane) and three boosts (axes pick which
 space direction pairs with time).  Random group elements are products of
-generator words, reproducible from an explicit numpy Generator (PCG64).
+generator words, reproducible from an explicit numpy Generator.  On PCG64
+a word is decoded from the generator's raw output with the maps numpy's
+own integers and uniform apply to those bits; other bit generators go
+through those numpy calls.
 """
 from __future__ import annotations
 
@@ -148,10 +151,33 @@ def lorentz_inverse(P) -> np.ndarray:
 def _draw_word(rng: np.random.Generator, word_length: int) -> list[tuple]:
     """One random word as (boost, axis, parameter) letters.
 
-    Per letter: axis, family, then a rotation angle in [-pi, pi] or a rapidity in [-1, 1].
+    Per letter: axis, family, then a rotation angle in [-pi, pi] or a rapidity in [-1, 1],
+    as rng.integers(1, 4), rng.integers(2) and rng.uniform(low, high) draw them.
+
+    On a PCG64 with no buffered 32-bit half, the word's 2 * word_length raw
+    outputs are read at once and decoded with the maps numpy's Generator
+    applies to those bits.  Letter k uses first = raw[2k], second = raw[2k+1]:
+    the axis is Lemire's bounded map of first's low 32 bits (which numpy
+    redraws only when they are 0), the family is the top bit of its buffered
+    high half, and the parameter is low + (high - low) * (second >> 11) * 2**-53.
+    Other bit generators, and a zero low word, take numpy's own calls.
     """
     if word_length < 1:
         raise ValueError("word_length must be at least 1")
+    bits = rng.bit_generator
+    if type(bits) is np.random.PCG64 and not bits.state["has_uint32"]:
+        raw = bits.random_raw(2 * word_length).tolist()
+        word = []
+        for first, second in zip(raw[::2], raw[1::2]):
+            low32 = first & 0xFFFFFFFF
+            if not low32:
+                break
+            boost = first >> 63 == 1
+            low, span = (-1.0, 2.0) if boost else (-np.pi, 2.0 * np.pi)
+            word.append((boost, 1 + (low32 * 3 >> 32), low + span * ((second >> 11) * 2.0**-53)))
+        else:
+            return word
+        bits.advance(-2 * word_length)  # numpy redraws the axis: let it define the stream
     word = []
     for _ in range(word_length):
         axis = int(rng.integers(1, 4))

@@ -1,15 +1,17 @@
 """The stacked group-element paths against scalar references, bit for bit.
 
 The references are the one-letter, one-sample and one-point loops the
-library ran before its stacked passes: a generator matrix written from an
-identity per letter, a word product taken letter by letter, the isometry and
-pfaffian suites of `verify` and empirical_min_radius.  Both sides run under
-the same numpy, so they must agree exactly (never allclose), including
-across the edges of the SAMPLE_BLOCK passes.
+library ran before its stacked passes: a word drawn with three numpy calls
+per letter, a generator matrix written from an identity per letter, a word
+product taken letter by letter, the isometry and pfaffian suites of `verify`
+and empirical_min_radius.  Both sides run under the same numpy, so they must
+agree exactly (never allclose), including across the edges of the
+SAMPLE_BLOCK passes.
 """
 import numpy as np
 import pytest
 
+import lbo.rslice
 from lbo.cli import _suite_isometry, _suite_pfaffian
 from lbo.minkowski import (
     BOOST,
@@ -17,6 +19,7 @@ from lbo.minkowski import (
     SAMPLE_BLOCK,
     DEFAULT_TOL,
     GeneratorKind,
+    _draw_word,
     boost_matrix,
     generator,
     random_generator_word,
@@ -26,7 +29,7 @@ from lbo.minkowski import (
 )
 from lbo.orbit import base_point, canonical_form
 from lbo.rslice import empirical_min_radius
-from lbo.wedge import _compound, hat_inner, in_light_cone, pfaffian, split_norms
+from lbo.wedge import _compound, _split_norms_rows, hat_inner, in_light_cone, pfaffian, split_norms
 
 _ROTATION_PLANES = {1: (0, 1), 2: (0, 2), 3: (1, 2)}
 _BOOST_PLANES = {1: (2, 3), 2: (1, 3), 3: (0, 3)}
@@ -63,6 +66,10 @@ def reference_word(rng, word_length):
             p = rng.uniform(-1.0, 1.0)
         word.append(GeneratorKind(axis, family, float(p)))
     return word
+
+
+def reference_letters(rng, word_length):
+    return [(k.family == BOOST, k.axis, k.parameter) for k in reference_word(rng, word_length)]
 
 
 def reference_word_matrix(word):
@@ -165,6 +172,77 @@ def test_plane_matrices_reject_bad_axes():
             boost_matrix(bad, 0.3)
 
 
+def pcg64_half_used(seed):
+    bits = np.random.PCG64(seed)
+    np.random.Generator(bits).integers(7)  # one 32-bit draw buffers the other half
+    assert bits.state["has_uint32"] == 1
+    return bits
+
+
+def pcg64_zero_at(seed, ahead):
+    """A PCG64 whose raw output number ahead (from 0) is 0."""
+    bits = np.random.PCG64(seed)
+    state = bits.state
+    k = seed + 1
+    state["state"]["state"] = (k << 64) | k  # the output of a state with equal halves is 0
+    bits.state = state
+    bits.advance(-1 - ahead)
+    check = np.random.PCG64(seed)
+    check.state = bits.state
+    assert check.random_raw(ahead + 1)[ahead] == 0
+    return bits
+
+
+BIT_GENERATORS = {
+    "mt19937": np.random.MT19937,
+    "philox": np.random.Philox,
+    "sfc64": np.random.SFC64,
+    "pcg64-half-used": pcg64_half_used,
+    # numpy redraws an axis whose low word is 0, so the word takes numpy's calls
+    "pcg64-zero-first-axis": lambda seed: pcg64_zero_at(seed, 0),
+    "pcg64-zero-third-axis": lambda seed: pcg64_zero_at(seed, 4),
+    "pcg64-zero-parameter": lambda seed: pcg64_zero_at(seed, 1),
+}
+
+
+def test_draw_word_matches_numpy_calls():
+    for seed in range(200):
+        rng, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        for length in range(1, 10):
+            assert _draw_word(rng, length) == reference_letters(want, length)
+            # the next draw shows the streams are still aligned
+            assert rng.normal() == want.normal()
+            # an odd count of 32-bit draws leaves half a raw output buffered
+            k = (seed + length) % 3
+            assert rng.integers(7, size=k).tolist() == want.integers(7, size=k).tolist()
+            assert (rng.normal(size=k) == want.normal(size=k)).all()
+
+
+@pytest.mark.parametrize("name", BIT_GENERATORS)
+def test_draw_word_matches_numpy_calls_on_other_streams(name):
+    make = BIT_GENERATORS[name]
+    for seed in range(20):
+        for length in (1, 3, 4):
+            rng, want = np.random.Generator(make(seed)), np.random.Generator(make(seed))
+            assert _draw_word(rng, length) == reference_letters(want, length)
+            assert rng.normal() == want.normal()
+
+
+class RawBitsOnly:
+    """An rng with a bit generator and none of numpy's calls."""
+
+    def __init__(self, bit_generator):
+        self.bit_generator = bit_generator
+
+
+def test_draw_word_decodes_raw_pcg64_output():
+    for seed in range(20):
+        rng = RawBitsOnly(np.random.PCG64(seed))
+        want = np.random.default_rng(seed)
+        assert _draw_word(rng, 9) == reference_letters(want, 9)
+        assert np.random.Generator(rng.bit_generator).normal() == want.normal()
+
+
 def test_words_match_the_reference():
     for seed in range(5):
         for length in (1, 3, 4, 9):
@@ -199,3 +277,23 @@ def test_empirical_min_radius_matches_the_per_point_loops(phi, seed, pushed):
     samples = 2 * SAMPLE_BLOCK + 44
     want = reference_empirical_min_radius(w, samples, seed)
     assert empirical_min_radius(w, samples, seed) == want
+
+
+def test_empirical_min_radius_pushes_w_through_each_word(monkeypatch):
+    # the grid or the sweep always gives the minimum, so compare the word pass's rows
+    passes = []
+
+    def spy(x):
+        passes.append(np.array(x))
+        return _split_norms_rows(x)
+
+    monkeypatch.setattr(lbo.rslice, "_split_norms_rows", spy)
+    w = _compound(reference_random_proper_lorentz(np.random.default_rng(9), 3)) @ base_point(1.0)
+    samples, seed = 2 * SAMPLE_BLOCK + 44, 5
+    empirical_min_radius(w, samples, seed)
+    # the 41 x 41 grid's and the 1001-point sweep's passes come first
+    grid_and_sweep = -(-41 * 41 // SAMPLE_BLOCK) - (-1001 // SAMPLE_BLOCK)
+    assert len(passes) == grid_and_sweep + 3
+    rng = np.random.default_rng(seed)
+    want = [_compound(reference_random_proper_lorentz(rng, 4)) @ w for _ in range(samples)]
+    assert same_bits(np.concatenate(passes[grid_and_sweep:]), want)
