@@ -1,4 +1,4 @@
-"""Command line interface for batch orbit reports.
+"""Command line interface: batch orbit reports, and the checks of lbo.verify.
 
 Input records are JSON objects carrying either six bivector coefficients
 {"c": [...]} or a vector pair {"x": [...], "y": [...]} whose wedge is taken,
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import itertools
 import json
 import math
@@ -37,44 +38,13 @@ import sys
 
 import numpy as np
 
+from . import verify
 from .errors import DegenerateOrbitError, InvariantViolationError, NotInLightConeError
-from .minkowski import SAMPLE_BLOCK, ToleranceConfig, _draw_word, _word_matrices, lorentz_inverse
-from .orbit import (
-    RIGHT_ANGLE,
-    OrbitKind,
-    base_point,
-    from_vector_pair,
-    normal_form_bivector,
-    orbit_class,
-    orthonormal_tangent_frame,
-    parallel_frame_check,
-    reconstruct,
-    reduce_orbits,
-    tangent_frame,
-    tangent_gram,
-)
-from .rslice import (
-    SliceTopology,
-    _on_radius,
-    empirical_min_radius,
-    min_slice_radius,
-    slice_topology,
-)
-from .stabilizer import (
-    Family,
-    SubspaceLabel,
-    classify_invariant_subspace,
-    degenerate_base,
-    degenerate_invariant_plane,
-    fixing_residual,
-    generator_stack,
-    neutral_base,
-    neutral_invariant_plane,
-    null_rotation_a,
-    null_rotation_b,
-    stabilizer_element,
-)
-from .wedge import HAT_DIAG, _compound, _rows_dot, pfaffian, wedge
+from .minkowski import ToleranceConfig, lorentz_inverse
+from .orbit import RIGHT_ANGLE, OrbitKind, normal_form_bivector, reconstruct, reduce_orbits
+from .rslice import SliceTopology, _on_radius, slice_topology
+from .stabilizer import fixing_residual, generator_stack
+from .wedge import _row_norms, wedge
 
 # Records per chunk: each chunk is decoded into one array and reduced by one
 # reduce_orbits call.  Large enough to spread the kernel's fixed cost, small
@@ -224,27 +194,31 @@ def _bivectors(rows: list) -> np.ndarray:
     return W
 
 
-def _iter_docs(stream):
-    """Yield parsed JSON documents: NDJSON line mode with a whole-document fallback."""
-    for first in stream:
-        if first.strip():
-            break
-    else:
-        return
+def _parse_json(text: str):
+    """The JSON document in text, or an _InputError that says why there is none."""
     try:
-        doc = json.loads(first)
-    except json.JSONDecodeError:
-        yield json.loads(first + stream.read())  # propagate as a hard input error
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+        return _InputError(f"bad JSON line: {exc}")
+
+
+def _iter_docs(stream):
+    """Yield parsed JSON documents, or an _InputError per line that does not parse:
+    NDJSON line mode, with a whole-document fallback for a first line that does not."""
+    lines = (line for line in stream if line.strip())
+    first = next(lines, None)
+    if first is None:
         return
+    doc = _parse_json(first)
+    if isinstance(doc, _InputError):
+        rest = stream.read()
+        whole = _parse_json(first + rest)  # one pretty-printed object or array
+        if not isinstance(whole, _InputError):
+            yield whole
+            return
+        lines = (line for line in io.StringIO(rest) if line.strip())
     yield doc
-    for line in stream:
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
-            doc = _InputError(f"bad JSON line: {exc}")
-        yield doc
+    yield from map(_parse_json, lines)
 
 
 def _iter_raw(stream):
@@ -319,11 +293,6 @@ def _stabilizer_on(kind: str) -> _Shape:
         {"id": _SLOT, "in_light_cone": True, "kind": kind, "families": families,
          "max_residual": _SLOT}
     )
-
-
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each row, bit for bit."""
-    return np.sqrt(_rows_dot(x, x))
 
 
 def _right_angle(rid):
@@ -436,185 +405,6 @@ def _stabilizer_chunk(rids, W, tol: ToleranceConfig):
             yield _right_angle(rid)
             continue
         yield _stabilizer_on(b.kind[i]), (rid, *res, max(0.0, *res))
-
-
-# --- verify suites --------------------------------------------------------
-#
-# The isometry and pfaffian suites draw each sample's words and vectors in
-# the order of a per-sample loop, then evaluate SAMPLE_BLOCK samples per
-# stacked pass, each with the bits of its own one-sample evaluation.
-
-
-def _pushed(C, X) -> np.ndarray:
-    """Each row of an (m, 6) stack times its own matrix of an (m, 6, 6) stack of compounds."""
-    return (C @ X[:, :, None])[:, :, 0]
-
-
-def _suite_isometry(samples, seed, tol):
-    rng = np.random.default_rng([seed, 0])
-    worst_inner = worst_homo = worst_cone = 0.0
-    for lo in range(0, samples, SAMPLE_BLOCK):
-        draws = [
-            (_draw_word(rng, 4), _draw_word(rng, 3), rng.normal(size=18))
-            for _ in range(min(SAMPLE_BLOCK, samples - lo))
-        ]
-        p_words, q_words, vectors = zip(*draws)
-        p, q = _word_matrices(p_words), _word_matrices(q_words)
-        cp = _compound(p)
-        # u and v (6 each), then a and b (3 each): the draws of four normal(size=k) calls
-        u, v, a, b = map(np.ascontiguousarray, np.split(np.array(vectors), [6, 12, 15], axis=1))
-        scale = 1.0 + np.sqrt(_rows_dot(u, u)) * np.sqrt(_rows_dot(v, v))
-        inner = np.sum(HAT_DIAG * _pushed(cp, u) * _pushed(cp, v), axis=1)
-        inner = np.abs(inner - np.sum(HAT_DIAG * u * v, axis=1)) / scale
-        worst_inner = max(worst_inner, float(inner.max()))
-        homo = np.abs(cp @ _compound(q) - _compound(p @ q))
-        worst_homo = max(worst_homo, float(homo.max()))
-        b *= (np.sqrt(_rows_dot(a, a)) / np.sqrt(_rows_dot(b, b)))[:, None]
-        if not reduce_orbits(_pushed(cp, from_vector_pair(a, b)), tol, frames=False).on_cone.all():
-            worst_cone = 1.0
-    return [
-        ("induced metric preserved", worst_inner, 1e-8),
-        ("pushforward is a homomorphism", worst_homo, 1e-8),
-        ("light cone preserved", worst_cone, 0.5),
-    ]
-
-
-def _suite_pfaffian(samples, seed, tol):
-    rng = np.random.default_rng([seed, 1])
-    worst_inv = 0.0
-    for lo in range(0, samples, SAMPLE_BLOCK):
-        m = min(SAMPLE_BLOCK, samples - lo)
-        words, u = zip(*[(_draw_word(rng, 4), rng.normal(size=6)) for _ in range(m)])
-        u = np.array(u)
-        inv = np.abs(pfaffian(_pushed(_compound(_word_matrices(words)), u)) - pfaffian(u))
-        worst_inv = max(worst_inv, float((inv / (1.0 + _rows_dot(u, u))).max()))
-    phi = np.linspace(0.0, np.pi, 41)
-    worst_angle = float(np.abs(pfaffian(base_point(phi)) - 2.0 * np.cos(phi)).max())
-    return [
-        ("invariant under pushforward", worst_inv, 1e-8),
-        ("equals twice the cosine on the base curve", worst_angle, 1e-12),
-    ]
-
-
-def _suite_frames(samples, seed, tol):
-    worst_gram = worst_ortho = 0.0
-    checks = []
-    for phi in np.linspace(0.0, np.pi, 21):
-        g = tangent_gram(phi)
-        c = np.cos(phi)
-        expected = np.zeros((4, 4))
-        expected[0, 0] = -2.0 * c
-        expected[1, 1] = 2.0 * c
-        expected[2, 3] = expected[3, 2] = 1.0
-        worst_gram = max(worst_gram, float(np.max(np.abs(g - expected))))
-    for phi in (0.2, 1.0, 2.2, 3.0):
-        fr = np.column_stack(orthonormal_tangent_frame(phi, tol))
-        g = fr.T @ (HAT_DIAG[:, None] * fr)
-        worst_ortho = max(worst_ortho, float(np.max(np.abs(g - np.diag([1.0, -1.0, 1.0, -1.0])))))
-    checks.append(("tangent Gram closed form", worst_gram, 1e-10))
-    checks.append(("orthonormal frame Gram", worst_ortho, 1e-10))
-    ok = True
-    for phi, theta, t in ((np.pi / 5, 0.3, 0.4), (np.pi / 2, 0.2, -0.3), (2.4, -0.5, 0.6)):
-        ok = ok and parallel_frame_check(phi, theta, t, tol).passed
-    checks.append(("transported frame parallel", 0.0 if ok else 1.0, 0.5))
-    return checks
-
-
-def _suite_stabilizer(samples, seed, tol):
-    neutral, _ = generator_stack(OrbitKind.NEUTRAL_PLUS)
-    degenerate, _ = generator_stack(OrbitKind.DEGENERATE)
-    worst_fix = max(
-        fixing_residual(neutral, neutral_base(1.0, 1)).max(),
-        fixing_residual(neutral, neutral_base(2.5, -1)).max(),
-        fixing_residual(degenerate, degenerate_base()).max(),
-    )
-    worst_poly = 0.0
-    for t in (-1.5, -0.4, 0.6, 2.0):
-        x = np.tanh(t)
-        worst_poly = max(
-            worst_poly,
-            float(
-                np.max(
-                    np.abs(
-                        stabilizer_element(Family.NULL_ROTATION_A, t).matrix - null_rotation_a(x)
-                    )
-                )
-            ),
-            float(
-                np.max(
-                    np.abs(
-                        stabilizer_element(Family.NULL_ROTATION_B, t).matrix - null_rotation_b(x)
-                    )
-                )
-            ),
-        )
-    worst_comm = 0.0
-    for x in (-0.7, 0.3, 0.9):
-        for y in (-0.5, 0.8):
-            worst_comm = max(
-                worst_comm,
-                float(
-                    np.max(
-                        np.abs(
-                            null_rotation_a(x) @ null_rotation_b(y)
-                            - null_rotation_b(y) @ null_rotation_a(x)
-                        )
-                    )
-                ),
-            )
-    labels_ok = True
-    wp = neutral_invariant_plane(1)
-    wm = neutral_invariant_plane(-1)
-    ker = degenerate_invariant_plane()
-    fr = tangent_frame(np.pi / 2)
-    labels_ok &= (
-        classify_invariant_subspace(OrbitKind.NEUTRAL_PLUS, [wp[:, 0], wp[:, 1]])
-        is SubspaceLabel.W_PLUS
-    )
-    labels_ok &= (
-        classify_invariant_subspace(OrbitKind.NEUTRAL_PLUS, [wm[:, 0], wm[:, 1]])
-        is SubspaceLabel.W_MINUS
-    )
-    labels_ok &= (
-        classify_invariant_subspace(OrbitKind.DEGENERATE, [ker[:, 0], ker[:, 1]])
-        is SubspaceLabel.W_ZERO
-    )
-    labels_ok &= (
-        classify_invariant_subspace(OrbitKind.DEGENERATE, [fr.x_plus, fr.y_plus])
-        is SubspaceLabel.NOT_INVARIANT
-    )
-    return [
-        ("generators fix their base points", worst_fix, 1e-10),
-        ("null rotations match polynomial form", worst_poly, 1e-10),
-        ("null rotation families commute", worst_comm, 1e-12),
-        ("invariant subspace labels", 0.0 if labels_ok else 1.0, 0.5),
-    ]
-
-
-def _suite_slice(samples, seed, tol):
-    worst_id = 0.0
-    for phi in np.linspace(0.0, np.pi, 201):
-        worst_id = max(worst_id, abs(min_slice_radius(phi) ** 2 - 2.0 * abs(np.cos(phi))))
-    w = base_point(np.pi / 3)
-    klass = orbit_class(w, tol)
-    emp = empirical_min_radius(w, max(200, samples // 4), seed, tol)
-    excess = abs(emp - klass.r0) / klass.r0
-    wd = base_point(np.pi / 2)
-    emp_d = empirical_min_radius(wd, max(200, samples // 4), seed, tol)
-    return [
-        ("squared minimum matches twice |cos|", worst_id, 1e-12),
-        ("empirical minimum within two percent", excess, 0.02),
-        ("degenerate radius collapses", emp_d, 1e-3),
-    ]
-
-
-_SUITES = {
-    "isometry": _suite_isometry,
-    "pfaffian": _suite_pfaffian,
-    "frames": _suite_frames,
-    "stabilizer": _suite_stabilizer,
-    "slice": _suite_slice,
-}
 
 
 # --- output formatting ----------------------------------------------------
@@ -731,9 +521,6 @@ def _run_batch(args, report) -> int:
         sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
     except BrokenPipeError:
         _drop_stdout()
-    except json.JSONDecodeError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     finally:
         if stream is not sys.stdin:
             stream.close()
@@ -760,21 +547,25 @@ def _cmd_stabilizer(args) -> int:
     return _run_batch(args, _stabilizer_chunk)
 
 
+def _check_line(check: verify.Check) -> str:
+    """The line verify prints for one check."""
+    status = "PASS" if check.passed else "FAIL"
+    bound = f"{check.value:.3e} <= {check.threshold:.0e}"
+    return f"{check.suite:<10} {check.name:<44} {status}  {bound}"
+
+
 def _cmd_verify(args) -> int:
     if args.samples < 1:
         raise _UsageError(f"--samples must be at least 1, got {args.samples}")
     if args.seed < 0:  # numpy seeds are nonnegative
         raise _UsageError(f"--seed must be at least 0, got {args.seed}")
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
+    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     tol = _tolerance(args)
     all_ok = True
     try:
-        for name in names:
-            for check, value, threshold in _SUITES[name](args.samples, args.seed, tol):
-                ok = value <= threshold
-                all_ok = all_ok and ok
-                status = "PASS" if ok else "FAIL"
-                print(f"{name:<10} {check:<44} {status}  {value:.3e} <= {threshold:.0e}")
+        for check in verify.run(names, args.samples, args.seed, tol):
+            all_ok = all_ok and check.passed
+            print(_check_line(check))
         sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
     except BrokenPipeError:
         _drop_stdout()  # the exit code still reports the checks written so far
@@ -834,7 +625,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_stabilizer)
 
     p = sub.add_parser("verify", help="run a named invariant suite")
-    p.add_argument("--suite", choices=tuple(_SUITES) + ("all",), required=True)
+    p.add_argument("--suite", choices=(*verify.SUITES, "all"), required=True)
     p.add_argument("--seed", type=int, default=seed_default)
     p.add_argument("--samples", type=int, default=samples_default)
     p.add_argument("--tol", type=float, default=tol_default)

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InvariantViolationError
 from .minkowski import BOOST, ROTATION, GeneratorKind, boost_matrix, lie_generator, rotation_matrix
 from .orbit import OrbitClass, OrbitKind, base_point, normal_form_bivector, tangent_frame
-from .wedge import _compound, _rows_dot, as_bivector, from_null_basis, lie_pushforward_matrix
+from .wedge import _compound, _row_norms, as_bivector, from_null_basis, lie_pushforward_matrix
 
 # Span-comparison ceiling for subspace membership and equality tests.
 _SPAN_TOL = 1e-8
@@ -165,9 +165,7 @@ def fixing_residual(P, w) -> float | np.ndarray:
             f"expected (m, 6) bivectors and (m, n, 4, 4) matrices, got {w.shape} and {P.shape}"
         )
     d = (_compound(P) @ w[:, None, :, None])[..., 0] - w[:, None, :]
-    # stacked dots, not einsum or (d * d).sum(-1): only these match np.linalg.norm's bits
-    norms = np.sqrt(_rows_dot(w, w))
-    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0]) / norms[:, None]
+    return _row_norms(d) / _row_norms(w)[:, None]
 
 
 def stabilizer_sweep_matrix(a: float, b: float, c: float, d: float):

@@ -81,19 +81,16 @@ def split_norms(w) -> tuple[float, float]:
     temporal covers (c14, c24, c34).  Their difference is the induced
     square norm of w, and they agree exactly on the light cone.
     """
-    w = as_bivector(w)
-    # the squares are libm pow (numpy scalar ** 2); batch code must square the same way
-    spatial = float(w[0] ** 2 + w[1] ** 2 + w[3] ** 2)
-    temporal = float(w[2] ** 2 + w[4] ** 2 + w[5] ** 2)
-    return spatial, temporal
+    spatial, temporal = _split_norms_rows(as_bivector(w)[None])
+    return float(spatial[0]), float(temporal[0])
 
 
 def _split_norms_rows(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """split_norms of each row of an (n, 6) array, bit for bit.
+    """The split norms of each row of an (n, 6) array; split_norms is its one-row case.
 
-    The array square (W * W, W ** 2, np.power) rounds differently from pow
-    in about one value in 1200, so the entries are squared one by one as
-    Python floats, which calls pow like numpy's scalar power does.
+    The entries are squared one by one as Python floats, which calls libm pow
+    like numpy's scalar power does; the array square (W * W, W ** 2,
+    np.power) rounds differently in about one value in 1200.
     """
     try:
         sq = [x ** 2 for x in W.ravel().tolist()]
@@ -146,13 +143,18 @@ def pfaffian(w):
 
 
 def _rows_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two C-contiguous (n, k) stacks.
+    """Row-wise dot products of two C-contiguous (..., k) stacks.
 
     A stacked one-row matrix product takes one ddot per row, so row i has the
     bits of x[i] @ y[i] and of np.linalg.norm's square; einsum and sums over
     an axis round differently.
     """
-    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of a C-contiguous (..., k) stack, bit for bit."""
+    return np.sqrt(_rows_dot(x, x))
 
 
 # Flat offsets into a row-major 4x4 matrix of the minor factors P[k,i], P[l,j],

@@ -32,21 +32,18 @@ from lbo.orbit import (
     tangent_frame,
     tangent_gram,
 )
-from lbo.rslice import empirical_min_radius, min_slice_radius
+from lbo.rslice import empirical_min_radius
 from lbo.stabilizer import (
-    Family,
     SubspaceLabel,
     classify_invariant_subspace,
     degenerate_base,
     fixing_residual,
     neutral_base,
     neutral_invariant_plane,
-    null_rotation_a,
-    null_rotation_b,
-    stabilizer_element,
     stabilizer_generators,
     stabilizer_sweep_matrix,
 )
+from lbo.verify import commutator_defect, min_radius_defect, null_rotation_defect
 from lbo.wedge import (
     HAT_DIAG,
     NULL_BASIS_MATRIX,
@@ -304,21 +301,16 @@ def test_criterion_6_parallel_frames():
 def test_criterion_7_stabilizer_suite():
     ok = True
     worst_fix = 0.0
-    for t in (-1.1, -0.4, 0.5, 1.3):
+    ts = (-1.1, -0.4, 0.5, 1.3)
+    for t in ts:
         for eps in (1, -1):
             for elem in stabilizer_generators(OrbitKind.NEUTRAL_PLUS, t):
                 worst_fix = max(worst_fix, fixing_residual(elem.matrix, neutral_base(2.0, eps)))
         for elem in stabilizer_generators(OrbitKind.DEGENERATE, t):
             worst_fix = max(worst_fix, fixing_residual(elem.matrix, degenerate_base()))
-        x = np.tanh(t)
-        worst_fix = max(
-            worst_fix,
-            np.max(np.abs(stabilizer_element(Family.NULL_ROTATION_A, t).matrix - null_rotation_a(x))),
-            np.max(np.abs(stabilizer_element(Family.NULL_ROTATION_B, t).matrix - null_rotation_b(x))),
-        )
+    worst_fix = max(worst_fix, null_rotation_defect(ts))
     ok = ok and worst_fix <= 1e-10
-    for x, y in ((-0.8, 0.5), (0.3, 1.1)):
-        ok = ok and np.max(np.abs(null_rotation_a(x) @ null_rotation_b(y) - null_rotation_b(y) @ null_rotation_a(x))) <= 1e-12
+    ok = ok and commutator_defect([(-0.8, 0.5), (0.3, 1.1)]) <= 1e-12
     # sweep determinant closed form
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -386,9 +378,7 @@ def test_criterion_7_stabilizer_suite():
 
 def test_criterion_8_slice_suite():
     start = time.perf_counter()
-    worst_id = 0.0
-    for phi in np.linspace(0.0, np.pi, 1001):
-        worst_id = max(worst_id, abs(min_slice_radius(phi) ** 2 - 2.0 * abs(np.cos(phi))))
+    worst_id = min_radius_defect(np.linspace(0.0, np.pi, 1001))
     ok = worst_id <= 1e-12
     details = [f"identity {worst_id:.2e}"]
     for phi in (0.0, np.pi / 6, np.pi / 3):

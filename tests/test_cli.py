@@ -255,14 +255,12 @@ def test_output_does_not_depend_on_the_chunk(args, monkeypatch):
     count = cli.CHUNK + 45  # more than one chunk, not a multiple of it
     lines = _chunk_test_lines(count)
     code, batch = _main_in_process(args, "".join(lines))
-    # each record alone, after the same leading record (a bad JSON line
-    # cannot come first without failing the whole input)
-    lead = '{"id":"lead","c":[1,0,0,0,0,1]}\n'
-    codes, parts = [0], []
+    # each record alone, bad JSON lines included
+    codes, parts = [], []
     for line in lines:
-        one_code, one = _main_in_process(args, lead + line)
+        one_code, one = _main_in_process(args, line)
         codes.append(one_code)
-        parts.append(one.split("\n", 1)[1])
+        parts.append(one)
     assert code == max(codes) == (4 if args[0] == "classify" else 2)
     assert batch == "".join(parts)
 
@@ -481,6 +479,23 @@ def test_malformed_records_exit_2_but_keep_going():
     assert json.loads(lines[0])["in_light_cone"] is True
     assert "error" in json.loads(lines[1])
     assert "error" in json.loads(lines[2])
+
+
+def test_bad_json_first_line_is_one_error_record():
+    good = b'{"id":"a","c":[1,0,0,0,0,1]}\n'
+    p = run_cli(["classify"], b"\n{not json\n" + good)
+    assert p.returncode == 2
+    first, rest = p.stdout.split(b"\n", 1)
+    assert rest == run_cli(["classify"], good).stdout
+    # the same error record as the same line after a valid one
+    later = run_cli(["classify"], good + b"{not json\n")
+    assert later.returncode == 2
+    assert later.stdout.splitlines()[1] == first
+    assert json.loads(first) == {
+        "id": None,
+        "error": "bad JSON line: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)",
+    }
 
 
 def test_invariant_violation_is_an_error_record_and_batch_goes_on():

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import lbo.rslice
-from lbo.cli import _suite_isometry, _suite_pfaffian
 from lbo.minkowski import (
     BOOST,
     ROTATION,
@@ -29,6 +28,7 @@ from lbo.minkowski import (
 )
 from lbo.orbit import base_point, canonical_form
 from lbo.rslice import empirical_min_radius
+from lbo.verify import _suite_isometry, _suite_pfaffian
 from lbo.wedge import _compound, _split_norms_rows, hat_inner, in_light_cone, pfaffian, split_norms
 
 _ROTATION_PLANES = {1: (0, 1), 2: (0, 2), 3: (1, 2)}
@@ -260,9 +260,9 @@ def test_words_match_the_reference():
 @pytest.mark.parametrize("samples", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 300])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_stacked_suites_match_the_per_sample_loops(seed, samples):
-    isometry = [value for _, value, _ in _suite_isometry(samples, seed, DEFAULT_TOL)]
+    isometry = [check.value for check in _suite_isometry(samples, seed, DEFAULT_TOL)]
     assert isometry == reference_isometry(samples, seed, DEFAULT_TOL)
-    pfaff = [value for _, value, _ in _suite_pfaffian(samples, seed, DEFAULT_TOL)]
+    pfaff = [check.value for check in _suite_pfaffian(samples, seed, DEFAULT_TOL)]
     assert pfaff == reference_pfaffian(samples, seed)
 
 

@@ -16,6 +16,7 @@ from lbo.wedge import (
     NULL_BASIS_MATRIX,
     PAIRS,
     _compound,
+    _split_norms_rows,
     basis_bivector,
     from_null_basis,
     hat_inner,
@@ -88,6 +89,25 @@ def test_split_norms_frozen():
     spatial, temporal = split_norms([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     assert spatial == 1.0 + 4.0 + 16.0
     assert temporal == 9.0 + 25.0 + 36.0
+    # squares or sums past the largest double give inf, squares below the
+    # smallest give subnormals or 0: the bits of numpy's scalar pow, row by
+    # row and in one stack alike
+    rows = np.array([
+        [1e200, 0.0, 0.0, 0.0, 0.0, -1e200],  # the squares overflow
+        [1e154, 1e154, 1.0, 1e154, 0.0, 0.0],  # finite squares, their sum overflows
+        [1.7e308, 1e-320, 1e-160, 0.0, 1.0, 1.3e154],
+        [1e-160, 3e-162, 0.0, 0.0, 1e-170, 2.5e-161],  # subnormal squares
+        [1e-200, 0.0, 1e-320, 5e-324, 0.0, 1e-300],  # the squares underflow to 0
+    ])
+    with np.errstate(over="ignore"):
+        want = [(w[0] ** 2 + w[1] ** 2 + w[3] ** 2, w[2] ** 2 + w[4] ** 2 + w[5] ** 2)
+                for w in rows]
+        got = [split_norms(w) for w in rows]
+        stacked = np.column_stack(_split_norms_rows(rows))
+    assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+    assert np.array_equal(stacked.view(np.int64), np.array(want).view(np.int64))
+    assert got[0] == (np.inf, np.inf) and got[1][0] == np.inf and got[4] == (0.0, 0.0)
+    assert 0.0 < got[3][0] < 2.3e-308 and 0.0 < got[3][1] < 2.3e-308
 
 
 def test_hat_norm_is_split_difference(rng):
