@@ -14,8 +14,8 @@ bytes and exit code as a record-by-record run.  Stabilizer rows are
 conjugated in stacked products of STABILIZER_BLOCK records.  Every output
 record has one of a few shapes, each compiled once to a %-template that
 dumps fills from the chunk's columns; json output joins those lines and
-table output rebuilds its rows from the same values.  --threads and
-LBO_THREADS are still accepted for compatibility and have no effect.
+table output rebuilds its rows from the same values.  --threads is still
+accepted for compatibility and has no effect.
 Exit codes: 0 success, 2 input error, 3 usage error, 4 internal invariant
 violation.  A record that fails with an input error or an invariant
 violation is emitted as an error record and the batch continues; 4 wins
@@ -23,7 +23,7 @@ over 2 in the exit code.  When the reader of stdout goes away, a batch
 stops writing and exits with the code of the records written so far.
 
 Flags can be seeded from the environment with the LBO_ prefix (LBO_TOL,
-LBO_SEED, LBO_SAMPLES, LBO_R, LBO_FORMAT, LBO_THREADS); explicit flags win.
+LBO_SEED, LBO_SAMPLES, LBO_R, LBO_FORMAT); explicit flags win.
 """
 from __future__ import annotations
 
@@ -195,22 +195,27 @@ def _bivectors(rows: list) -> np.ndarray:
 
 
 def _parse_json(text: str):
-    """The JSON document in text, or an _InputError that says why there is none."""
+    """The JSON document in text, or an _InputError that says why there is none
+    (with the parser's exception as its __cause__)."""
     try:
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
-        return _InputError(f"bad JSON line: {exc}")
+        error = _InputError(f"bad JSON line: {exc}")
+        error.__cause__ = exc
+        return error
 
 
 def _iter_docs(stream):
     """Yield parsed JSON documents, or an _InputError per line that does not parse:
-    NDJSON line mode, with a whole-document fallback for a first line that does not."""
+    NDJSON line mode, with a whole-document fallback for a first line that ends
+    before its document does (the rest of the input is read only then)."""
     lines = (line for line in stream if line.strip())
     first = next(lines, None)
     if first is None:
         return
     doc = _parse_json(first)
-    if isinstance(doc, _InputError):
+    cause = doc.__cause__ if isinstance(doc, _InputError) else None
+    if isinstance(cause, json.JSONDecodeError) and not first[cause.pos :].strip():
         rest = stream.read()
         whole = _parse_json(first + rest)  # one pretty-printed object or array
         if not isinstance(whole, _InputError):
@@ -595,7 +600,6 @@ def _build_parser() -> _Parser:
     fmt_default = os.environ.get("LBO_FORMAT", "ndjson")
     if fmt_default not in ("ndjson", "json", "table"):
         raise _UsageError(f"bad LBO_FORMAT={fmt_default!r}")
-    threads_default = _env("LBO_THREADS", int, 1)
 
     parser = _Parser(prog="lbo", description="light-cone bivector orbit reports")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -605,9 +609,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--in", dest="infile", default=None, help="input file (default stdin)")
         p.add_argument("--format", choices=("ndjson", "json", "table"), default=fmt_default)
         p.add_argument("--tol", type=float, default=tol_default)
-        p.add_argument(
-            "--threads", type=int, default=threads_default, help="kept for compatibility; no effect"
-        )
+        p.add_argument("--threads", type=int, default=1, help="kept for compatibility; no effect")
         return p
 
     p = add_batch("classify", "orbit class, invariants and diagnostics per record")
@@ -636,12 +638,7 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     try:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 3
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

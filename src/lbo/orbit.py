@@ -37,6 +37,7 @@ from .wedge import (
     HAT_DIAG,
     _compound,
     _cone_reason,
+    _row_norms,
     _rows_dot,
     _split_norms_rows,
     as_bivector,
@@ -176,13 +177,6 @@ class OrbitBatch(NamedTuple):
         return OrbitClass(self.kind[i], float(self.r0[i]), int(self.epsilon[i]) or None)
 
 
-def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """np.cross of (..., 3) vectors in closed form: the same products and differences."""
-    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
-    y0, y1, y2 = y[..., 0], y[..., 1], y[..., 2]
-    return np.stack([x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0], axis=-1)
-
-
 def _adapted_frames(w: np.ndarray, tol: ToleranceConfig):
     """r, phi and adapted basis of (m, 6) light-cone rows; see canonical_form."""
     a = np.stack([w[:, 3], -w[:, 1], w[:, 0]], axis=1)
@@ -191,9 +185,9 @@ def _adapted_frames(w: np.ndarray, tol: ToleranceConfig):
     r = np.sqrt(spatial)
     phi = np.arccos(np.clip(_rows_dot(a, b) / spatial, -1.0, 1.0))
 
-    u3 = b / np.sqrt(_rows_dot(b, b))[:, None]
-    cross = _cross(b, a)
-    cross_norm = np.sqrt(_rows_dot(cross, cross))
+    u3 = b / _row_norms(b)[:, None]
+    cross = np.cross(b, a)
+    cross_norm = _row_norms(cross)
     generic = cross_norm > tol.eps * spatial
     u2 = np.empty_like(u3)
     u2[generic] = cross[generic] / cross_norm[generic, None]
@@ -204,8 +198,8 @@ def _adapted_frames(w: np.ndarray, tol: ToleranceConfig):
         fits = np.abs(u3p) < 1.0 - 1e-9
         axis = np.eye(3)[np.where(fits.any(axis=1), fits.argmax(axis=1), 2)]
         v = axis - _rows_dot(axis, u3p)[:, None] * u3p
-        u2[~generic] = v / np.sqrt(_rows_dot(v, v))[:, None]
-    u1 = _cross(u2, u3)
+        u2[~generic] = v / _row_norms(v)[:, None]
+    u1 = np.cross(u2, u3)
 
     basis = np.zeros((len(w), 4, 4))
     basis[:, :3, :3] = np.stack([u1, u2, u3], axis=2)

@@ -14,7 +14,6 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NotInLightConeError
 from .minkowski import (
     DEFAULT_TOL,
     SAMPLE_BLOCK,
@@ -29,11 +28,11 @@ from .orbit import (
     OrbitBatch,
     OrbitClass,
     OrbitKind,
+    _reduce_one,
     base_point,
-    canonical_form,
     critical_rapidity,
 )
-from .wedge import _compound, _split_norms_rows, as_bivector, in_light_cone, split_norms
+from .wedge import _compound, _cone_reason, _split_norms_rows, as_bivector, split_norms
 
 
 class SliceTopology(Enum):
@@ -58,10 +57,8 @@ def in_slice(w, r: float, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff w is a light-cone bivector whose split norm matches r*r relatively."""
     if not 0 < r < np.inf:
         raise ValueError(f"slice radius must be positive and finite, got {r!r}")
-    w = as_bivector(w)
-    if not in_light_cone(w, tol):
-        return False
-    return _on_radius(split_norms(w)[0], r, tol)
+    spatial, temporal = split_norms(w)
+    return _cone_reason(spatial, temporal, tol) is None and _on_radius(spatial, r, tol)
 
 
 def _on_radius(spatial, r: float, tol: ToleranceConfig):
@@ -117,15 +114,13 @@ def empirical_min_radius(
     if samples < 1:
         raise ValueError("samples must be positive")
     w = as_bivector(w)
-    if not in_light_cone(w, tol):
-        raise NotInLightConeError("empirical_min_radius requires a light-cone bivector")
-    form = canonical_form(w, tol)
-    scaled = (form.r / np.sqrt(2.0)) * base_point(form.phi)
+    batch = _reduce_one(w, tol, "empirical_min_radius")
+    scaled = (batch.r[0] / np.sqrt(2.0)) * base_point(batch.phi[0])
 
     def least_radius(P, v) -> float:
         return float(np.sqrt(_split_norms_rows(_compound(P) @ v)[0]).min())
 
-    best = float(np.sqrt(split_norms(w)[0]))
+    best = float(np.sqrt(batch.spatial[0]))
 
     n = max(40, int(np.sqrt(samples)))
     if n % 2 == 0:

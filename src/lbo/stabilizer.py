@@ -16,6 +16,7 @@ the lines inside it, the plane itself, and anything containing it.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -128,23 +129,21 @@ def stabilizer_generators(kind: str, parameter: float) -> list[StabilizerElement
 
 # Parameters of the generator stacks, in stacking order.
 STACK_PARAMETERS = (-0.9, -0.3, 0.3, 0.9)
-_STACKS: dict = {}
 
 
+@functools.cache
 def generator_stack(kind: str) -> tuple[np.ndarray, tuple]:
     """stabilizer_generators(kind, t) for every t in STACK_PARAMETERS, as one array.
 
     Returns (stack, labels): a read-only (n, 4, 4) array (12 neutral or 8
     degenerate matrices) and the (family, parameter) pair of each.  Built on
-    first use and shared by both neutral kinds.
+    first use of each kind; the two neutral kinds get equal stacks and labels,
+    built separately.
     """
-    degenerate = kind == OrbitKind.DEGENERATE
-    if degenerate not in _STACKS:
-        elems = [e for t in STACK_PARAMETERS for e in stabilizer_generators(kind, t)]
-        stack = np.array([e.matrix for e in elems])
-        stack.flags.writeable = False
-        _STACKS[degenerate] = stack, tuple((e.family, e.parameter) for e in elems)
-    return _STACKS[degenerate]
+    elems = [e for t in STACK_PARAMETERS for e in stabilizer_generators(kind, t)]
+    stack = np.array([e.matrix for e in elems])
+    stack.flags.writeable = False
+    return stack, tuple((e.family, e.parameter) for e in elems)
 
 
 def fixing_residual(P, w) -> float | np.ndarray:

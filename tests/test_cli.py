@@ -109,7 +109,6 @@ def run_cli(args, stdin=b"", env_extra=None):
     env = os.environ.copy()
     env.pop("LBO_FORMAT", None)
     env.pop("LBO_R", None)
-    env.pop("LBO_THREADS", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -250,7 +249,7 @@ CHUNK_ARGS = [["classify", "--r", "1"], ["canonical"], ["slice", "--r", "1"], ["
 def test_output_does_not_depend_on_the_chunk(args, monkeypatch):
     import lbo.cli as cli
 
-    for name in ("LBO_FORMAT", "LBO_R", "LBO_TOL", "LBO_THREADS"):
+    for name in ("LBO_FORMAT", "LBO_R", "LBO_TOL"):
         monkeypatch.delenv(name, raising=False)
     count = cli.CHUNK + 45  # more than one chunk, not a multiple of it
     lines = _chunk_test_lines(count)
@@ -270,7 +269,7 @@ def test_output_does_not_depend_on_the_chunk(args, monkeypatch):
 def test_formatted_output_does_not_depend_on_the_chunk(args, fmt, monkeypatch):
     import lbo.cli as cli
 
-    for name in ("LBO_FORMAT", "LBO_R", "LBO_TOL", "LBO_THREADS"):
+    for name in ("LBO_FORMAT", "LBO_R", "LBO_TOL"):
         monkeypatch.delenv(name, raising=False)
     args = [*args, "--format", fmt]
     text = "".join(_chunk_test_lines(cli.CHUNK + 45))
@@ -498,6 +497,32 @@ def test_bad_json_first_line_is_one_error_record():
     }
 
 
+class _UnreadableStream(io.StringIO):
+    """A stream that may be iterated line by line but not read whole."""
+
+    def read(self, *args):
+        raise AssertionError("the whole input was read")
+
+
+def test_bad_first_line_keeps_the_input_streaming():
+    import lbo.cli as cli
+
+    good = '{"id":"a","c":[1,0,0,0,0,1]}\n'
+    for first in ("{not json\n", '{"id": "a"} x\n', "[" * 100000 + "]" * 100000 + "\n"):
+        docs = cli._iter_docs(_UnreadableStream(first + good + good))
+        error = next(docs)
+        assert isinstance(error, cli._InputError)
+        assert str(error).startswith("bad JSON line: ")
+        assert list(docs) == [json.loads(good)] * 2
+    # a first line that stops short of its document still reads the whole input
+    pretty = '{\n  "id": "solo",\n  "c": [1, 0, 0, 0, 0, 1]\n}\n'
+    array = '[\n  {"id": "A", "c": [1, 0, 0, 0, 0, 1]},\n  {"id": "B", "c": [0, 1, 0, 0, 1, 0]}\n]\n'
+    for text in (pretty, array):
+        assert list(cli._iter_docs(io.StringIO(text))) == [json.loads(text)]
+        with pytest.raises(AssertionError, match="the whole input was read"):
+            list(cli._iter_docs(_UnreadableStream(text)))
+
+
 def test_invariant_violation_is_an_error_record_and_batch_goes_on():
     stdin = (
         b'{"id":"a","c":[1,0,0,0,0,1]}\n'
@@ -585,9 +610,11 @@ def test_byte_determinism_across_runs_and_threads():
     one = run_cli(["classify", "--r", "1.3"], payload)
     two = run_cli(["classify", "--r", "1.3"], payload)
     four = run_cli(["classify", "--r", "1.3", "--threads", "4"], payload)
-    assert one.returncode == two.returncode == four.returncode == 0
-    assert one.stdout == two.stdout
-    assert one.stdout == four.stdout
+    # LBO_THREADS is not read: a value that is not a number changes nothing
+    bogus = run_cli(["classify", "--r", "1.3"], payload, env_extra={"LBO_THREADS": "bogus"})
+    assert one.returncode == two.returncode == four.returncode == bogus.returncode == 0
+    assert one.stdout == two.stdout == four.stdout == bogus.stdout
+    assert bogus.stderr == b""
 
 
 def test_env_defaults_and_flag_priority():

@@ -13,6 +13,7 @@ from lbo.rslice import (
     min_slice_radius,
     slice_topology,
 )
+from lbo.wedge import in_light_cone, split_norms
 
 ATANH_TAN_PI6 = 0.6584789484624084
 
@@ -48,7 +49,28 @@ def test_min_radius_matches_orbit_invariant(rng):
         assert abs(min_slice_radius(phi) - k.r0) < 1e-12
 
 
-def test_in_slice():
+# Rows off the light cone: zero, NaN, infinite, overflowing squares, split
+# norms that differ, and split norms at or below the tolerance.
+OFF_CONE = [
+    [0.0] * 6,
+    [-0.0, 0.0, -0.0, 0.0, -0.0, 0.0],
+    [np.nan, 0, 0, 0, 0, 1],
+    [0, 0, 1, 0, 0, np.nan],
+    [np.nan] * 6,
+    [np.inf, 0, 0, 0, 0, np.inf],
+    [1.0, 0, 0, 0, 0, 0],
+    [1.0, 0, 0, 0, 0, 1.0 + 1e-6],
+    [1e-6, 0, 0, 0, 0, 1e-6],
+    [3e-5, 0, 0, 0, 0, 3e-5],
+]
+
+
+def reference_in_slice(w, r, tol=ToleranceConfig()):
+    """in_slice as two cone verdicts and two split-norm passes."""
+    return in_light_cone(w, tol) and abs(split_norms(w)[0] - r * r) <= tol.eps * r * r
+
+
+def test_in_slice(rng):
     w = base_point(1.0)  # squared radius 2
     assert in_slice(w, np.sqrt(2.0))
     assert not in_slice(w, 1.4)
@@ -56,6 +78,15 @@ def test_in_slice():
     for bad in (0.0, -2.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             in_slice(w, bad)
+    with pytest.raises(ValueError):
+        in_slice([1.0, 0, 0, 0, 0], 1.0)
+    rows = [*OFF_CONE, [1e200, 0, 0, 0, 0, 1e200], w, 2.5 * base_point(0.4)]
+    rows += [random_light_cone_bivector(rng) for _ in range(20)]
+    for row in rows:
+        radius = np.sqrt(split_norms(row)[0])
+        for r in (1.0, np.sqrt(2.0), radius if 0 < radius < np.inf else 1.0, 1e-3):
+            for tol in (ToleranceConfig(), ToleranceConfig(eps=1e-3)):
+                assert in_slice(row, r, tol) is reference_in_slice(row, r, tol)
 
 
 def test_slice_topology_neutral_bands():
@@ -101,5 +132,13 @@ def test_empirical_min_radius_deterministic(rng):
 def test_empirical_min_radius_validation(rng):
     with pytest.raises(ValueError):
         empirical_min_radius(base_point(0.3), samples=0, seed=0)
-    with pytest.raises(NotInLightConeError):
-        empirical_min_radius([1.0, 0, 0, 0, 0, 0], samples=10, seed=0)
+    with pytest.raises(ValueError, match="samples must be positive"):
+        empirical_min_radius([1.0, 0, 0, 0, 0, 0], samples=0, seed=0)
+    with pytest.raises(ValueError, match="expected 6 bivector coefficients"):
+        empirical_min_radius([1.0, 0, 0, 0, 0], samples=10, seed=0)
+    for row in OFF_CONE:
+        with pytest.raises(NotInLightConeError) as info:
+            empirical_min_radius(row, samples=10, seed=0)
+        assert str(info.value) == "empirical_min_radius requires a light-cone bivector"
+    # an OFF_CONE row that a looser tolerance puts on the cone
+    assert empirical_min_radius([1.0, 0, 0, 0, 0, 1.0 + 1e-6], 10, 0, ToleranceConfig(eps=1e-3)) > 0

@@ -76,6 +76,15 @@ def test_generator_stack_is_cached_read_only_and_ordered(kind):
         assert np.array_equal(m, e.matrix)
 
 
+def test_neutral_kinds_share_stack_and_labels():
+    (plus, plus_labels), (minus, minus_labels) = (
+        generator_stack(kind) for kind in (OrbitKind.NEUTRAL_PLUS, OrbitKind.NEUTRAL_MINUS)
+    )
+    assert np.array_equal(plus, minus)
+    assert plus_labels == minus_labels
+    assert not plus.flags.writeable and not minus.flags.writeable
+
+
 @pytest.mark.parametrize("kind", [OrbitKind.NEUTRAL_PLUS, OrbitKind.DEGENERATE])
 def test_stacked_fixing_residual_is_bit_identical(kind, rng):
     stack, _ = generator_stack(kind)

@@ -3,8 +3,9 @@
 The references are the one-letter, one-sample and one-point loops the
 library ran before its stacked passes: a word drawn with three numpy calls
 per letter, a generator matrix written from an identity per letter, a word
-product taken letter by letter, the isometry and pfaffian suites of `verify`
-and empirical_min_radius.  Both sides run under the same numpy, so they must
+product taken letter by letter, the isometry and pfaffian suites of `verify`,
+empirical_min_radius, and the closed-form cross product the adapted frames
+used before np.cross.  Both sides run under the same numpy, so they must
 agree exactly (never allclose), including across the edges of the
 SAMPLE_BLOCK passes.
 """
@@ -142,8 +143,43 @@ def reference_empirical_min_radius(w, samples, seed, tol=DEFAULT_TOL):
     return best
 
 
+def reference_cross(x, y):
+    """The closed-form cross product the adapted frames used before np.cross."""
+    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+    y0, y1, y2 = y[..., 0], y[..., 1], y[..., 2]
+    return np.stack([x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0], axis=-1)
+
+
 def same_bits(x, y):
     return np.array_equal(np.asarray(x).view(np.int64), np.asarray(y).view(np.int64))
+
+
+def test_np_cross_matches_the_closed_form():
+    rng = np.random.default_rng(17)
+    n = 20000
+    x = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-150, 150, size=(n, 1))
+    y = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-150, 150, size=(n, 1))
+    y[::7] = x[::7] * rng.uniform(-3, 3, size=(len(x[::7]), 1))  # parallel
+    x[1::5, rng.integers(0, 3)] = 0.0
+    y[2::5, rng.integers(0, 3)] = -0.0
+    x[3::11] = rng.normal(size=(len(x[3::11]), 3)) * 1e-310  # subnormal
+    edges = np.array(
+        [[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [1e150, -1e150, 1e-150], [5e-324, 1.0, -5e-324]]
+    )
+    x = np.concatenate([x, edges, edges])
+    y = np.concatenate([y, edges[::-1], edges])
+    assert same_bits(np.cross(x, y), reference_cross(x, y))
+
+
+def test_np_cross_matches_the_closed_form_off_the_finite_numbers():
+    values = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1.0, 1e300]
+    rows = np.array(
+        [[a, b, c] for a in values for b in values for c in (np.nan, 0.0, np.inf)]
+    )
+    x, y = np.repeat(rows, len(rows), axis=0), np.tile(rows, (len(rows), 1))
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = np.cross(x, y), reference_cross(x, y)
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_plane_matrices_match_the_reference(rng):
