@@ -6,16 +6,26 @@ plus an optional string "id".  Batches stream as NDJSON (one object per
 line); a single pretty-printed object or a top-level array also works.
 
 Output is deterministic byte-for-byte: keys appear in fixed order and reals
-are printed with 17 significant digits, so re-runs compare equal.  Records
-are read in chunks of up to CHUNK: each chunk is decoded into one array
-(its vector pairs wedged in one stacked call), reduced by one reduce_orbits
-call and written in input order, error records included, with the same
-bytes and exit code as a record-by-record run.  Stabilizer rows are
-conjugated in stacked products of STABILIZER_BLOCK records.  Every output
-record has one of a few shapes, each compiled once to a %-template that
-dumps fills from the chunk's columns; json output joins those lines and
-table output rebuilds its rows from the same values.  --threads is still
-accepted for compatibility and has no effect.
+are printed with 17 significant digits, so re-runs compare equal.  A batch
+runs in chunks of up to CHUNK records, each in three stages, with the same
+bytes and exit code as a record-by-record run:
+
+- decode: CHUNK input lines are parsed by one json.loads of the lines
+  joined as an array, which is taken only when each line provably holds one
+  document; otherwise each line is parsed alone.  The chunk's records become
+  one array, its vector pairs wedged in one stacked call.
+- report: one reduce_orbits call, and for stabilizer stacked products of
+  STABILIZER_BLOCK records.  Every output record has one of a few shapes,
+  each compiled once to a %-template with typed slots: reals are formatted
+  by the template from the chunk's columns, enum names and bools arrive as
+  JSON text, and only ids and nullable values go through _scalar.
+- write: the chunk's lines, error records in input order among them, go to
+  stdout as one string, so an unbuffered stdout (PYTHONUNBUFFERED) costs one
+  write call per chunk, not one per record.  json output joins every line
+  and table output rebuilds its rows from the same values; both are written
+  once, at the end.
+
+--threads is still accepted for compatibility and has no effect.
 Exit codes: 0 success, 2 input error, 3 usage error, 4 internal invariant
 violation.  A record that fails with an input error or an invariant
 violation is emitted as an error record and the batch continues; 4 wins
@@ -79,11 +89,27 @@ class _Parser(argparse.ArgumentParser):
 # Every output record has one of a few shapes: a skeleton of keys and fixed
 # values with slots for what varies from record to record.  A shape is
 # compiled once to a %-template, and a record travels as (shape, values), one
-# value per slot in the order the skeleton lists them.
+# value per slot in the order the skeleton lists them.  A slot is typed: a
+# real that is never null is formatted by the template itself, an enum name
+# or a bool arrives as its JSON text, and only ids and nullable values go
+# through _scalar per record.
 
-_SLOT = object()  # skeleton leaf filled per record
+
+class _Slot:
+    """A skeleton leaf filled per record; format is its conversion in the template."""
+
+    __slots__ = ("format",)
+
+    def __init__(self, format: str):
+        self.format = format
+
+
+_SLOT = _Slot("%s")  # any leaf, through _scalar: ids, messages and nullable values
+_REAL = _Slot("%.17g")  # a float, never null, fed through _json_reals so never -0.0
+_TEXT = _Slot("%s")  # JSON text rendered ahead: enum names and bools
 # What json.dumps returns for a str, without its dispatch on the argument's type.
 _json_string = json.encoder.encode_basestring_ascii
+_BOOL_TEXT = ("false", "true")  # indexed by a bool
 
 
 def _scalar(v) -> str:
@@ -104,9 +130,14 @@ def _scalar(v) -> str:
     raise TypeError(f"cannot serialise {t!r}")
 
 
+def _json_reals(x: np.ndarray) -> list:
+    """x.tolist() for _REAL slots: + 0.0 turns -0.0 into 0.0, which _scalar prints as 0."""
+    return (x + 0.0).tolist()
+
+
 def _compile(node) -> str:
-    if node is _SLOT:
-        return "%s"
+    if type(node) is _Slot:
+        return node.format
     if type(node) is dict:
         return "{" + ",".join(json.dumps(k) + ":" + _compile(v) for k, v in node.items()) + "}"
     if type(node) is list:
@@ -114,10 +145,20 @@ def _compile(node) -> str:
     return _scalar(node).replace("%", "%%")
 
 
+def _slots(node):
+    """The slots of a skeleton, in the order its values come."""
+    if type(node) is _Slot:
+        yield node
+    elif type(node) in (dict, list):
+        for child in node.values() if type(node) is dict else node:
+            yield from _slots(child)
+
+
 def _fill(node, values):
     """The record as Python objects: the skeleton with its slots taken from the iterator values."""
-    if node is _SLOT:
-        return next(values)
+    if type(node) is _Slot:
+        value = next(values)
+        return json.loads(value) if node is _TEXT else value
     if type(node) is dict:
         return {k: _fill(v, values) for k, v in node.items()}
     if type(node) is list:
@@ -126,18 +167,23 @@ def _fill(node, values):
 
 
 class _Shape:
-    """One record shape: its skeleton and the %-template compiled from it."""
+    """One record shape: its skeleton, the %-template compiled from it and the
+    positions of its _SLOT values."""
 
-    __slots__ = ("skeleton", "template")
+    __slots__ = ("skeleton", "template", "scalars")
 
     def __init__(self, skeleton: dict):
         self.skeleton = skeleton
         self.template = _compile(skeleton)
+        self.scalars = tuple(i for i, slot in enumerate(_slots(skeleton)) if slot is _SLOT)
 
 
 def dumps(shape: _Shape, values: tuple) -> str:
     """Canonical JSON of one record, without a newline: its shape's template filled with values."""
-    return shape.template % tuple([_scalar(v) for v in values])
+    values = list(values)
+    for i in shape.scalars:
+        values[i] = _scalar(values[i])
+    return shape.template % tuple(values)
 
 
 _ERROR = _Shape({"id": _SLOT, "error": _SLOT})
@@ -205,10 +251,50 @@ def _parse_json(text: str):
         return error
 
 
+# Every byte but quotes, brackets and line feeds, for bytes.translate to delete.
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'"[]{}\n')))
+
+
+def _brackets_close_per_line(text: str) -> bool:
+    """Whether, in text that parses as part of one JSON document, each line
+    closes every bracket it opens.  A JSON string holds no line feed, so
+    strings stay within their lines; text with a backslash, or with a bracket
+    inside a string, is not proved."""
+    if "\\" in text:
+        return False
+    marks = text.encode("ascii", "ignore").translate(None, _NOT_STRUCTURE)
+    # strings are now adjacent quote pairs; one with a bracket inside leaves
+    # quotes behind, and they fail the final test
+    marks = marks.replace(b'""', b"")
+    while True:
+        closed = marks.replace(b"[]", b"").replace(b"{}", b"")
+        if closed == marks:
+            return not marks.strip(b"\n")
+        marks = closed
+
+
+def _parse_lines(lines: list) -> list:
+    """The JSON document of each line, or an _InputError for a line that does not parse.
+
+    One json.loads reads the lines joined as an array.  Its elements are the
+    lines' documents when there is one element per line and each line closes
+    its own brackets, because then every joining comma sits at the top level.
+    Otherwise each line is parsed alone, so a bad line gets its own error text.
+    """
+    try:
+        docs = json.loads("[" + ",".join(lines) + "]")
+    except (ValueError, RecursionError):
+        docs = None
+    if docs is not None and len(docs) == len(lines) and _brackets_close_per_line("".join(lines)):
+        return docs
+    return [_parse_json(line) for line in lines]
+
+
 def _iter_docs(stream):
     """Yield parsed JSON documents, or an _InputError per line that does not parse:
-    NDJSON line mode, with a whole-document fallback for a first line that ends
-    before its document does (the rest of the input is read only then)."""
+    NDJSON line mode, CHUNK lines per parse, with a whole-document fallback
+    for a first line that ends before its document does (the rest of the
+    input is read only then)."""
     lines = (line for line in stream if line.strip())
     first = next(lines, None)
     if first is None:
@@ -222,8 +308,13 @@ def _iter_docs(stream):
             yield whole
             return
         lines = (line for line in io.StringIO(rest) if line.strip())
-    yield doc
-    yield from map(_parse_json, lines)
+    # the first line, parsed alone only to tell NDJSON from one document,
+    # opens the first chunk, so that a chunk of records waits for no line
+    # past its own
+    chunk = [first, *itertools.islice(lines, CHUNK - 1)]
+    while chunk:
+        yield from _parse_lines(chunk)
+        chunk = list(itertools.islice(lines, CHUNK))
 
 
 def _iter_raw(stream):
@@ -236,26 +327,49 @@ def _iter_raw(stream):
             yield doc
 
 
+def _decode_chunk(docs: list):
+    """Decode stage: (items, ids, W) for one chunk of parsed documents.  items
+    holds an error record per document that does not decode and None where
+    the report's next row goes; W is the (n, 6) array of the others."""
+    items, rids, rows = [], [], []
+    for doc in docs:
+        if isinstance(doc, _InputError):
+            items.append((_ERROR, (None, doc)))
+            continue
+        try:
+            rid, row = _decode_record(doc)
+        except _InputError as exc:
+            rid = doc.get("id") if isinstance(doc, dict) else None
+            items.append((_ERROR, (rid if isinstance(rid, str) else None, exc)))
+            continue
+        items.append(None)
+        rids.append(rid)
+        rows.append(row)
+    return items, rids, _bivectors(rows)
+
+
 # --- chunk reports ----------------------------------------------------------
 #
 # Each report takes the ids and the (n, 6) array of one chunk of decoded
 # records, reduces them with one reduce_orbits call, turns its columns into
 # lists once and yields, in order, one (shape, values) record per row; a row
-# that fails yields (_ERROR, (id, exception)).
+# that fails yields (_ERROR, (id, exception)).  Float columns become lists
+# through reals: _json_reals for the templates, ndarray.tolist for the table,
+# which shows a negative zero as it is.
 
 _CLASSIFY_OFF = _Shape(
-    {"id": _SLOT, "in_light_cone": False, "A": _SLOT, "B": _SLOT, "pfaffian": _SLOT,
+    {"id": _SLOT, "in_light_cone": False, "A": _REAL, "B": _REAL, "pfaffian": _REAL,
      "canonical": None, "class": None, "reason": _SLOT}
 )
 _CLASSIFY_ON, _CLASSIFY_ON_SLICE = (
     _Shape(
-        {"id": _SLOT, "in_light_cone": True, "A": _SLOT, "B": _SLOT, "pfaffian": _SLOT,
-         "canonical": {"r": _SLOT, "phi": _SLOT},
-         "class": {"kind": _SLOT, "r0": _SLOT, "epsilon": _SLOT},
+        {"id": _SLOT, "in_light_cone": True, "A": _REAL, "B": _REAL, "pfaffian": _REAL,
+         "canonical": {"r": _REAL, "phi": _REAL},
+         "class": {"kind": _TEXT, "r0": _REAL, "epsilon": _SLOT},
          **slice_block,
-         "diagnostics": {"reconstruction_residual": _SLOT, "representative_residual": _SLOT}}
+         "diagnostics": {"reconstruction_residual": _REAL, "representative_residual": _SLOT}}
     )
-    for slice_block in ({}, {"slice": {"r_queried": _SLOT, "topology": _SLOT, "boundary": _SLOT}})
+    for slice_block in ({}, {"slice": {"r_queried": _REAL, "topology": _TEXT, "boundary": _TEXT}})
 )
 
 _CANONICAL_OFF = _Shape(
@@ -263,23 +377,23 @@ _CANONICAL_OFF = _Shape(
      "representative": None, "witness": None, "reason": _SLOT}
 )
 _CANONICAL_NEUTRAL = _Shape(
-    {"id": _SLOT, "in_light_cone": True, "r": _SLOT, "phi": _SLOT, "basis": [_SLOT] * 16,
-     "representative": [_SLOT] * 6, "witness": [_SLOT] * 16}
+    {"id": _SLOT, "in_light_cone": True, "r": _REAL, "phi": _REAL, "basis": [_REAL] * 16,
+     "representative": [_REAL] * 6, "witness": [_REAL] * 16}
 )
 _CANONICAL_DEGENERATE = _Shape(
-    {"id": _SLOT, "in_light_cone": True, "r": _SLOT, "phi": _SLOT, "basis": [_SLOT] * 16,
+    {"id": _SLOT, "in_light_cone": True, "r": _REAL, "phi": _REAL, "basis": [_REAL] * 16,
      "representative": None, "witness": None,
      "note": "degenerate orbit: no element of the form r0*(e12 + eps*e34) exists"}
 )
 
 _SLICE_OFF = _Shape(
-    {"id": _SLOT, "in_light_cone": False, "r_queried": _SLOT, "class": None, "topology": None,
+    {"id": _SLOT, "in_light_cone": False, "r_queried": _REAL, "class": None, "topology": None,
      "in_slice": False, "reason": _SLOT}
 )
 _SLICE_ON = _Shape(
-    {"id": _SLOT, "in_light_cone": True, "r_queried": _SLOT,
-     "class": {"kind": _SLOT, "r0": _SLOT, "epsilon": _SLOT},
-     "topology": _SLOT, "boundary": _SLOT, "in_slice": _SLOT}
+    {"id": _SLOT, "in_light_cone": True, "r_queried": _REAL,
+     "class": {"kind": _TEXT, "r0": _REAL, "epsilon": _SLOT},
+     "topology": _TEXT, "boundary": _TEXT, "in_slice": _TEXT}
 )
 
 _STABILIZER_OFF = _Shape(
@@ -291,13 +405,23 @@ _STABILIZER_OFF = _Shape(
 def _stabilizer_on(kind: str) -> _Shape:
     """The on-cone stabilizer shape of kind: its families and parameters are fixed text."""
     families = [
-        {"family": family.value, "parameter": t, "fixing_residual": _SLOT}
+        {"family": family.value, "parameter": t, "fixing_residual": _REAL}
         for family, t in generator_stack(kind)[1]
     ]
     return _Shape(
         {"id": _SLOT, "in_light_cone": True, "kind": kind, "families": families,
-         "max_residual": _SLOT}
+         "max_residual": _REAL}
     )
+
+
+# The _TEXT values of an orbit kind, and of a slice topology with its boundary flag.
+_KIND_TEXT = {
+    kind: _json_string(kind)
+    for kind in (OrbitKind.NEUTRAL_PLUS, OrbitKind.NEUTRAL_MINUS, OrbitKind.DEGENERATE)
+}
+_TOPOLOGY_TEXT = {
+    t: (_json_string(t.value), _BOOL_TEXT[t is SliceTopology.SPHERE_2]) for t in SliceTopology
+}
 
 
 def _right_angle(rid):
@@ -305,11 +429,11 @@ def _right_angle(rid):
 
 
 def _topology_slots(b, r: float, tol: ToleranceConfig) -> list:
-    """The (topology, boundary) values of each row's radius-r slice; None off the cone."""
-    return [t and (t.value, t is SliceTopology.SPHERE_2) for t in slice_topology(b, r, tol)]
+    """The (topology, boundary) _TEXT values of each row's radius-r slice; None off the cone."""
+    return [t and _TOPOLOGY_TEXT[t] for t in slice_topology(b, r, tol)]
 
 
-def _classify_chunk(rids, W, tol: ToleranceConfig, r_query):
+def _classify_chunk(rids, W, tol: ToleranceConfig, r_query, reals=_json_reals):
     b = reduce_orbits(W, tol)
     on, ok = b.on_cone, b.witnessed
     recon, rep_residual, witness_max = np.zeros(len(W)), np.zeros(len(W)), np.zeros(len(W))
@@ -317,10 +441,10 @@ def _classify_chunk(rids, W, tol: ToleranceConfig, r_query):
     expected = normal_form_bivector(b.r0[ok], b.epsilon[ok])
     rep_residual[ok] = _row_norms(b.reduced[ok] - expected) / np.maximum(b.r0[ok], 1.0)
     witness_max[ok] = np.abs(b.witness[ok]).max(axis=(1, 2))
-    columns = (b.spatial, b.temporal, b.pfaffian, b.r, b.phi, b.r0, b.epsilon, on, ok)
-    A, B, pf, r, phi, r0, eps, on, ok, recon, rep_residual, witness_max = (
-        x.tolist() for x in (*columns, recon, rep_residual, witness_max)
+    A, B, pf, r, phi, r0, recon, rep_residual = map(
+        reals, (b.spatial, b.temporal, b.pfaffian, b.r, b.phi, b.r0, recon, rep_residual)
     )
+    eps, on, ok, witness_max = (x.tolist() for x in (b.epsilon, on, ok, witness_max))
     if r_query is not None:
         topologies = _topology_slots(b, r_query, tol)
     for i, rid in enumerate(rids):
@@ -339,19 +463,21 @@ def _classify_chunk(rids, W, tol: ToleranceConfig, r_query):
             message = f"canonical form fails to reconstruct (residual {recon[i]:.3e})"
             yield _ERROR, (rid, InvariantViolationError(message))
             continue
-        values = (rid, A[i], B[i], pf[i], r[i], phi[i], b.kind[i], r0[i], eps[i] or None)
+        kind = _KIND_TEXT[b.kind[i]]
+        values = (rid, A[i], B[i], pf[i], r[i], phi[i], kind, r0[i], eps[i] or None)
         if r_query is None:
             yield _CLASSIFY_ON, (*values, recon[i], rep)
         else:
             yield _CLASSIFY_ON_SLICE, (*values, r_query, *topologies[i], recon[i], rep)
 
 
-def _canonical_chunk(rids, W, tol: ToleranceConfig):
+def _canonical_chunk(rids, W, tol: ToleranceConfig, reals=_json_reals):
     b = reduce_orbits(W, tol)
-    on, ok, eps, r, phi = (x.tolist() for x in (b.on_cone, b.witnessed, b.epsilon, b.r, b.phi))
-    basis = b.basis.reshape(-1, 16).tolist()
-    reduced = b.reduced.tolist()
-    witness = b.witness.reshape(-1, 16).tolist()
+    on, ok, eps = (x.tolist() for x in (b.on_cone, b.witnessed, b.epsilon))
+    r, phi = reals(b.r), reals(b.phi)
+    basis = reals(b.basis.reshape(-1, 16))
+    reduced = reals(b.reduced)
+    witness = reals(b.witness.reshape(-1, 16))
     for i, rid in enumerate(rids):
         if not on[i]:
             yield _CANONICAL_OFF, (rid, b.reason[i])
@@ -363,19 +489,23 @@ def _canonical_chunk(rids, W, tol: ToleranceConfig):
             yield _CANONICAL_DEGENERATE, (rid, r[i], phi[i], *basis[i])
 
 
-def _slice_chunk(rids, W, tol: ToleranceConfig, r: float):
+def _slice_chunk(rids, W, tol: ToleranceConfig, r: float, reals=_json_reals):
     b = reduce_orbits(W, tol, frames=False)
-    on, r0, eps = b.on_cone.tolist(), b.r0.tolist(), b.epsilon.tolist()
+    on, eps = b.on_cone.tolist(), b.epsilon.tolist()
+    r0 = reals(b.r0)
     member = _on_radius(b.spatial, r, tol).tolist()
     topologies = _topology_slots(b, r, tol)
     for i, rid in enumerate(rids):
         if not on[i]:
             yield _SLICE_OFF, (rid, r, b.reason[i])
             continue
-        yield _SLICE_ON, (rid, r, b.kind[i], r0[i], eps[i] or None, *topologies[i], member[i])
+        yield _SLICE_ON, (
+            rid, r, _KIND_TEXT[b.kind[i]], r0[i], eps[i] or None, *topologies[i],
+            _BOOL_TEXT[member[i]],
+        )
 
 
-def _conjugated_residuals(kind: str, conj, conj_inv, W) -> list:
+def _conjugated_residuals(kind: str, conj, conj_inv, W) -> np.ndarray:
     """fixing_residual(conj[i] @ stack @ conj_inv[i], W[i]) for each row i, with
     the generator stack of kind, STABILIZER_BLOCK rows per stacked product."""
     stack = generator_stack(kind)[0]
@@ -384,22 +514,22 @@ def _conjugated_residuals(kind: str, conj, conj_inv, W) -> list:
         rows = slice(start, start + STABILIZER_BLOCK)
         conjugated = conj[rows, None] @ stack @ conj_inv[rows, None]
         residuals[rows] = fixing_residual(conjugated, W[rows])
-    return residuals.tolist()
+    return residuals
 
 
-def _stabilizer_chunk(rids, W, tol: ToleranceConfig):
+def _stabilizer_chunk(rids, W, tol: ToleranceConfig, reals=_json_reals):
     b = reduce_orbits(W, tol)
     # degenerate rows conjugate the base-point stabilizer through the adapted
     # basis, witnessed neutral rows through the inverse of the witness
     degenerate = np.flatnonzero(b.on_cone & (b.epsilon == 0))
     neutral = np.flatnonzero(b.witnessed)
     basis, witness = b.basis[degenerate], b.witness[neutral]
-    residuals = dict(zip(degenerate.tolist(), _conjugated_residuals(
+    residuals = dict(zip(degenerate.tolist(), reals(_conjugated_residuals(
         OrbitKind.DEGENERATE, basis, lorentz_inverse(basis), W[degenerate]
-    )))
-    residuals.update(zip(neutral.tolist(), _conjugated_residuals(
+    ))))
+    residuals.update(zip(neutral.tolist(), reals(_conjugated_residuals(
         OrbitKind.NEUTRAL_PLUS, lorentz_inverse(witness), witness, W[neutral]
-    )))
+    ))))
     on = b.on_cone.tolist()
     for i, rid in enumerate(rids):
         if not on[i]:
@@ -412,39 +542,67 @@ def _stabilizer_chunk(rids, W, tol: ToleranceConfig):
         yield _stabilizer_on(b.kind[i]), (rid, *res, max(0.0, *res))
 
 
+def _report_chunk(items: list, reported) -> tuple:
+    """Report stage: (records, exit code) of one chunk, the report's rows in
+    place of items' Nones and each failure an error record with its message.
+    An invariant violation is also printed to stderr."""
+    code = 0
+    records = []
+    for item in items:
+        if item is None:
+            item = next(reported)
+        if item[0] is _ERROR:
+            rid, exc = item[1]
+            if isinstance(exc, InvariantViolationError):
+                code = 4
+                message = f"invariant violation: {exc}"
+                print(message, file=sys.stderr)
+            else:
+                code = max(code, 2)
+                message = str(exc)
+            item = _ERROR, (rid, message)
+        records.append(item)
+    return records, code
+
+
 # --- output formatting ----------------------------------------------------
+#
+# Each format renders records as one string: ndjson per chunk, json and
+# table once for the whole batch.
 
 
-def _emit(records, fmt: str, out) -> None:
-    if fmt == "ndjson":
-        for shape, values in records:
-            out.write(dumps(shape, values) + "\n")
-    elif fmt == "json":
-        out.write("[" + ",".join([dumps(shape, values) for shape, values in records]) + "]\n")
-    else:  # table
-        rows = [_fill(shape.skeleton, iter(values)) for shape, values in records]
-        cols: list[str] = []
-        for rec in rows:
-            for key in rec:
-                if key not in cols and not isinstance(rec[key], (dict, list)):
-                    cols.append(key)
-        widths = {c: len(c) for c in cols}
-        rendered = []
-        for rec in rows:
-            cells = {}
-            for c in cols:
-                v = rec.get(c)
-                if isinstance(v, float):
-                    cells[c] = format(v, ".6g")
-                elif v is None:
-                    cells[c] = "-"
-                else:
-                    cells[c] = str(v)
-                widths[c] = max(widths[c], len(cells[c]))
-            rendered.append(cells)
-        out.write("  ".join(c.ljust(widths[c]) for c in cols).rstrip() + "\n")
-        for cells in rendered:
-            out.write("  ".join(cells.get(c, "-").ljust(widths[c]) for c in cols).rstrip() + "\n")
+def _ndjson(records) -> str:
+    return "".join([dumps(shape, values) + "\n" for shape, values in records])
+
+
+def _json_array(records) -> str:
+    return "[" + ",".join([dumps(shape, values) for shape, values in records]) + "]\n"
+
+
+def _table(records) -> str:
+    rows = [_fill(shape.skeleton, iter(values)) for shape, values in records]
+    cols: list[str] = []
+    for rec in rows:
+        for key in rec:
+            if key not in cols and not isinstance(rec[key], (dict, list)):
+                cols.append(key)
+    widths = {c: len(c) for c in cols}
+    rendered = []
+    for rec in rows:
+        cells = {}
+        for c in cols:
+            v = rec.get(c)
+            if isinstance(v, float):
+                cells[c] = format(v, ".6g")
+            elif v is None:
+                cells[c] = "-"
+            else:
+                cells[c] = str(v)
+            widths[c] = max(widths[c], len(cells[c]))
+        rendered.append(cells)
+    lines = ["  ".join(c.ljust(widths[c]) for c in cols)]
+    lines += ["  ".join(cells.get(c, "-").ljust(widths[c]) for c in cols) for cells in rendered]
+    return "".join(line.rstrip() + "\n" for line in lines)
 
 
 # --- subcommands ----------------------------------------------------------
@@ -477,52 +635,25 @@ def _drop_stdout() -> None:
 
 
 def _run_batch(args, report) -> int:
+    """Decode, report and write the input CHUNK records at a time.  ndjson
+    output is written once per chunk; json and table output once at the end."""
     tol = _tolerance(args)
+    reals = np.ndarray.tolist if args.format == "table" else _json_reals
     code = 0
-
-    def records(stream):
-        # one failed record becomes an error record; the batch goes on
-        nonlocal code
-        raws = _iter_raw(stream)
-        while True:
-            items, rids, rows = [], [], []  # items: None where the report's next row goes
-            for raw in itertools.islice(raws, CHUNK):
-                if isinstance(raw, _InputError):
-                    items.append((_ERROR, (None, raw)))
-                    continue
-                try:
-                    rid, row = _decode_record(raw)
-                except _InputError as exc:
-                    rid = raw.get("id") if isinstance(raw, dict) else None
-                    items.append((_ERROR, (rid if isinstance(rid, str) else None, exc)))
-                    continue
-                items.append(None)
-                rids.append(rid)
-                rows.append(row)
-            if not items:
-                return
-            reported = report(rids, _bivectors(rows), tol)
-            for item in items:
-                if item is None:
-                    item = next(reported)
-                if item[0] is _ERROR:
-                    rid, exc = item[1]
-                    if isinstance(exc, InvariantViolationError):
-                        code = 4
-                        message = f"invariant violation: {exc}"
-                        print(message, file=sys.stderr)
-                    else:
-                        code = max(code, 2)
-                        message = str(exc)
-                    item = _ERROR, (rid, message)
-                yield item
-
+    held = []  # json and table records
     stream = _open_input(args)
+    docs = _iter_raw(stream)
     try:
-        if args.format == "ndjson":
-            _emit(records(stream), "ndjson", sys.stdout)
-        else:
-            _emit(list(records(stream)), args.format, sys.stdout)
+        while chunk := list(itertools.islice(docs, CHUNK)):
+            items, rids, W = _decode_chunk(chunk)
+            records, chunk_code = _report_chunk(items, report(rids, W, tol, reals=reals))
+            code = max(code, chunk_code)
+            if args.format == "ndjson":
+                sys.stdout.write(_ndjson(records))
+            else:
+                held += records
+        if args.format != "ndjson":
+            sys.stdout.write((_json_array if args.format == "json" else _table)(held))
         sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
     except BrokenPipeError:
         _drop_stdout()
@@ -534,7 +665,7 @@ def _run_batch(args, report) -> int:
 
 def _cmd_classify(args) -> int:
     _check_radius(args.r)
-    return _run_batch(args, lambda rids, W, tol: _classify_chunk(rids, W, tol, args.r))
+    return _run_batch(args, functools.partial(_classify_chunk, r_query=args.r))
 
 
 def _cmd_canonical(args) -> int:
@@ -545,7 +676,7 @@ def _cmd_slice(args) -> int:
     if args.r is None:
         raise _UsageError("slice requires --r")
     _check_radius(args.r)
-    return _run_batch(args, lambda rids, W, tol: _slice_chunk(rids, W, tol, args.r))
+    return _run_batch(args, functools.partial(_slice_chunk, r=args.r))
 
 
 def _cmd_stabilizer(args) -> int:

@@ -133,13 +133,15 @@ def pfaffian(w):
 
     Twice the wedge of w with itself against the volume form; invariant under
     every determinant-1 pushforward, so constant on orbits.  An (n, 6) stack
-    gives an (n,) array.
+    gives an (n,) array.  Products past the largest double are inf (and a
+    difference of two of them nan) without a warning.
     """
     w = np.asarray(w, dtype=float)
-    if w.ndim == 2 and w.shape[1] == 6:
-        return w[:, 0] * w[:, 5] - w[:, 1] * w[:, 4] + w[:, 2] * w[:, 3]
-    w = as_bivector(w)
-    return float(w[0] * w[5] - w[1] * w[4] + w[2] * w[3])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if w.ndim == 2 and w.shape[1] == 6:
+            return w[:, 0] * w[:, 5] - w[:, 1] * w[:, 4] + w[:, 2] * w[:, 3]
+        w = as_bivector(w)
+        return float(w[0] * w[5] - w[1] * w[4] + w[2] * w[3])
 
 
 def _rows_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:

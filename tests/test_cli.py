@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 GOLD_OFF_CONE = (
     b'{"id":"gold","in_light_cone":false,"A":0.328125,"B":1.0125,'
@@ -374,13 +377,15 @@ def test_verify_golden_bytes(output, args):
     assert p.stdout == (GOLDEN / output).read_bytes()
 
 
-@pytest.mark.parametrize("command", ["classify", "stabilizer", "verify"])
+@pytest.mark.parametrize("command", ["classify", "canonical", "slice", "stabilizer", "verify"])
 def test_closed_pipe_ends_quietly(command, tmp_path):
     # a batch writes more than a pipe holds, so it is still writing when the reader
     # leaves after one line; verify writes its few lines at the end, after the reader left
     path = tmp_path / "records.ndjson"
     path.write_bytes(batch_lines(3000))
     args = ["--suite", "all", "--samples", "50"] if command == "verify" else ["--in", str(path)]
+    if command == "slice":
+        args += ["--r", "1.0"]
     env = {k: v for k, v in os.environ.items() if not k.startswith("LBO_")}
     p = subprocess.Popen(
         [sys.executable, "-m", "lbo.cli", command, *args],
@@ -521,6 +526,278 @@ def test_bad_first_line_keeps_the_input_streaming():
         assert list(cli._iter_docs(io.StringIO(text))) == [json.loads(text)]
         with pytest.raises(AssertionError, match="the whole input was read"):
             list(cli._iter_docs(_UnreadableStream(text)))
+
+
+# Lines that each fail alone or decode to something unusual, frozen with the
+# outputs below from the line-by-line parser: two bad lines that joined by a
+# comma would read as one array, a bad line, a line holding an array of
+# records, blank lines, and "c" entries given as a string, a bool and a number
+# past the largest double.
+EDGE_LINES = (
+    b"1,[2\n3]\n"
+    b'{"id":"mid" "c":[1,0,0,0,0,1]}\n'
+    b'[{"id":"arr1","c":[1,0,0,0,0,1]},{"id":"arr2","x":[1,0,0,1],"y":[0,0,1,0]}]\n'
+    b"\n   \n"
+    b'{"id":"s1","c":["1",0,0,0,0,1]}\n'
+    b'{"id":"t1","c":[true,0,0,0,0,1]}\n'
+    b'{"id":"big","c":[1e400,0,0,0,0,1]}\n'
+)
+EDGE_BATCH = (
+    b'{"id":"a","x":[1,0,0,1],"y":[0,1,0,0]}\n' + EDGE_LINES + b'{"id":"z","c":[1,0,0,0,0,1]}\n'
+)
+GOLD_EDGE_SLICE = (
+    b'{"id":"a","in_light_cone":true,"r_queried":1,"class":{"kind":"Degenerate","r0":0,'
+    b'"epsilon":null},"topology":"RP3","boundary":false,"in_slice":true}\n'
+    b'{"id":null,"error":"bad JSON line: Extra data: line 1 column 2 (char 1)"}\n'
+    b'{"id":null,"error":"bad JSON line: Extra data: line 1 column 2 (char 1)"}\n'
+    b'{"id":null,"error":"bad JSON line: Expecting \',\' delimiter: line 1 column 13 (char 12)"}\n'
+    b'{"id":"arr1","in_light_cone":true,"r_queried":1,"class":{"kind":"NeutralPlus","r0":1,'
+    b'"epsilon":1},"topology":"Sphere2","boundary":true,"in_slice":true}\n'
+    b'{"id":"arr2","in_light_cone":true,"r_queried":1,"class":{"kind":"Degenerate","r0":0,'
+    b'"epsilon":null},"topology":"RP3","boundary":false,"in_slice":true}\n'
+    b'{"id":"s1","in_light_cone":true,"r_queried":1,"class":{"kind":"NeutralPlus","r0":1,'
+    b'"epsilon":1},"topology":"Sphere2","boundary":true,"in_slice":true}\n'
+    b'{"id":"t1","in_light_cone":true,"r_queried":1,"class":{"kind":"NeutralPlus","r0":1,'
+    b'"epsilon":1},"topology":"Sphere2","boundary":true,"in_slice":true}\n'
+    b'{"id":"big","error":"\\"c\\" entries must be finite"}\n'
+    b'{"id":"z","in_light_cone":true,"r_queried":1,"class":{"kind":"NeutralPlus","r0":1,'
+    b'"epsilon":1},"topology":"Sphere2","boundary":true,"in_slice":true}\n'
+)
+# The edge lines six times among 300 records, around the first chunk boundary
+# and inside chunks: sha256 of stdout per command, exit code 2 for each.
+GOLD_EDGE_DIGESTS = {
+    "classify": "beac27c04d6cac32f0df56f3cdcccf0c2e70966924829aea3ef44a1006e4c9df",
+    "canonical": "3a882ba75210643818c412471aadf984919972eda6889ba0d97c30c7fa74f64b",
+    "slice": "adf21ff813ea4d82e4a322ec2621b80088a465dc74a32c6b23251a2e5f806232",
+    "stabilizer": "ee4138bc96a2b75be56361c453ab48301d7bf78fca6a1f6a6bad4cc0be13c3a4",
+}
+COMMAND_ARGS = {
+    "classify": ["classify", "--r", "1.0"],
+    "canonical": ["canonical"],
+    "slice": ["slice", "--r", "1.0"],
+    "stabilizer": ["stabilizer"],
+}
+
+
+def test_edge_lines_decode_as_alone():
+    p = run_cli(COMMAND_ARGS["slice"], EDGE_BATCH)
+    assert (p.returncode, p.stderr) == (2, b"")
+    assert p.stdout == GOLD_EDGE_SLICE
+
+
+@pytest.mark.parametrize("command", sorted(GOLD_EDGE_DIGESTS))
+def test_edge_lines_among_chunks(command):
+    lines = batch_lines(300).splitlines(keepends=True)
+    for at in (250, 129, 128, 127, 126, 60):
+        lines.insert(at, EDGE_LINES)
+    p = run_cli(COMMAND_ARGS[command], b"".join(lines))
+    assert (p.returncode, p.stderr) == (2, b"")
+    assert hashlib.sha256(p.stdout).hexdigest() == GOLD_EDGE_DIGESTS[command]
+
+
+def _parsed_alone(lines):
+    """What the line-by-line parser gives each line: a document or an error's text."""
+    import lbo.cli as cli
+
+    return [
+        str(doc) if isinstance(doc, cli._InputError) else doc
+        for doc in map(cli._parse_json, lines)
+    ]
+
+
+def _parsed_together(lines):
+    import lbo.cli as cli
+
+    return [
+        str(doc) if isinstance(doc, cli._InputError) else doc for doc in cli._parse_lines(lines)
+    ]
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        # brackets that close on another line
+        ['{"a":1}, [{}\n', "{}], {}\n", '{"d":[{}\n', "{}]}\n"],
+        # the same with brackets inside strings evening out each line's count
+        ['[{}, "]"\n', '"[", {}]\n', "{}, {}\n"],
+        # a string's quote escaped, and a line without its line feed
+        ['{"id":"a\\"]"}\n', '{"id":"[\\\\"}'],
+        ["1,[2\n", "3]\n"],
+    ],
+)
+def test_chunk_parse_matches_each_line_alone(lines):
+    assert _parsed_together(lines) == _parsed_alone(lines)
+
+
+_FRAGMENTS = st.sampled_from(
+    ["{", "}", "[", "]", ",", ":", " ", "1", "null", '"a"', '"]"', '"{"', '"\\""', '"\\\\"',
+     '{"id":"x","c":[1,2]}', "[1,[2]]"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_FRAGMENTS, min_size=1, max_size=6).map("".join), min_size=1, max_size=6))
+def test_chunk_parse_matches_each_line_alone_on_fragments(texts):
+    lines = [text + "\n" for text in texts]
+    assert _parsed_together(lines) == _parsed_alone(lines)
+
+
+def test_records_parse_in_one_pass(monkeypatch):
+    import lbo.cli as cli
+
+    lines = batch_lines(cli.CHUNK).decode().splitlines(keepends=True)
+    expected = [json.loads(line) for line in lines]
+    monkeypatch.setattr(cli, "_parse_json", None)  # no line is parsed alone
+    assert cli._parse_lines(lines) == expected
+
+
+class _WatchedStdin(io.StringIO):
+    """Input that notes how many lines were written by the time it gives the line after."""
+
+    def __init__(self, text, out, after):
+        super().__init__(text)
+        self.out, self.after, self.lines, self.written = out, after, 0, None
+
+    def __next__(self):
+        if self.lines == self.after:
+            self.written = self.out.getvalue().count("\n")
+        self.lines += 1
+        return super().__next__()
+
+
+def test_a_chunk_is_written_before_the_next_line_is_read(monkeypatch):
+    import lbo.cli as cli
+
+    for name in ("LBO_FORMAT", "LBO_R", "LBO_TOL"):
+        monkeypatch.delenv(name, raising=False)
+    out = io.StringIO()
+    stdin = sys.stdin
+    try:
+        sys.stdin = _WatchedStdin(batch_lines(cli.CHUNK + 5).decode(), out, cli.CHUNK)
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["slice", "--r", "1.0"]) == 0
+        assert sys.stdin.written == cli.CHUNK
+    finally:
+        sys.stdin = stdin
+
+
+class _CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("count", [1, 127, 128, 129, 300])
+def test_one_write_per_chunk(count, monkeypatch):
+    import lbo.cli as cli
+
+    for name in ("LBO_FORMAT", "LBO_R", "LBO_TOL"):
+        monkeypatch.delenv(name, raising=False)
+    out = _CountingStdout()
+    stdin = sys.stdin
+    try:
+        sys.stdin = io.StringIO(batch_lines(count).decode())
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["slice", "--r", "1.0"]) == 0
+    finally:
+        sys.stdin = stdin
+    assert len(out.getvalue().splitlines()) == count
+    assert out.writes <= -(-count // cli.CHUNK)
+
+
+def test_unbuffered_stdout_gives_the_same_bytes():
+    stdin = batch_lines(300)
+    buffered = run_cli(COMMAND_ARGS["slice"], stdin, env_extra={"PYTHONUNBUFFERED": ""})
+    unbuffered = run_cli(COMMAND_ARGS["slice"], stdin, env_extra={"PYTHONUNBUFFERED": "1"})
+    assert buffered.returncode == unbuffered.returncode == 0
+    assert len(buffered.stdout.splitlines()) == 300
+    assert buffered.stdout == unbuffered.stdout
+
+
+def _written_leaf_by_leaf(node, values) -> str:
+    """A skeleton written as the untyped templates did: every slot's text from
+    the iterator values, every fixed leaf through _scalar."""
+    import lbo.cli as cli
+
+    if type(node) is cli._Slot:
+        return next(values)
+    if type(node) is dict:
+        return "{" + ",".join(
+            json.dumps(k) + ":" + _written_leaf_by_leaf(v, values) for k, v in node.items()
+        ) + "}"
+    if type(node) is list:
+        return "[" + ",".join(_written_leaf_by_leaf(v, values) for v in node) + "]"
+    return cli._scalar(node)
+
+
+def _check_real_slots(v: float) -> None:
+    """Every real slot of every shape, fed v as its report feeds it, prints _scalar(v)."""
+    import lbo.cli as cli
+    from lbo.orbit import OrbitKind
+
+    shapes = [x for x in vars(cli).values() if isinstance(x, cli._Shape)]
+    shapes += [cli._stabilizer_on(k) for k in (OrbitKind.NEUTRAL_PLUS, OrbitKind.DEGENERATE)]
+    (fed,) = cli._json_reals(np.array([v]))
+    for shape in shapes:
+        slots = list(cli._slots(shape.skeleton))
+        values = [fed if s is cli._REAL else "true" if s is cli._TEXT else "x" for s in slots]
+        texts = [
+            cli._scalar(v) if s is cli._REAL else "true" if s is cli._TEXT else '"x"'
+            for s in slots
+        ]
+        assert cli.dumps(shape, tuple(values)) == _written_leaf_by_leaf(shape.skeleton, iter(texts))
+
+
+@pytest.mark.parametrize(
+    "v", [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1e16, 1e308, np.inf, np.nan]
+)
+def test_real_slots_print_like_scalar(v):
+    _check_real_slots(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats())
+def test_real_slots_print_like_scalar_on_any_float(v):
+    _check_real_slots(v)
+
+
+def test_text_slots_hold_the_json_of_their_values():
+    import lbo.cli as cli
+    from lbo.rslice import SliceTopology
+
+    for kind, text in cli._KIND_TEXT.items():
+        assert text == cli._scalar(kind)
+    for t, (topology, boundary) in cli._TOPOLOGY_TEXT.items():
+        assert topology == cli._scalar(t.value)
+        assert boundary == cli._scalar(t is SliceTopology.SPHERE_2)
+    assert [cli._BOOL_TEXT[b] for b in (False, True)] == [cli._scalar(False), cli._scalar(True)]
+
+
+# What each command printed, warning on stderr, for a row whose pfaffian overflows.
+OVERFLOW = b'{"c":[1e200,0,0,0,0,1e200]}\n'
+OVERFLOW_REASON = b'"reason":"split norms differ: spatial inf vs temporal inf"}\n'
+GOLD_OVERFLOW = {
+    "classify": b'{"id":null,"in_light_cone":false,"A":inf,"B":inf,"pfaffian":inf,'
+    b'"canonical":null,"class":null,' + OVERFLOW_REASON,
+    "canonical": b'{"id":null,"in_light_cone":false,"r":null,"phi":null,"basis":null,'
+    b'"representative":null,"witness":null,' + OVERFLOW_REASON,
+    "slice": b'{"id":null,"in_light_cone":false,"r_queried":1,"class":null,"topology":null,'
+    b'"in_slice":false,' + OVERFLOW_REASON,
+    "stabilizer": b'{"id":null,"in_light_cone":false,"kind":null,"families":null,'
+    + OVERFLOW_REASON,
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLD_OVERFLOW))
+def test_overflowing_pfaffian_is_quiet(command):
+    args = ["classify"] if command == "classify" else COMMAND_ARGS[command]
+    p = run_cli(args, OVERFLOW)
+    assert (p.returncode, p.stderr) == (0, b"")
+    assert p.stdout == GOLD_OVERFLOW[command]
 
 
 def test_invariant_violation_is_an_error_record_and_batch_goes_on():
