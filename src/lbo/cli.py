@@ -253,40 +253,47 @@ def _parse_json(text: str):
 
 # Every byte but quotes, brackets and line feeds, for bytes.translate to delete.
 _NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'"[]{}\n')))
+# Bracket nesting the line test follows; input records nest two or three deep.
+_MAX_NESTING = 16
 
 
 def _brackets_close_per_line(text: str) -> bool:
     """Whether, in text that parses as part of one JSON document, each line
     closes every bracket it opens.  A JSON string holds no line feed, so
-    strings stay within their lines; text with a backslash, or with a bracket
-    inside a string, is not proved."""
+    strings stay within their lines; text with a backslash, with a bracket
+    inside a string or nested deeper than _MAX_NESTING is not proved."""
     if "\\" in text:
         return False
     marks = text.encode("ascii", "ignore").translate(None, _NOT_STRUCTURE)
     # strings are now adjacent quote pairs; one with a bracket inside leaves
     # quotes behind, and they fail the final test
     marks = marks.replace(b'""', b"")
-    while True:
+    for _ in range(_MAX_NESTING):
         closed = marks.replace(b"[]", b"").replace(b"{}", b"")
         if closed == marks:
             return not marks.strip(b"\n")
         marks = closed
+    return False
 
 
 def _parse_lines(lines: list) -> list:
     """The JSON document of each line, or an _InputError for a line that does not parse.
 
-    One json.loads reads the lines joined as an array.  Its elements are the
-    lines' documents when there is one element per line and each line closes
-    its own brackets, because then every joining comma sits at the top level.
-    Otherwise each line is parsed alone, so a bad line gets its own error text.
+    When each line closes its own brackets, every comma that joins two lines
+    sits at the top level, so one json.loads of the lines joined as an array
+    gives the lines' documents if it gives one element per line.  Otherwise
+    each line is parsed alone, so a bad line gets its own error text.  The
+    bracket test is cheap and comes first, so a chunk it rejects costs what
+    line-by-line parsing costs; a chunk it passes with a bad line in it also
+    pays for the failed joined parse.
     """
-    try:
-        docs = json.loads("[" + ",".join(lines) + "]")
-    except (ValueError, RecursionError):
-        docs = None
-    if docs is not None and len(docs) == len(lines) and _brackets_close_per_line("".join(lines)):
-        return docs
+    if _brackets_close_per_line("".join(lines)):
+        try:
+            docs = json.loads("[" + ",".join(lines) + "]")
+        except (ValueError, RecursionError):
+            docs = None
+        if docs is not None and len(docs) == len(lines):
+            return docs
     return [_parse_json(line) for line in lines]
 
 

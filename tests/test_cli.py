@@ -623,6 +623,11 @@ def _parsed_together(lines):
         # a string's quote escaped, and a line without its line feed
         ['{"id":"a\\"]"}\n', '{"id":"[\\\\"}'],
         ["1,[2\n", "3]\n"],
+        # bad lines among good ones, and a trailing comma on the last line
+        ["1\n", "1,\n", "2\n", '{"a" 1}\n', "[3]\n", "4,\n"],
+        # a line of two documents, and brackets nested past _MAX_NESTING
+        ["1,2\n", "3\n"],
+        ["[" * 20 + "]" * 20 + "\n", "[" * 2000 + "]" * 1999 + "\n"],
     ],
 )
 def test_chunk_parse_matches_each_line_alone(lines):
@@ -649,6 +654,19 @@ def test_records_parse_in_one_pass(monkeypatch):
     expected = [json.loads(line) for line in lines]
     monkeypatch.setattr(cli, "_parse_json", None)  # no line is parsed alone
     assert cli._parse_lines(lines) == expected
+
+
+def test_escaped_lines_skip_the_joined_parse(monkeypatch):
+    # the bracket test turns down text with a backslash before any joined
+    # parse, so such a chunk costs one json.loads per line and no more
+    import lbo.cli as cli
+
+    lines = [json.dumps({"id": f"r{k}\u00e9", "c": [1, 0, 0, 0, 0, 1]}) + "\n" for k in range(9)]
+    parsed = []
+    loads = json.loads
+    monkeypatch.setattr(cli.json, "loads", lambda text: parsed.append(text) or loads(text))
+    assert cli._parse_lines(lines) == [loads(line) for line in lines]
+    assert parsed == lines
 
 
 class _WatchedStdin(io.StringIO):
