@@ -21,9 +21,13 @@ bytes and exit code as a record-by-record run:
   JSON text, and only ids and nullable values go through _scalar.
 - write: the chunk's lines, error records in input order among them, go to
   stdout as one string, so an unbuffered stdout (PYTHONUNBUFFERED) costs one
-  write call per chunk, not one per record.  json output joins every line
-  and table output rebuilds its rows from the same values; both are written
-  once, at the end.
+  write call per chunk, not one per record.  json output joins every line;
+  both it and the table are written once, at the end.
+
+A table is a flat view of the JSON records: a column per leaf path
+(canonical.r, families.0.parameter), in order of first appearance, and in
+each cell the leaf's JSON text, but a real to 6 digits; - where a record's
+shape has no such leaf.
 
 --threads is still accepted for compatibility and has no effect.
 Exit codes: 0 success, 2 input error, 3 usage error, 4 internal invariant
@@ -145,37 +149,27 @@ def _compile(node) -> str:
     return _scalar(node).replace("%", "%%")
 
 
-def _slots(node):
-    """The slots of a skeleton, in the order its values come."""
-    if type(node) is _Slot:
-        yield node
-    elif type(node) in (dict, list):
-        for child in node.values() if type(node) is dict else node:
-            yield from _slots(child)
-
-
-def _fill(node, values):
-    """The record as Python objects: the skeleton with its slots taken from the iterator values."""
-    if type(node) is _Slot:
-        value = next(values)
-        return json.loads(value) if node is _TEXT else value
-    if type(node) is dict:
-        return {k: _fill(v, values) for k, v in node.items()}
-    if type(node) is list:
-        return [_fill(v, values) for v in node]
-    return node
+def _leaves(node, path=""):
+    """(dotted path, leaf) of each leaf of a skeleton, in the order the template prints them."""
+    if type(node) not in (dict, list):
+        yield path, node
+        return
+    for key, child in node.items() if type(node) is dict else enumerate(node):
+        yield from _leaves(child, f"{path}.{key}" if path else key)
 
 
 class _Shape:
-    """One record shape: its skeleton, the %-template compiled from it and the
-    positions of its _SLOT values."""
+    """One record shape: its skeleton, the %-template compiled from it, its
+    columns (path, leaf) and the positions of its _SLOT values."""
 
-    __slots__ = ("skeleton", "template", "scalars")
+    __slots__ = ("skeleton", "template", "columns", "scalars")
 
     def __init__(self, skeleton: dict):
         self.skeleton = skeleton
         self.template = _compile(skeleton)
-        self.scalars = tuple(i for i, slot in enumerate(_slots(skeleton)) if slot is _SLOT)
+        self.columns = tuple(_leaves(skeleton))
+        slots = [leaf for _, leaf in self.columns if type(leaf) is _Slot]
+        self.scalars = tuple(i for i, slot in enumerate(slots) if slot is _SLOT)
 
 
 def dumps(shape: _Shape, values: tuple) -> str:
@@ -245,7 +239,7 @@ def _parse_json(text: str):
     (with the parser's exception as its __cause__)."""
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+    except (ValueError, RecursionError) as exc:  # also too many digits, too deep nesting
         error = _InputError(f"bad JSON line: {exc}")
         error.__cause__ = exc
         return error
@@ -361,8 +355,7 @@ def _decode_chunk(docs: list):
 # records, reduces them with one reduce_orbits call, turns its columns into
 # lists once and yields, in order, one (shape, values) record per row; a row
 # that fails yields (_ERROR, (id, exception)).  Float columns become lists
-# through reals: _json_reals for the templates, ndarray.tolist for the table,
-# which shows a negative zero as it is.
+# through _json_reals.
 
 _CLASSIFY_OFF = _Shape(
     {"id": _SLOT, "in_light_cone": False, "A": _REAL, "B": _REAL, "pfaffian": _REAL,
@@ -440,7 +433,7 @@ def _topology_slots(b, r: float, tol: ToleranceConfig) -> list:
     return [t and _TOPOLOGY_TEXT[t] for t in slice_topology(b, r, tol)]
 
 
-def _classify_chunk(rids, W, tol: ToleranceConfig, r_query, reals=_json_reals):
+def _classify_chunk(rids, W, tol: ToleranceConfig, r_query):
     b = reduce_orbits(W, tol)
     on, ok = b.on_cone, b.witnessed
     recon, rep_residual, witness_max = np.zeros(len(W)), np.zeros(len(W)), np.zeros(len(W))
@@ -449,7 +442,7 @@ def _classify_chunk(rids, W, tol: ToleranceConfig, r_query, reals=_json_reals):
     rep_residual[ok] = _row_norms(b.reduced[ok] - expected) / np.maximum(b.r0[ok], 1.0)
     witness_max[ok] = np.abs(b.witness[ok]).max(axis=(1, 2))
     A, B, pf, r, phi, r0, recon, rep_residual = map(
-        reals, (b.spatial, b.temporal, b.pfaffian, b.r, b.phi, b.r0, recon, rep_residual)
+        _json_reals, (b.spatial, b.temporal, b.pfaffian, b.r, b.phi, b.r0, recon, rep_residual)
     )
     eps, on, ok, witness_max = (x.tolist() for x in (b.epsilon, on, ok, witness_max))
     if r_query is not None:
@@ -478,13 +471,13 @@ def _classify_chunk(rids, W, tol: ToleranceConfig, r_query, reals=_json_reals):
             yield _CLASSIFY_ON_SLICE, (*values, r_query, *topologies[i], recon[i], rep)
 
 
-def _canonical_chunk(rids, W, tol: ToleranceConfig, reals=_json_reals):
+def _canonical_chunk(rids, W, tol: ToleranceConfig):
     b = reduce_orbits(W, tol)
     on, ok, eps = (x.tolist() for x in (b.on_cone, b.witnessed, b.epsilon))
-    r, phi = reals(b.r), reals(b.phi)
-    basis = reals(b.basis.reshape(-1, 16))
-    reduced = reals(b.reduced)
-    witness = reals(b.witness.reshape(-1, 16))
+    r, phi = _json_reals(b.r), _json_reals(b.phi)
+    basis = _json_reals(b.basis.reshape(-1, 16))
+    reduced = _json_reals(b.reduced)
+    witness = _json_reals(b.witness.reshape(-1, 16))
     for i, rid in enumerate(rids):
         if not on[i]:
             yield _CANONICAL_OFF, (rid, b.reason[i])
@@ -496,10 +489,10 @@ def _canonical_chunk(rids, W, tol: ToleranceConfig, reals=_json_reals):
             yield _CANONICAL_DEGENERATE, (rid, r[i], phi[i], *basis[i])
 
 
-def _slice_chunk(rids, W, tol: ToleranceConfig, r: float, reals=_json_reals):
+def _slice_chunk(rids, W, tol: ToleranceConfig, r: float):
     b = reduce_orbits(W, tol, frames=False)
     on, eps = b.on_cone.tolist(), b.epsilon.tolist()
-    r0 = reals(b.r0)
+    r0 = _json_reals(b.r0)
     member = _on_radius(b.spatial, r, tol).tolist()
     topologies = _topology_slots(b, r, tol)
     for i, rid in enumerate(rids):
@@ -524,17 +517,17 @@ def _conjugated_residuals(kind: str, conj, conj_inv, W) -> np.ndarray:
     return residuals
 
 
-def _stabilizer_chunk(rids, W, tol: ToleranceConfig, reals=_json_reals):
+def _stabilizer_chunk(rids, W, tol: ToleranceConfig):
     b = reduce_orbits(W, tol)
     # degenerate rows conjugate the base-point stabilizer through the adapted
     # basis, witnessed neutral rows through the inverse of the witness
     degenerate = np.flatnonzero(b.on_cone & (b.epsilon == 0))
     neutral = np.flatnonzero(b.witnessed)
     basis, witness = b.basis[degenerate], b.witness[neutral]
-    residuals = dict(zip(degenerate.tolist(), reals(_conjugated_residuals(
+    residuals = dict(zip(degenerate.tolist(), _json_reals(_conjugated_residuals(
         OrbitKind.DEGENERATE, basis, lorentz_inverse(basis), W[degenerate]
     ))))
-    residuals.update(zip(neutral.tolist(), reals(_conjugated_residuals(
+    residuals.update(zip(neutral.tolist(), _json_reals(_conjugated_residuals(
         OrbitKind.NEUTRAL_PLUS, lorentz_inverse(witness), witness, W[neutral]
     ))))
     on = b.on_cone.tolist()
@@ -586,30 +579,28 @@ def _json_array(records) -> str:
     return "[" + ",".join([dumps(shape, values) for shape, values in records]) + "]\n"
 
 
+def _row(shape: _Shape, values: tuple) -> dict:
+    """A record's table cells by column: a _TEXT value as it comes, a real
+    with 6 significant digits (never -0: reals come through _json_reals) and
+    any other leaf as its JSON text."""
+    values = iter(values)
+    row = {}
+    for path, leaf in shape.columns:
+        value = next(values) if type(leaf) is _Slot else leaf
+        if leaf is not _TEXT:
+            value = "%.6g" % value if type(value) is float else _scalar(value)
+        row[path] = value
+    return row
+
+
 def _table(records) -> str:
-    rows = [_fill(shape.skeleton, iter(values)) for shape, values in records]
-    cols: list[str] = []
-    for rec in rows:
-        for key in rec:
-            if key not in cols and not isinstance(rec[key], (dict, list)):
-                cols.append(key)
-    widths = {c: len(c) for c in cols}
-    rendered = []
-    for rec in rows:
-        cells = {}
-        for c in cols:
-            v = rec.get(c)
-            if isinstance(v, float):
-                cells[c] = format(v, ".6g")
-            elif v is None:
-                cells[c] = "-"
-            else:
-                cells[c] = str(v)
-            widths[c] = max(widths[c], len(cells[c]))
-        rendered.append(cells)
-    lines = ["  ".join(c.ljust(widths[c]) for c in cols)]
-    lines += ["  ".join(cells.get(c, "-").ljust(widths[c]) for c in cols) for cells in rendered]
-    return "".join(line.rstrip() + "\n" for line in lines)
+    rows = [_row(shape, values) for shape, values in records]
+    columns = list(dict.fromkeys(path for row in rows for path in row))
+    lines = [columns, *([row.get(c, "-") for c in columns] for row in rows)]
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    return "".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() + "\n" for line in lines
+    )
 
 
 # --- subcommands ----------------------------------------------------------
@@ -645,7 +636,6 @@ def _run_batch(args, report) -> int:
     """Decode, report and write the input CHUNK records at a time.  ndjson
     output is written once per chunk; json and table output once at the end."""
     tol = _tolerance(args)
-    reals = np.ndarray.tolist if args.format == "table" else _json_reals
     code = 0
     held = []  # json and table records
     stream = _open_input(args)
@@ -653,7 +643,7 @@ def _run_batch(args, report) -> int:
     try:
         while chunk := list(itertools.islice(docs, CHUNK)):
             items, rids, W = _decode_chunk(chunk)
-            records, chunk_code = _report_chunk(items, report(rids, W, tol, reals=reals))
+            records, chunk_code = _report_chunk(items, report(rids, W, tol))
             code = max(code, chunk_code)
             if args.format == "ndjson":
                 sys.stdout.write(_ndjson(records))

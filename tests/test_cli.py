@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -325,7 +326,8 @@ def test_stacked_stabilizer_residuals_are_bit_identical():
 
 
 # Golden outputs frozen from the dict-building serialiser that the column
-# templates replaced: (output file, input file, arguments, exit code).
+# templates replaced, and the *.table files from the flat table of the same
+# records: (output file, input file, arguments, exit code).
 # mixed.ndjson holds ids with escapes and non-ASCII characters, a missing id,
 # negative-zero coefficients, a right-angle neutral record (an error with
 # --tol 1e-300), a decode error, a bad JSON line after a valid first line, a
@@ -500,6 +502,20 @@ def test_bad_json_first_line_is_one_error_record():
         "error": "bad JSON line: Expecting property name enclosed in double quotes: "
         "line 1 column 2 (char 1)",
     }
+
+
+def test_an_integer_past_the_digit_limit_is_one_error_record():
+    # int() refuses to convert a decimal of more than 4300 digits (where the
+    # Python has that limit), so json.loads raises ValueError on such a line
+    huge = '{"id":"huge","c":[' + "1" * 5000 + ",0,0,0,0,1]}\n"
+    good = '{"id":"a","c":[1,0,0,0,0,1]}\n'
+    for before in (0, 3):  # the first line, parsed alone, and a line inside a chunk
+        code, out = _main_in_process(["slice", "--r", "1"], good * before + huge + good * 3)
+        assert code == 2
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == before + 4
+        assert records[before].keys() == {"id", "error"}
+        assert all(rec["in_light_cone"] for rec in records[:before] + records[before + 1 :])
 
 
 class _UnreadableStream(io.StringIO):
@@ -761,7 +777,7 @@ def _check_real_slots(v: float) -> None:
     shapes += [cli._stabilizer_on(k) for k in (OrbitKind.NEUTRAL_PLUS, OrbitKind.DEGENERATE)]
     (fed,) = cli._json_reals(np.array([v]))
     for shape in shapes:
-        slots = list(cli._slots(shape.skeleton))
+        slots = [leaf for _, leaf in shape.columns if type(leaf) is cli._Slot]
         values = [fed if s is cli._REAL else "true" if s is cli._TEXT else "x" for s in slots]
         texts = [
             cli._scalar(v) if s is cli._REAL else "true" if s is cli._TEXT else '"x"'
@@ -892,6 +908,61 @@ def test_table_format():
     header = p.stdout.splitlines()[0].decode()
     assert header.startswith("id")
     assert "pfaffian" in header
+
+
+def test_table_of_on_cone_records_has_their_leaf_columns():
+    record = '{"id":"a","c":[2,-2,3,1,0,0]}\n'
+    for args, some_columns in (
+        (["classify", "--r", "1"], {"canonical.phi", "class.kind", "slice.topology",
+                                    "diagnostics.representative_residual"}),
+        (["slice", "--r", "1"], {"class.kind", "class.r0", "class.epsilon", "topology"}),
+        (["stabilizer"], {"families.0.family", "families.0.parameter",
+                          "families.11.fixing_residual", "max_residual"}),
+    ):
+        code, table = _main_in_process([*args, "--format", "table"], record)
+        assert code == 0
+        assert some_columns <= set(table.splitlines()[0].split())
+
+
+def _table_cells(node, path="") -> dict:
+    """The table's cells of one parsed JSON record by leaf path: a real to 6
+    digits, never -0, and any other leaf as its JSON text."""
+    if not isinstance(node, (dict, list)):
+        if isinstance(node, float):
+            return {path: "%.6g" % (node + 0.0)}
+        return {path: json.dumps(node)}
+    cells = {}
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        cells.update(_table_cells(child, f"{path}.{key}" if path else key))
+    return cells
+
+
+@pytest.mark.parametrize("source", ["mixed.ndjson", "slice.ndjson"])
+@pytest.mark.parametrize("args", [["classify"], *CHUNK_ARGS])
+def test_table_cells_are_the_json_leaves(args, source, monkeypatch):
+    for name in ("LBO_FORMAT", "LBO_R", "LBO_TOL"):
+        monkeypatch.delenv(name, raising=False)
+    text = (GOLDEN / source).read_text(encoding="utf-8")
+    code, ndjson = _main_in_process(args, text)
+    table_code, table = _main_in_process([*args, "--format", "table"], text)
+    assert table_code == code
+    # the writer prints an overflowed real as inf, which json reads as Infinity;
+    # an integral real prints without a fraction, so every number is read as a
+    # float, and the one integer leaf, epsilon (+-1), prints the same either way
+    ndjson = re.sub(r"(?<=[:,\[])(-?)inf\b", r"\1Infinity", ndjson)
+    records = [_table_cells(json.loads(line, parse_int=float)) for line in ndjson.splitlines()]
+    header, *lines = table.splitlines()
+    columns = header.split()
+    starts = [m.start() for m in re.finditer(r"\S+", header)]
+    rows = [
+        {c: line[a:b].rstrip() for c, a, b in zip(columns, starts, [*starts[1:], None])}
+        for line in lines
+    ]
+    assert columns == list(dict.fromkeys(path for record in records for path in record))
+    assert rows == [{c: record.get(c, "-") for c in columns} for record in records]
+    assert table.isascii()
+    cells = [cell for row in rows for cell in row.values()]
+    assert "-0" not in cells and not any(cell.startswith(("{", "[", "'")) for cell in cells)
 
 
 def test_empty_input_is_fine():
