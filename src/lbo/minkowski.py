@@ -8,10 +8,11 @@ where e1..e3 are space-like and e4 is time-like.  The inner product is
 The proper Lorentz group is generated by six one-parameter families: three
 plane rotations (axes 1..3 pick the plane) and three boosts (axes pick which
 space direction pairs with time).  Random group elements are products of
-generator words, reproducible from an explicit numpy Generator.  On PCG64
-a word is decoded from the generator's raw output with the maps numpy's
-own integers and uniform apply to those bits; other bit generators go
-through those numpy calls.
+generator words, reproducible from an explicit numpy Generator.  Words
+are drawn a stacked pass of samples at a time: on PCG64 the pass reads the
+state once and decodes its raw output as arrays, with the maps numpy's own
+integers and uniform apply to those bits; other bit generators go through
+those numpy calls.
 """
 from __future__ import annotations
 
@@ -148,52 +149,81 @@ def lorentz_inverse(P) -> np.ndarray:
     return ETA @ P.swapaxes(-1, -2) @ ETA
 
 
-def _draw_word(rng: np.random.Generator, word_length: int) -> list[tuple]:
-    """One random word as (boost, axis, parameter) letters.
+def _draw_pass(rng: np.random.Generator, count: int, lengths, normals: int = 0):
+    """count samples drawn in the order of a per-sample loop: (letters, vectors).
 
-    Per letter: axis, family, then a rotation angle in [-pi, pi] or a rapidity in [-1, 1],
-    as rng.integers(1, 4), rng.integers(2) and rng.uniform(low, high) draw them.
+    Each sample draws one word per entry of lengths, then rng.normal(size=normals)
+    when normals is positive.  letters[j] is the (count, lengths[j], 3) array of
+    word j's (boost, axis, parameter) letters, vectors the (count, normals) array
+    of the normals.  Per letter: axis, family, then a rotation angle in
+    [-pi, pi] or a rapidity in [-1, 1], as rng.integers(1, 4), rng.integers(2)
+    and rng.uniform(low, high) draw them.
 
-    On a PCG64 with no buffered 32-bit half, the word's 2 * word_length raw
-    outputs are read at once and decoded with the maps numpy's Generator
-    applies to those bits.  Letter k uses first = raw[2k], second = raw[2k+1]:
-    the axis is Lemire's bounded map of first's low 32 bits (which numpy
-    redraws only when they are 0), the family is the top bit of its buffered
-    high half, and the parameter is low + (high - low) * (second >> 11) * 2**-53.
-    Other bit generators, and a zero low word, take numpy's own calls.
+    On a PCG64 with no buffered 32-bit half, which the pass reads from one
+    state snapshot, each sample's words come from one random_raw call (the
+    whole pass's from one call when it draws no normals) and are decoded as
+    uint64 arrays with the maps numpy's Generator applies to those bits.
+    Letter k of a sample uses first = raw[2k], second = raw[2k+1]: the axis is
+    Lemire's bounded map of first's low 32 bits (which numpy redraws only when
+    they are 0), the family is the top bit of its buffered high half, and the
+    parameter is low + (high - low) * (second >> 11) * 2**-53.  Other bit
+    generators, and a pass with a zero low word (restored to the snapshot
+    first), take numpy's own calls.
     """
+    width, cuts = 2 * sum(lengths), np.cumsum(lengths)[:-1]
+    vectors = np.empty((count, normals))
+    bits = rng.bit_generator
+    if type(bits) is np.random.PCG64:
+        snapshot = bits.state
+        if not snapshot["has_uint32"]:
+            if normals:
+                raw = np.empty((count, width), dtype=np.uint64)
+                for i in range(count):
+                    raw[i] = bits.random_raw(width)
+                    vectors[i] = rng.normal(size=normals)
+            else:
+                raw = bits.random_raw(count * width).reshape(count, width)
+            first, second = raw[:, ::2], raw[:, 1::2]
+            # uint64 with Python-int operands only: older numpy turns uint64
+            # mixed with a signed integer array into float64
+            low32 = first & 0xFFFFFFFF
+            if low32.all():
+                boost = (first >> 63) == 1
+                letters = np.empty(first.shape + (3,))
+                letters[..., 0] = boost
+                letters[..., 1] = 1 + ((low32 * 3) >> 32)
+                low, span = np.where(boost, -1.0, -np.pi), np.where(boost, 2.0, 2.0 * np.pi)
+                letters[..., 2] = low + span * ((second >> 11) * 2.0**-53)
+                return np.split(letters, cuts, axis=1), vectors
+            bits.state = snapshot  # numpy redraws the axis: let it define the stream
+    letters = np.empty((count, width // 2, 3))
+    for i in range(count):
+        for k in range(width // 2):
+            axis = rng.integers(1, 4)
+            boost = rng.integers(2) != 0
+            p = rng.uniform(-1.0, 1.0) if boost else rng.uniform(-np.pi, np.pi)
+            letters[i, k] = boost, axis, p
+        if normals:
+            vectors[i] = rng.normal(size=normals)
+    return np.split(letters, cuts, axis=1), vectors
+
+
+def _draw_word(rng: np.random.Generator, word_length: int) -> list[tuple]:
+    """One random word as (boost, axis, parameter) letters: a one-sample _draw_pass."""
     if word_length < 1:
         raise ValueError("word_length must be at least 1")
-    bits = rng.bit_generator
-    if type(bits) is np.random.PCG64 and not bits.state["has_uint32"]:
-        raw = bits.random_raw(2 * word_length).tolist()
-        word = []
-        for first, second in zip(raw[::2], raw[1::2]):
-            low32 = first & 0xFFFFFFFF
-            if not low32:
-                break
-            boost = first >> 63 == 1
-            low, span = (-1.0, 2.0) if boost else (-np.pi, 2.0 * np.pi)
-            word.append((boost, 1 + (low32 * 3 >> 32), low + span * ((second >> 11) * 2.0**-53)))
-        else:
-            return word
-        bits.advance(-2 * word_length)  # numpy redraws the axis: let it define the stream
-    word = []
-    for _ in range(word_length):
-        axis = int(rng.integers(1, 4))
-        boost = bool(rng.integers(2) != 0)
-        p = rng.uniform(-1.0, 1.0) if boost else rng.uniform(-np.pi, np.pi)
-        word.append((boost, axis, float(p)))
-    return word
+    (letters,), _ = _draw_pass(rng, 1, (word_length,))
+    return [(boost == 1.0, int(axis), p) for boost, axis, p in letters[0].tolist()]
 
 
 def _word_matrices(words) -> np.ndarray:
     """(n, 4, 4) products of n equal-length words of (boost, axis, parameter) letters.
 
-    Left factor first, stacked from the identity one letter at a time: each
-    product has the bits of its own word.
+    words is an (n, length, 3) array, as _draw_pass returns it, or nested
+    lists of letters.  Left factor first, stacked from the identity one
+    letter at a time: each product has the bits of its own word.
     """
-    letters = np.array(words, dtype=float).reshape(len(words), -1, 3)
+    letters = np.asarray(words, dtype=float).reshape(len(words), -1, 3)
     factors = _plane_matrices(letters[..., 0], letters[..., 1], letters[..., 2])
     m = np.tile(np.eye(4), (len(words), 1, 1))
     for k in range(factors.shape[1]):

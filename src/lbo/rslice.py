@@ -18,7 +18,7 @@ from .minkowski import (
     DEFAULT_TOL,
     SAMPLE_BLOCK,
     ToleranceConfig,
-    _draw_word,
+    _draw_pass,
     _word_matrices,
     boost_matrix,
     rotation_matrix,
@@ -108,8 +108,9 @@ def empirical_min_radius(
     sweep that chases the shrinking radius of degenerate orbits, and random
     generator-word pushforwards of w itself.  Each search runs as stacked
     passes of SAMPLE_BLOCK group elements (one _compound and one
-    _split_norms_rows per pass); every point gets the bits of its own
-    one-matrix pushforward, so the minimum does not depend on the blocks.
+    _split_norms_rows per pass, and for the words one _draw_pass); every
+    point gets the bits of its own one-matrix pushforward, so the minimum
+    does not depend on the blocks.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -137,6 +138,6 @@ def empirical_min_radius(
 
     rng = np.random.default_rng(seed)
     for lo in range(0, samples, SAMPLE_BLOCK):
-        words = [_draw_word(rng, 4) for _ in range(min(SAMPLE_BLOCK, samples - lo))]
+        (words,), _ = _draw_pass(rng, min(SAMPLE_BLOCK, samples - lo), (4,))
         best = min(best, least_radius(_word_matrices(words), w))
     return best

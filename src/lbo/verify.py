@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .minkowski import SAMPLE_BLOCK, ToleranceConfig, _draw_word, _word_matrices
+from .minkowski import SAMPLE_BLOCK, ToleranceConfig, _draw_pass, _word_matrices
 from .orbit import (
     OrbitKind,
     base_point,
@@ -90,12 +90,11 @@ def _suite_isometry(samples, seed, tol):
     worst_inner = worst_homo = worst_cone = 0.0
     for lo in range(0, samples, SAMPLE_BLOCK):
         m = min(SAMPLE_BLOCK, samples - lo)
-        draws = [(_draw_word(rng, 4), _draw_word(rng, 3), rng.normal(size=18)) for _ in range(m)]
-        p_words, q_words, vectors = zip(*draws)
+        (p_words, q_words), vectors = _draw_pass(rng, m, (4, 3), 18)
         p, q = _word_matrices(p_words), _word_matrices(q_words)
         cp = _compound(p)
         # u and v (6 each), then a and b (3 each): the draws of four normal(size=k) calls
-        u, v, a, b = map(np.ascontiguousarray, np.split(np.array(vectors), [6, 12, 15], axis=1))
+        u, v, a, b = map(np.ascontiguousarray, np.split(vectors, [6, 12, 15], axis=1))
         scale = 1.0 + _row_norms(u) * _row_norms(v)
         inner = np.sum(HAT_DIAG * _pushed(cp, u) * _pushed(cp, v), axis=1)
         inner = np.abs(inner - np.sum(HAT_DIAG * u * v, axis=1)) / scale
@@ -117,8 +116,7 @@ def _suite_pfaffian(samples, seed, tol):
     worst_inv = 0.0
     for lo in range(0, samples, SAMPLE_BLOCK):
         m = min(SAMPLE_BLOCK, samples - lo)
-        words, u = zip(*[(_draw_word(rng, 4), rng.normal(size=6)) for _ in range(m)])
-        u = np.array(u)
+        (words,), u = _draw_pass(rng, m, (4,), 6)
         inv = np.abs(pfaffian(_pushed(_compound(_word_matrices(words)), u)) - pfaffian(u))
         worst_inv = max(worst_inv, float((inv / (1.0 + _rows_dot(u, u))).max()))
     phi = np.linspace(0.0, np.pi, 41)

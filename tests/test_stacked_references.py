@@ -1,13 +1,14 @@
 """The stacked group-element paths against scalar references, bit for bit.
 
 The references are the one-letter, one-sample and one-point loops the
-library ran before its stacked passes: a word drawn with three numpy calls
-per letter, a generator matrix written from an identity per letter, a word
-product taken letter by letter, the isometry and pfaffian suites of `verify`,
-empirical_min_radius, and the closed-form cross product the adapted frames
-used before np.cross.  Both sides run under the same numpy, so they must
-agree exactly (never allclose), including across the edges of the
-SAMPLE_BLOCK passes.
+library ran before its stacked passes: a pass of samples drawn with three
+numpy calls per letter and one normal call per sample (where the library
+decodes a whole pass of raw PCG64 output as arrays), a generator matrix
+written from an identity per letter, a word product taken letter by letter,
+the isometry and pfaffian suites of `verify`, empirical_min_radius, and the
+closed-form cross product the adapted frames used before np.cross.  Both
+sides run under the same numpy, so they must agree exactly (never allclose),
+including across the edges of the SAMPLE_BLOCK passes.
 """
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from lbo.minkowski import (
     SAMPLE_BLOCK,
     DEFAULT_TOL,
     GeneratorKind,
+    _draw_pass,
     _draw_word,
     boost_matrix,
     generator,
@@ -71,6 +73,17 @@ def reference_word(rng, word_length):
 
 def reference_letters(rng, word_length):
     return [(k.family == BOOST, k.axis, k.parameter) for k in reference_word(rng, word_length)]
+
+
+def reference_pass(rng, count, lengths, normals):
+    """Per sample: one word per entry of lengths, then normal(size=normals) if normals."""
+    words, vectors = [[] for _ in lengths], []
+    for _ in range(count):
+        for drawn, length in zip(words, lengths):
+            drawn.append(reference_letters(rng, length))
+        if normals:
+            vectors.append(rng.normal(size=normals))
+    return [np.array(w, dtype=float) for w in words], np.array(vectors).reshape(count, normals)
 
 
 def reference_word_matrix(word):
@@ -229,6 +242,25 @@ def pcg64_zero_at(seed, ahead):
     return bits
 
 
+def pcg64_zero_in_sample(seed, sample, lengths, normals):
+    """A PCG64 whose pass of reference_pass draws meets a zero low word in sample `sample`.
+
+    A normal takes a varying count of raw outputs, so the zero is placed
+    further ahead, one output at a time, until numpy's own calls meet it
+    under a letter of that sample.
+    """
+    width = 2 * sum(lengths)
+    start = sample * (width + normals)
+    for ahead in range(start, start + 1000):
+        bits = pcg64_zero_at(seed, ahead)
+        probe = np.random.Generator(np.random.PCG64())
+        probe.bit_generator.state = bits.state
+        reference_pass(probe, sample, lengths, normals)
+        if (probe.bit_generator.random_raw(width)[::2] == 0).any():
+            return bits
+    raise AssertionError("no zero low word found in the sample")
+
+
 BIT_GENERATORS = {
     "mt19937": np.random.MT19937,
     "philox": np.random.Philox,
@@ -277,6 +309,89 @@ def test_draw_word_decodes_raw_pcg64_output():
         want = np.random.default_rng(seed)
         assert _draw_word(rng, 9) == reference_letters(want, 9)
         assert np.random.Generator(rng.bit_generator).normal() == want.normal()
+
+
+def stream_state(bits):
+    """bits.state as plain values, without a spent 32-bit half: a bit generator keeps
+    the last one it buffered in "uinteger" after using it, and reads it again only
+    while "has_uint32" is set."""
+
+    def plain(x):
+        if isinstance(x, dict):
+            return {key: plain(value) for key, value in x.items()}
+        return x.tolist() if isinstance(x, np.ndarray) else x
+
+    state = plain(bits.state)
+    if not state.get("has_uint32", 1):
+        state["uinteger"] = None
+    return state
+
+
+def assert_same_pass(got, want):
+    (letters, vectors), (want_letters, want_vectors) = got, want
+    assert len(letters) == len(want_letters)
+    for drawn, expected in zip(letters, want_letters):
+        assert drawn.shape == expected.shape and same_bits(drawn, expected)
+    assert vectors.shape == want_vectors.shape and same_bits(vectors, want_vectors)
+
+
+@pytest.mark.parametrize("count", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1])
+@pytest.mark.parametrize("lengths,normals", [((4,), 0), ((4, 3), 0), ((4,), 6), ((4, 3), 18)])
+@pytest.mark.parametrize("name", ["pcg64", *BIT_GENERATORS, "pcg64-zero-mid-pass"])
+def test_draw_pass_matches_numpy_calls(name, lengths, normals, count):
+    for seed in range(2):
+        if name == "pcg64":
+            bits = np.random.PCG64(seed)
+        elif name == "pcg64-zero-mid-pass":
+            bits = pcg64_zero_in_sample(seed, min(37, count - 1), lengths, normals)
+        else:
+            bits = BIT_GENERATORS[name](seed)
+        want = np.random.Generator(type(bits)())
+        want.bit_generator.state = bits.state
+        rng = np.random.Generator(bits)
+        assert_same_pass(
+            _draw_pass(rng, count, lengths, normals), reference_pass(want, count, lengths, normals)
+        )
+        # the stream is where numpy's calls leave it
+        assert stream_state(rng.bit_generator) == stream_state(want.bit_generator)
+        assert rng.normal() == want.normal()
+
+
+class RawBitsAndNormals(RawBitsOnly):
+    """An rng with a bit generator and normal, but no integers or uniform."""
+
+    def __init__(self, bit_generator):
+        super().__init__(bit_generator)
+        self.normal = np.random.Generator(bit_generator).normal
+
+
+@pytest.mark.parametrize("normals", [0, 6, 18])
+def test_draw_pass_decodes_raw_pcg64_output(normals):
+    # numpy's per-letter calls give the same letters; without them, only the decode can
+    for seed in range(5):
+        rng, want = RawBitsAndNormals(np.random.PCG64(seed)), np.random.default_rng(seed)
+        for count in (1, SAMPLE_BLOCK + 1):
+            got = _draw_pass(rng, count, (4, 3), normals)
+            assert_same_pass(got, reference_pass(want, count, (4, 3), normals))
+        assert rng.normal() == want.normal()
+
+
+def test_sampling_suites_decode_raw_pcg64_output(monkeypatch):
+    samples = SAMPLE_BLOCK + 1
+    want = (
+        _suite_isometry(samples, 3, DEFAULT_TOL),
+        _suite_pfaffian(samples, 3, DEFAULT_TOL),
+        empirical_min_radius(base_point(1.0), samples, 3),
+    )
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda seed: RawBitsAndNormals(np.random.PCG64(seed))
+    )
+    got = (
+        _suite_isometry(samples, 3, DEFAULT_TOL),
+        _suite_pfaffian(samples, 3, DEFAULT_TOL),
+        empirical_min_radius(base_point(1.0), samples, 3),
+    )
+    assert got == want
 
 
 def test_words_match_the_reference():
