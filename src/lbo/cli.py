@@ -187,39 +187,31 @@ _ERROR = _Shape({"id": _SLOT, "error": _SLOT})
 
 
 def _decode_record(obj) -> tuple:
-    """Return (id, the six coefficients) or (id, the entries of x then y), as
-    lists of floats, or raise _InputError."""
+    """(id, row) for one parsed document, where row holds the six coefficients
+    or the entries of x then y as floats, or (id, _InputError) for a document
+    that does not decode; id is None unless it is a string."""
+    if isinstance(obj, _InputError):  # a line that did not parse
+        return None, obj
     if not isinstance(obj, dict):
-        raise _InputError("record must be a JSON object")
+        return None, _InputError("record must be a JSON object")
     rid = obj.get("id")
     if rid is not None and not isinstance(rid, str):
-        raise _InputError("id must be a string")
+        return None, _InputError("id must be a string")
     has_c = "c" in obj
-    has_xy = "x" in obj or "y" in obj
-    if has_c == has_xy:
-        raise _InputError('record needs exactly one of "c" or "x"/"y"')
-    if has_c:
-        c = obj["c"]
-        if not (isinstance(c, list) and len(c) == 6):
-            raise _InputError('"c" must be a list of 6 numbers')
-        try:
-            c = [float(v) for v in c]
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise _InputError(f'"c" entries must be numbers: {exc}') from exc
-        if not all(map(math.isfinite, c)):
-            raise _InputError('"c" entries must be finite')
-        return rid, c
-    x, y = obj.get("x"), obj.get("y")
-    for name, v in (("x", x), ("y", y)):
-        if not (isinstance(v, list) and len(v) == 4):
-            raise _InputError(f'"{name}" must be a list of 4 numbers')
+    if has_c == ("x" in obj or "y" in obj):
+        return rid, _InputError('record needs exactly one of "c" or "x"/"y"')
+    fields, entries = ((("c", 6),), '"c"') if has_c else ((("x", 4), ("y", 4)), "vector")
+    for name, length in fields:
+        v = obj.get(name)
+        if not (isinstance(v, list) and len(v) == length):
+            return rid, _InputError(f'"{name}" must be a list of {length} numbers')
     try:
-        xy = [float(v) for v in x + y]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise _InputError(f"vector entries must be numbers: {exc}") from exc
-    if not all(map(math.isfinite, xy)):
-        raise _InputError("vector entries must be finite")
-    return rid, xy
+        row = [float(v) for name, _ in fields for v in obj[name]]
+    except (TypeError, ValueError) as exc:
+        return rid, _InputError(f"{entries} entries must be numbers: {exc}")
+    if not all(map(math.isfinite, row)):
+        return rid, _InputError(f"{entries} entries must be finite")
+    return rid, row
 
 
 def _bivectors(rows: list) -> np.ndarray:
@@ -236,10 +228,11 @@ def _bivectors(rows: list) -> np.ndarray:
 
 def _parse_json(text: str):
     """The JSON document in text, or an _InputError that says why there is none
-    (with the parser's exception as its __cause__)."""
+    (with the parser's exception as its __cause__).  Integers parse as floats,
+    so one past the largest double is inf, as 1e400 is, whatever its length."""
     try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also too many digits, too deep nesting
+        return json.loads(text, parse_int=float)
+    except (ValueError, RecursionError) as exc:  # also too deep nesting
         error = _InputError(f"bad JSON line: {exc}")
         error.__cause__ = exc
         return error
@@ -283,7 +276,7 @@ def _parse_lines(lines: list) -> list:
     """
     if _brackets_close_per_line("".join(lines)):
         try:
-            docs = json.loads("[" + ",".join(lines) + "]")
+            docs = json.loads("[" + ",".join(lines) + "]", parse_int=float)
         except (ValueError, RecursionError):
             docs = None
         if docs is not None and len(docs) == len(lines):
@@ -293,9 +286,10 @@ def _parse_lines(lines: list) -> list:
 
 def _iter_docs(stream):
     """Yield parsed JSON documents, or an _InputError per line that does not parse:
-    NDJSON line mode, CHUNK lines per parse, with a whole-document fallback
-    for a first line that ends before its document does (the rest of the
-    input is read only then)."""
+    NDJSON line mode, the first line alone and then the lines up to each
+    CHUNK-line boundary in one parse, with a whole-document fallback for a
+    first line that ends before its document does (the rest of the input is
+    read only then)."""
     lines = (line for line in stream if line.strip())
     first = next(lines, None)
     if first is None:
@@ -309,13 +303,13 @@ def _iter_docs(stream):
             yield whole
             return
         lines = (line for line in io.StringIO(rest) if line.strip())
-    # the first line, parsed alone only to tell NDJSON from one document,
-    # opens the first chunk, so that a chunk of records waits for no line
+    # the first line, parsed alone to tell NDJSON from one document, counts
+    # towards the first chunk, so that a chunk of records waits for no line
     # past its own
-    chunk = [first, *itertools.islice(lines, CHUNK - 1)]
-    while chunk:
+    yield doc
+    yield from _parse_lines(list(itertools.islice(lines, CHUNK - 1)))
+    while chunk := list(itertools.islice(lines, CHUNK)):
         yield from _parse_lines(chunk)
-        chunk = list(itertools.islice(lines, CHUNK))
 
 
 def _iter_raw(stream):
@@ -334,18 +328,13 @@ def _decode_chunk(docs: list):
     the report's next row goes; W is the (n, 6) array of the others."""
     items, rids, rows = [], [], []
     for doc in docs:
-        if isinstance(doc, _InputError):
-            items.append((_ERROR, (None, doc)))
-            continue
-        try:
-            rid, row = _decode_record(doc)
-        except _InputError as exc:
-            rid = doc.get("id") if isinstance(doc, dict) else None
-            items.append((_ERROR, (rid if isinstance(rid, str) else None, exc)))
-            continue
-        items.append(None)
-        rids.append(rid)
-        rows.append(row)
+        rid, row = _decode_record(doc)
+        if isinstance(row, _InputError):
+            items.append((_ERROR, (rid, row)))
+        else:
+            items.append(None)
+            rids.append(rid)
+            rows.append(row)
     return items, rids, _bivectors(rows)
 
 

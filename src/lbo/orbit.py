@@ -59,15 +59,18 @@ _HALF_PI = np.pi / 2
 
 
 def to_vector_pair(w) -> tuple[np.ndarray, np.ndarray]:
-    """Split a bivector into its axial and polar 3-vectors.
+    """Split a bivector into its axial and polar 3-vectors; a (..., 6) stack
+    gives two C-contiguous (..., 3) stacks.
 
     The axial vector a reads the spatial-plane coefficients with the cyclic
     orientation (a1, a2, a3) = (c23, -c13, c12); the polar vector b is the
     time column (c14, c24, c34).  On the light cone |a| = |b| != 0.
     """
-    w = as_bivector(w)
-    a = np.array([w[3], -w[1], w[0]])
-    b = np.array([w[2], w[4], w[5]])
+    w = np.asarray(w, dtype=float)
+    if w.shape[-1:] != (6,):
+        raise ValueError(f"expected 6 bivector coefficients, got shape {w.shape}")
+    a = np.stack([w[..., 3], -w[..., 1], w[..., 0]], axis=-1)
+    b = np.stack([w[..., 2], w[..., 4], w[..., 5]], axis=-1)
     return a, b
 
 
@@ -179,8 +182,7 @@ class OrbitBatch(NamedTuple):
 
 def _adapted_frames(w: np.ndarray, tol: ToleranceConfig):
     """r, phi and adapted basis of (m, 6) light-cone rows; see canonical_form."""
-    a = np.stack([w[:, 3], -w[:, 1], w[:, 0]], axis=1)
-    b = np.stack([w[:, 2], w[:, 4], w[:, 5]], axis=1)
+    a, b = to_vector_pair(w)
     spatial = _rows_dot(a, a)
     r = np.sqrt(spatial)
     phi = np.arccos(np.clip(_rows_dot(a, b) / spatial, -1.0, 1.0))
@@ -216,7 +218,7 @@ def reduce_orbits(W, tol: ToleranceConfig = DEFAULT_TOL, *, frames: bool = True)
     class are computed.  Each row gets the bits the scalar functions give it
     alone (they call this with n = 1): dot products are stacked one-row
     matrix products, never sums over an axis, and the squares of the split
-    norms go through libm pow.
+    norms are elementwise products.
     """
     W = np.ascontiguousarray(W, dtype=float)
     if W.ndim != 2 or W.shape[1] != 6:

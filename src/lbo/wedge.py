@@ -88,17 +88,14 @@ def split_norms(w) -> tuple[float, float]:
 def _split_norms_rows(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The split norms of each row of an (n, 6) array; split_norms is its one-row case.
 
-    The entries are squared one by one as Python floats, which calls libm pow
-    like numpy's scalar power does; the array square (W * W, W ** 2,
-    np.power) rounds differently in about one value in 1200.
+    Each square is a correctly rounded product, so scaling a row by 2**k
+    scales both norms by 4**k exactly while no square or sum leaves the
+    normal range.  A square or sum past the largest double is inf without
+    a warning.
     """
-    try:
-        sq = [x ** 2 for x in W.ravel().tolist()]
-    except OverflowError:  # a Python float square past the largest double
-        with np.errstate(over="ignore"):
-            sq = [x ** 2 for x in W.ravel()]  # numpy scalars: pow, inf on overflow
-    sq = np.array(sq).reshape(-1, 6)
-    return sq[:, 0] + sq[:, 1] + sq[:, 3], sq[:, 2] + sq[:, 4] + sq[:, 5]
+    with np.errstate(over="ignore"):
+        sq = W * W
+        return sq[:, 0] + sq[:, 1] + sq[:, 3], sq[:, 2] + sq[:, 4] + sq[:, 5]
 
 
 def _cone_reason(spatial: float, temporal: float, tol: ToleranceConfig) -> str | None:

@@ -505,17 +505,23 @@ def test_bad_json_first_line_is_one_error_record():
 
 
 def test_an_integer_past_the_digit_limit_is_one_error_record():
-    # int() refuses to convert a decimal of more than 4300 digits (where the
-    # Python has that limit), so json.loads raises ValueError on such a line
-    huge = '{"id":"huge","c":[' + "1" * 5000 + ",0,0,0,0,1]}\n"
+    # integers parse as floats, so one of any length past the largest double
+    # reads as inf, like 1e400, and not as the int() digit limit (4300 digits
+    # where the Python has it) or a failed int-to-float conversion
     good = '{"id":"a","c":[1,0,0,0,0,1]}\n'
-    for before in (0, 3):  # the first line, parsed alone, and a line inside a chunk
-        code, out = _main_in_process(["slice", "--r", "1"], good * before + huge + good * 3)
-        assert code == 2
-        records = [json.loads(line) for line in out.splitlines()]
-        assert len(records) == before + 4
-        assert records[before].keys() == {"id", "error"}
-        assert all(rec["in_light_cone"] for rec in records[:before] + records[before + 1 :])
+    for digits in (400, 4000, 5000):
+        huge = "1" * digits
+        for line, error in (
+            ('{"id":"huge","c":[%s,0,0,0,0,1]}\n' % huge, '"c" entries must be finite'),
+            ('{"id":"huge","x":[1,0,0,%s],"y":[0,1,0,0]}\n' % huge, "vector entries must be finite"),
+        ):
+            for before in (0, 3):  # the first line, parsed alone, and a line inside a chunk
+                code, out = _main_in_process(["slice", "--r", "1"], good * before + line + good * 3)
+                assert code == 2
+                records = [json.loads(text) for text in out.splitlines()]
+                assert len(records) == before + 4
+                assert records[before] == {"id": "huge", "error": error}
+                assert all(rec["in_light_cone"] for rec in records[:before] + records[before + 1 :])
 
 
 class _UnreadableStream(io.StringIO):
@@ -582,7 +588,7 @@ GOLD_EDGE_SLICE = (
 # The edge lines six times among 300 records, around the first chunk boundary
 # and inside chunks: sha256 of stdout per command, exit code 2 for each.
 GOLD_EDGE_DIGESTS = {
-    "classify": "beac27c04d6cac32f0df56f3cdcccf0c2e70966924829aea3ef44a1006e4c9df",
+    "classify": "df2372cb165805e43b8f735ae4c73b9448e91b46830cf79ac00adf22c4f7872f",
     "canonical": "3a882ba75210643818c412471aadf984919972eda6889ba0d97c30c7fa74f64b",
     "slice": "adf21ff813ea4d82e4a322ec2621b80088a465dc74a32c6b23251a2e5f806232",
     "stabilizer": "ee4138bc96a2b75be56361c453ab48301d7bf78fca6a1f6a6bad4cc0be13c3a4",
@@ -680,7 +686,9 @@ def test_escaped_lines_skip_the_joined_parse(monkeypatch):
     lines = [json.dumps({"id": f"r{k}\u00e9", "c": [1, 0, 0, 0, 0, 1]}) + "\n" for k in range(9)]
     parsed = []
     loads = json.loads
-    monkeypatch.setattr(cli.json, "loads", lambda text: parsed.append(text) or loads(text))
+    monkeypatch.setattr(
+        cli.json, "loads", lambda text, **kw: parsed.append(text) or loads(text, **kw)
+    )
     assert cli._parse_lines(lines) == [loads(line) for line in lines]
     assert parsed == lines
 

@@ -48,11 +48,20 @@ def test_vector_pair_round_trip(rng):
     a0, b0 = to_vector_pair([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     np.testing.assert_allclose(a0, [4.0, -2.0, 1.0], atol=0)
     np.testing.assert_allclose(b0, [3.0, 5.0, 6.0], atol=0)
-    # stacks of pairs give one bivector per row
+    # stacks of pairs give one bivector per row, and stacks of bivectors one
+    # C-contiguous pair per row
     A, B = rng.normal(size=(2, 5, 3))
     assert np.array_equal(from_vector_pair(A, B), [from_vector_pair(x, y) for x, y in zip(A, B)])
     with pytest.raises(ValueError):
         from_vector_pair(A, B[0])
+    Ws = rng.normal(size=(4, 5, 6))
+    As, Bs = to_vector_pair(Ws)
+    assert As.flags.c_contiguous and Bs.flags.c_contiguous
+    assert np.array_equal(from_vector_pair(As, Bs), Ws)
+    assert np.array_equal(As[2, 1], to_vector_pair(Ws[2, 1])[0])
+    for bad in (Ws[..., :5], 1.0):
+        with pytest.raises(ValueError, match="expected 6 bivector coefficients"):
+            to_vector_pair(bad)
 
 
 def test_canonical_bivector_coefficients():
@@ -193,8 +202,8 @@ def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
 
-def test_reduce_orbits_split_norms_square_through_pow(rng):
-    # libm pow(c, 2) gives ...037 here, c * c gives ...04
+def test_reduce_orbits_split_norms_match_split_norms(rng):
+    # the correctly rounded square of c ends ...04 here, libm pow(c, 2) gives ...037
     first = [0.3, 0.1, 0.2, 0.4, -0.13617704005841821, 0.5]
     scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(10000, 1))
     W = np.vstack([first, rng.normal(size=(10000, 6)) * scale])

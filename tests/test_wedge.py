@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_light_cone_bivector
 from lbo.minkowski import (
@@ -90,8 +94,8 @@ def test_split_norms_frozen():
     assert spatial == 1.0 + 4.0 + 16.0
     assert temporal == 9.0 + 25.0 + 36.0
     # squares or sums past the largest double give inf, squares below the
-    # smallest give subnormals or 0: the bits of numpy's scalar pow, row by
-    # row and in one stack alike
+    # smallest give subnormals or 0: the bits of the elementwise products, row
+    # by row and in one stack alike
     rows = np.array([
         [1e200, 0.0, 0.0, 0.0, 0.0, -1e200],  # the squares overflow
         [1e154, 1e154, 1.0, 1e154, 0.0, 0.0],  # finite squares, their sum overflows
@@ -100,7 +104,7 @@ def test_split_norms_frozen():
         [1e-200, 0.0, 1e-320, 5e-324, 0.0, 1e-300],  # the squares underflow to 0
     ])
     with np.errstate(over="ignore"):
-        want = [(w[0] ** 2 + w[1] ** 2 + w[3] ** 2, w[2] ** 2 + w[4] ** 2 + w[5] ** 2)
+        want = [(w[0] * w[0] + w[1] * w[1] + w[3] * w[3], w[2] * w[2] + w[4] * w[4] + w[5] * w[5])
                 for w in rows]
         got = [split_norms(w) for w in rows]
         stacked = np.column_stack(_split_norms_rows(rows))
@@ -108,6 +112,31 @@ def test_split_norms_frozen():
     assert np.array_equal(stacked.view(np.int64), np.array(want).view(np.int64))
     assert got[0] == (np.inf, np.inf) and got[1][0] == np.inf and got[4] == (0.0, 0.0)
     assert 0.0 < got[3][0] < 2.3e-308 and 0.0 < got[3][1] < 2.3e-308
+
+
+def test_split_norm_squares_are_correctly_rounded(rng):
+    # libm pow(x, 2) rounds this entry's square the other way
+    xs = np.concatenate(
+        [[-0.13617704005841821], rng.normal(size=6000) * 10.0 ** rng.uniform(-3, 3, size=6000)]
+    )
+    W = np.zeros((len(xs), 6))
+    W[np.arange(len(xs)), np.arange(len(xs)) % 6] = xs  # one square per row, in every column
+    spatial, temporal = _split_norms_rows(W)
+    for x, s, t in zip(xs.tolist(), spatial.tolist(), temporal.tolist()):
+        assert min(s, t) == 0.0 and max(s, t) == float(Fraction(x) ** 2)
+
+
+_ENTRY = st.just(0.0) | st.floats(1e-100, 1e100) | st.floats(-1e100, -1e-100)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ENTRY, min_size=6, max_size=6), st.integers(-60, 60))
+@example([84.99816651843486, 0.0, 0.0, 0.0, 0.0, 0.0], 3)  # an entry of classify-mixed
+def test_split_norms_scale_exactly_by_powers_of_two(row, k):
+    # every square and sum stays normal, so scaling by 2**k is exact throughout
+    W = np.array([row])
+    scaled = np.column_stack(_split_norms_rows(W * 2.0**k))
+    assert np.array_equal(scaled, 4.0**k * np.column_stack(_split_norms_rows(W)))
 
 
 def test_hat_norm_is_split_difference(rng):
