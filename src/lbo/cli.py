@@ -12,13 +12,14 @@ bytes and exit code as a record-by-record run:
 
 - decode: CHUNK input lines are parsed by one json.loads of the lines
   joined as an array, which is taken only when each line provably holds one
-  document; otherwise each line is parsed alone.  The chunk's records become
-  one array, its vector pairs wedged in one stacked call.
+  document; otherwise each line is parsed alone.  A chunk that passes a few
+  tests run over it whole becomes one array, its vector pairs wedged in one
+  stacked call; any other chunk is decoded record by record.
 - report: one reduce_orbits call, and for stabilizer stacked products of
   STABILIZER_BLOCK records.  Every output record has one of a few shapes,
   each compiled once to a %-template with typed slots: reals are formatted
-  by the template from the chunk's columns, enum names and bools arrive as
-  JSON text, and only ids and nullable values go through _scalar.
+  by the template, every other value arrives as JSON text rendered once per
+  column, and the rows' values are zipped from the columns.
 - write: the chunk's lines, error records in input order among them, go to
   stdout as one string, so an unbuffered stdout (PYTHONUNBUFFERED) costs one
   write call per chunk, not one per record.  json output joins every line;
@@ -94,23 +95,31 @@ class _Parser(argparse.ArgumentParser):
 # values with slots for what varies from record to record.  A shape is
 # compiled once to a %-template, and a record travels as (shape, values), one
 # value per slot in the order the skeleton lists them.  A slot is typed: a
-# real that is never null is formatted by the template itself, an enum name
-# or a bool arrives as its JSON text, and only ids and nullable values go
-# through _scalar per record.
+# real that is never null is formatted by the template itself, and every
+# other value (ids, messages, enum names, bools and nullable values) arrives
+# as its JSON text, rendered once per column.
 
 
 class _Slot:
-    """A skeleton leaf filled per record; format is its conversion in the template."""
+    """A skeleton leaf filled per record: format is its conversion in the
+    template, cell turns its value into a table cell."""
 
-    __slots__ = ("format",)
+    __slots__ = ("format", "cell")
 
-    def __init__(self, format: str):
+    def __init__(self, format: str, cell):
         self.format = format
+        self.cell = cell
 
 
-_SLOT = _Slot("%s")  # any leaf, through _scalar: ids, messages and nullable values
-_REAL = _Slot("%.17g")  # a float, never null, fed through _json_reals so never -0.0
-_TEXT = _Slot("%s")  # JSON text rendered ahead: enum names and bools
+def _real_cell(x) -> str:
+    """A real's table cell: 6 significant digits."""
+    return "%.6g" % x
+
+
+_REAL = _Slot("%.17g", _real_cell)  # a float, never null, fed through _json_reals so never -0.0
+_TEXT = _Slot("%s", str)  # JSON text: ids, messages, enum names, bools and nullable ints
+# JSON text of a real or null, a real in a table
+_REAL_TEXT = _Slot("%s", lambda text: text if text == "null" else _real_cell(float(text)))
 # What json.dumps returns for a str, without its dispatch on the argument's type.
 _json_string = json.encoder.encode_basestring_ascii
 _BOOL_TEXT = ("false", "true")  # indexed by a bool
@@ -159,31 +168,30 @@ def _leaves(node, path=""):
 
 
 class _Shape:
-    """One record shape: its skeleton, the %-template compiled from it, its
-    columns (path, leaf) and the positions of its _SLOT values."""
+    """One record shape: its skeleton, the %-template compiled from it and its
+    columns (path, leaf)."""
 
-    __slots__ = ("skeleton", "template", "columns", "scalars")
+    __slots__ = ("skeleton", "template", "columns")
 
     def __init__(self, skeleton: dict):
         self.skeleton = skeleton
         self.template = _compile(skeleton)
         self.columns = tuple(_leaves(skeleton))
-        slots = [leaf for _, leaf in self.columns if type(leaf) is _Slot]
-        self.scalars = tuple(i for i, slot in enumerate(slots) if slot is _SLOT)
 
 
 def dumps(shape: _Shape, values: tuple) -> str:
     """Canonical JSON of one record, without a newline: its shape's template filled with values."""
-    values = list(values)
-    for i in shape.scalars:
-        values[i] = _scalar(values[i])
-    return shape.template % tuple(values)
+    return shape.template % values
 
 
-_ERROR = _Shape({"id": _SLOT, "error": _SLOT})
+_ERROR = _Shape({"id": _TEXT, "error": _TEXT})
 
 
 # --- record parsing -------------------------------------------------------
+
+
+# The (name, length) fields of a record, by whether it has "c".
+_FIELDS = {True: (("c", 6),), False: (("x", 4), ("y", 4))}
 
 
 def _decode_record(obj) -> tuple:
@@ -200,7 +208,7 @@ def _decode_record(obj) -> tuple:
     has_c = "c" in obj
     if has_c == ("x" in obj or "y" in obj):
         return rid, _InputError('record needs exactly one of "c" or "x"/"y"')
-    fields, entries = ((("c", 6),), '"c"') if has_c else ((("x", 4), ("y", 4)), "vector")
+    fields, entries = _FIELDS[has_c], '"c"' if has_c else "vector"
     for name, length in fields:
         v = obj.get(name)
         if not (isinstance(v, list) and len(v) == length):
@@ -322,71 +330,111 @@ def _iter_raw(stream):
             yield doc
 
 
+def _clean_chunk(docs: list):
+    """(ids, W) of a chunk that decodes without a check per document, or None.
+
+    It does when every document is an object whose id is a string or absent,
+    all of them have one layout ("c", or "x" and "y"), every field is a list
+    of its length, and every entry is a finite float (every JSON number
+    parses to one).  Each test runs over the whole chunk; _decode_record,
+    which says why a record is bad, runs only on chunks that fail one.
+    """
+    if set(map(type, docs)) != {dict}:
+        return None
+    rids = list(map(dict.get, docs, itertools.repeat("id")))
+    id_types = set(map(type, rids))
+    if not id_types <= {str, type(None)}:
+        return None
+    has_c = "c" in docs[0]
+    for name in ("x", "y") if has_c else ("c",):
+        if any(map(dict.__contains__, docs, itertools.repeat(name))):
+            return None
+    fields = _FIELDS[has_c]
+    columns = [list(map(dict.get, docs, itertools.repeat(name))) for name, _ in fields]
+    for column, (_, length) in zip(columns, fields):
+        if set(map(type, column)) != {list} or set(map(len, column)) != {length}:
+            return None
+    flat = itertools.chain.from_iterable
+    entries = list(flat(flat(zip(*columns))))
+    if set(map(type, entries)) != {float}:
+        return None
+    rows = np.array(entries, dtype=float).reshape(len(docs), -1)
+    if not np.isfinite(rows).all():
+        return None
+    ids = list(map(_json_string if id_types == {str} else _scalar, rids))
+    return ids, rows if has_c else wedge(rows[:, :4], rows[:, 4:])
+
+
 def _decode_chunk(docs: list):
     """Decode stage: (items, ids, W) for one chunk of parsed documents.  items
     holds an error record per document that does not decode and None where
-    the report's next row goes; W is the (n, 6) array of the others."""
-    items, rids, rows = [], [], []
+    the report's next row goes; ids are the JSON texts of the others' ids and
+    W is the (n, 6) array of their rows."""
+    clean = _clean_chunk(docs)
+    if clean is not None:
+        return [None] * len(docs), *clean
+    items, ids, rows = [], [], []
     for doc in docs:
         rid, row = _decode_record(doc)
         if isinstance(row, _InputError):
-            items.append((_ERROR, (rid, row)))
+            items.append((_ERROR, (_scalar(rid), row)))
         else:
             items.append(None)
-            rids.append(rid)
+            ids.append(_scalar(rid))
             rows.append(row)
-    return items, rids, _bivectors(rows)
+    return items, ids, _bivectors(rows)
 
 
 # --- chunk reports ----------------------------------------------------------
 #
-# Each report takes the ids and the (n, 6) array of one chunk of decoded
-# records, reduces them with one reduce_orbits call, turns its columns into
-# lists once and yields, in order, one (shape, values) record per row; a row
-# that fails yields (_ERROR, (id, exception)).  Float columns become lists
-# through _json_reals.
+# Each report takes the ids (as JSON text) and the (n, 6) array of one chunk
+# of decoded records, reduces them with one reduce_orbits call and returns,
+# in order, one (shape, values) record per row.  Each column becomes a list
+# once, reals through _json_reals and every other value as its JSON text, and
+# the rows' values are zipped from the columns; a row off the cone, or one
+# that fails, then takes its own record, a failure (_ERROR, (id, exception)).
 
 _CLASSIFY_OFF = _Shape(
-    {"id": _SLOT, "in_light_cone": False, "A": _REAL, "B": _REAL, "pfaffian": _REAL,
-     "canonical": None, "class": None, "reason": _SLOT}
+    {"id": _TEXT, "in_light_cone": False, "A": _REAL, "B": _REAL, "pfaffian": _REAL,
+     "canonical": None, "class": None, "reason": _TEXT}
 )
 _CLASSIFY_ON, _CLASSIFY_ON_SLICE = (
     _Shape(
-        {"id": _SLOT, "in_light_cone": True, "A": _REAL, "B": _REAL, "pfaffian": _REAL,
+        {"id": _TEXT, "in_light_cone": True, "A": _REAL, "B": _REAL, "pfaffian": _REAL,
          "canonical": {"r": _REAL, "phi": _REAL},
-         "class": {"kind": _TEXT, "r0": _REAL, "epsilon": _SLOT},
+         "class": {"kind": _TEXT, "r0": _REAL, "epsilon": _TEXT},
          **slice_block,
-         "diagnostics": {"reconstruction_residual": _REAL, "representative_residual": _SLOT}}
+         "diagnostics": {"reconstruction_residual": _REAL, "representative_residual": _REAL_TEXT}}
     )
     for slice_block in ({}, {"slice": {"r_queried": _REAL, "topology": _TEXT, "boundary": _TEXT}})
 )
 
 _CANONICAL_OFF = _Shape(
-    {"id": _SLOT, "in_light_cone": False, "r": None, "phi": None, "basis": None,
-     "representative": None, "witness": None, "reason": _SLOT}
+    {"id": _TEXT, "in_light_cone": False, "r": None, "phi": None, "basis": None,
+     "representative": None, "witness": None, "reason": _TEXT}
 )
 _CANONICAL_NEUTRAL = _Shape(
-    {"id": _SLOT, "in_light_cone": True, "r": _REAL, "phi": _REAL, "basis": [_REAL] * 16,
+    {"id": _TEXT, "in_light_cone": True, "r": _REAL, "phi": _REAL, "basis": [_REAL] * 16,
      "representative": [_REAL] * 6, "witness": [_REAL] * 16}
 )
 _CANONICAL_DEGENERATE = _Shape(
-    {"id": _SLOT, "in_light_cone": True, "r": _REAL, "phi": _REAL, "basis": [_REAL] * 16,
+    {"id": _TEXT, "in_light_cone": True, "r": _REAL, "phi": _REAL, "basis": [_REAL] * 16,
      "representative": None, "witness": None,
      "note": "degenerate orbit: no element of the form r0*(e12 + eps*e34) exists"}
 )
 
 _SLICE_OFF = _Shape(
-    {"id": _SLOT, "in_light_cone": False, "r_queried": _REAL, "class": None, "topology": None,
-     "in_slice": False, "reason": _SLOT}
+    {"id": _TEXT, "in_light_cone": False, "r_queried": _REAL, "class": None, "topology": None,
+     "in_slice": False, "reason": _TEXT}
 )
 _SLICE_ON = _Shape(
-    {"id": _SLOT, "in_light_cone": True, "r_queried": _REAL,
-     "class": {"kind": _TEXT, "r0": _REAL, "epsilon": _SLOT},
+    {"id": _TEXT, "in_light_cone": True, "r_queried": _REAL,
+     "class": {"kind": _TEXT, "r0": _REAL, "epsilon": _TEXT},
      "topology": _TEXT, "boundary": _TEXT, "in_slice": _TEXT}
 )
 
 _STABILIZER_OFF = _Shape(
-    {"id": _SLOT, "in_light_cone": False, "kind": None, "families": None, "reason": _SLOT}
+    {"id": _TEXT, "in_light_cone": False, "kind": None, "families": None, "reason": _TEXT}
 )
 
 
@@ -398,31 +446,46 @@ def _stabilizer_on(kind: str) -> _Shape:
         for family, t in generator_stack(kind)[1]
     ]
     return _Shape(
-        {"id": _SLOT, "in_light_cone": True, "kind": kind, "families": families,
+        {"id": _TEXT, "in_light_cone": True, "kind": kind, "families": families,
          "max_residual": _REAL}
     )
 
 
-# The _TEXT values of an orbit kind, and of a slice topology with its boundary flag.
+# The _TEXT values of an orbit kind, and of a slice topology with its boundary
+# flag ((None, None) off the cone).
 _KIND_TEXT = {
     kind: _json_string(kind)
     for kind in (OrbitKind.NEUTRAL_PLUS, OrbitKind.NEUTRAL_MINUS, OrbitKind.DEGENERATE)
 }
 _TOPOLOGY_TEXT = {
-    t: (_json_string(t.value), _BOOL_TEXT[t is SliceTopology.SPHERE_2]) for t in SliceTopology
+    None: (None, None),
+    **{t: (_json_string(t.value), _BOOL_TEXT[t is SliceTopology.SPHERE_2]) for t in SliceTopology},
 }
+# The _TEXT value of a class's epsilon, indexed by it: null for degenerate rows.
+_EPSILON_TEXT = ("null", "1", "-1")
 
 
 def _right_angle(rid):
     return _ERROR, (rid, _InputError(f"neutral bivector: {RIGHT_ANGLE}"))
 
 
-def _topology_slots(b, r: float, tol: ToleranceConfig) -> list:
-    """The (topology, boundary) _TEXT values of each row's radius-r slice; None off the cone."""
-    return [t and _TOPOLOGY_TEXT[t] for t in slice_topology(b, r, tol)]
+def _class_columns(b) -> list:
+    """The kind, r0 and epsilon columns of each row's class (kind None off the cone)."""
+    kinds = list(map(_KIND_TEXT.get, b.kind))
+    return [kinds, _json_reals(b.r0), list(map(_EPSILON_TEXT.__getitem__, b.epsilon.tolist()))]
 
 
-def _classify_chunk(rids, W, tol: ToleranceConfig, r_query):
+def _topology_columns(b, r: float, tol: ToleranceConfig) -> list:
+    """The topology and boundary columns of each row's radius-r slice (None off the cone)."""
+    return list(zip(*map(_TOPOLOGY_TEXT.__getitem__, slice_topology(b, r, tol))))
+
+
+def _records(shape: _Shape, columns: list) -> list:
+    """One (shape, values) record per row, its values zipped from the columns."""
+    return list(zip(itertools.repeat(shape), zip(*columns)))
+
+
+def _classify_chunk(ids, W, tol: ToleranceConfig, r_query):
     b = reduce_orbits(W, tol)
     on, ok = b.on_cone, b.witnessed
     recon, rep_residual, witness_max = np.zeros(len(W)), np.zeros(len(W)), np.zeros(len(W))
@@ -430,68 +493,57 @@ def _classify_chunk(rids, W, tol: ToleranceConfig, r_query):
     expected = normal_form_bivector(b.r0[ok], b.epsilon[ok])
     rep_residual[ok] = _row_norms(b.reduced[ok] - expected) / np.maximum(b.r0[ok], 1.0)
     witness_max[ok] = np.abs(b.witness[ok]).max(axis=(1, 2))
-    A, B, pf, r, phi, r0, recon, rep_residual = map(
-        _json_reals, (b.spatial, b.temporal, b.pfaffian, b.r, b.phi, b.r0, recon, rep_residual)
+    right_angle = (b.epsilon != 0) & ~ok
+    # the bound grows with the witness's conditioning
+    off_form = ok & (rep_residual > _BUG_CEILING * np.maximum(1.0, witness_max * witness_max))
+    no_reconstruction = recon > _BUG_CEILING
+    A, B, pf, r, phi, recon, rep_residual = map(
+        _json_reals, (b.spatial, b.temporal, b.pfaffian, b.r, b.phi, recon, rep_residual)
     )
-    eps, on, ok, witness_max = (x.tolist() for x in (b.epsilon, on, ok, witness_max))
+    rep = ["%.17g" % x if w else "null" for x, w in zip(rep_residual, ok.tolist())]
+    columns = [ids, A, B, pf, r, phi, *_class_columns(b)]
     if r_query is not None:
-        topologies = _topology_slots(b, r_query, tol)
-    for i, rid in enumerate(rids):
+        columns += [itertools.repeat(r_query), *_topology_columns(b, r_query, tol)]
+    shape = _CLASSIFY_ON if r_query is None else _CLASSIFY_ON_SLICE
+    records = _records(shape, [*columns, recon, rep])
+    for i in np.flatnonzero(~on | right_angle | off_form | no_reconstruction).tolist():
         if not on[i]:
-            yield _CLASSIFY_OFF, (rid, A[i], B[i], pf[i], b.reason[i])
-            continue
-        if eps[i] and not ok[i]:
-            yield _right_angle(rid)
-            continue
-        rep = rep_residual[i] if ok[i] else None
-        if ok[i] and rep > _BUG_CEILING * max(1.0, witness_max[i] ** 2):  # conditioning
-            message = f"reduced element off its normal form (residual {rep:.3e})"
-            yield _ERROR, (rid, InvariantViolationError(message))
-            continue
-        if recon[i] > _BUG_CEILING:
-            message = f"canonical form fails to reconstruct (residual {recon[i]:.3e})"
-            yield _ERROR, (rid, InvariantViolationError(message))
-            continue
-        kind = _KIND_TEXT[b.kind[i]]
-        values = (rid, A[i], B[i], pf[i], r[i], phi[i], kind, r0[i], eps[i] or None)
-        if r_query is None:
-            yield _CLASSIFY_ON, (*values, recon[i], rep)
+            records[i] = _CLASSIFY_OFF, (ids[i], A[i], B[i], pf[i], _json_string(b.reason[i]))
+        elif right_angle[i]:
+            records[i] = _right_angle(ids[i])
         else:
-            yield _CLASSIFY_ON_SLICE, (*values, r_query, *topologies[i], recon[i], rep)
+            message = (
+                f"reduced element off its normal form (residual {rep_residual[i]:.3e})"
+                if off_form[i]
+                else f"canonical form fails to reconstruct (residual {recon[i]:.3e})"
+            )
+            records[i] = _ERROR, (ids[i], InvariantViolationError(message))
+    return records
 
 
-def _canonical_chunk(rids, W, tol: ToleranceConfig):
+def _canonical_chunk(ids, W, tol: ToleranceConfig):
     b = reduce_orbits(W, tol)
-    on, ok, eps = (x.tolist() for x in (b.on_cone, b.witnessed, b.epsilon))
-    r, phi = _json_reals(b.r), _json_reals(b.phi)
-    basis = _json_reals(b.basis.reshape(-1, 16))
-    reduced = _json_reals(b.reduced)
-    witness = _json_reals(b.witness.reshape(-1, 16))
-    for i, rid in enumerate(rids):
-        if not on[i]:
-            yield _CANONICAL_OFF, (rid, b.reason[i])
-        elif ok[i]:
-            yield _CANONICAL_NEUTRAL, (rid, r[i], phi[i], *basis[i], *reduced[i], *witness[i])
-        elif eps[i]:
-            yield _right_angle(rid)
+    frame = _json_reals(np.column_stack([b.r, b.phi, b.basis.reshape(-1, 16)]))
+    element = _json_reals(np.column_stack([b.reduced, b.witness.reshape(-1, 16)]))
+    records = [(_CANONICAL_NEUTRAL, (rid, *f, *e)) for rid, f, e in zip(ids, frame, element)]
+    for i in np.flatnonzero(~b.witnessed).tolist():
+        if not b.on_cone[i]:
+            records[i] = _CANONICAL_OFF, (ids[i], _json_string(b.reason[i]))
+        elif b.epsilon[i]:
+            records[i] = _right_angle(ids[i])
         else:
-            yield _CANONICAL_DEGENERATE, (rid, r[i], phi[i], *basis[i])
+            records[i] = _CANONICAL_DEGENERATE, (ids[i], *frame[i])
+    return records
 
 
-def _slice_chunk(rids, W, tol: ToleranceConfig, r: float):
+def _slice_chunk(ids, W, tol: ToleranceConfig, r: float):
     b = reduce_orbits(W, tol, frames=False)
-    on, eps = b.on_cone.tolist(), b.epsilon.tolist()
-    r0 = _json_reals(b.r0)
-    member = _on_radius(b.spatial, r, tol).tolist()
-    topologies = _topology_slots(b, r, tol)
-    for i, rid in enumerate(rids):
-        if not on[i]:
-            yield _SLICE_OFF, (rid, r, b.reason[i])
-            continue
-        yield _SLICE_ON, (
-            rid, r, _KIND_TEXT[b.kind[i]], r0[i], eps[i] or None, *topologies[i],
-            _BOOL_TEXT[member[i]],
-        )
+    member = map(_BOOL_TEXT.__getitem__, _on_radius(b.spatial, r, tol).tolist())
+    columns = [ids, itertools.repeat(r), *_class_columns(b), *_topology_columns(b, r, tol), member]
+    records = _records(_SLICE_ON, columns)
+    for i in np.flatnonzero(~b.on_cone).tolist():
+        records[i] = _SLICE_OFF, (ids[i], r, _json_string(b.reason[i]))
+    return records
 
 
 def _conjugated_residuals(kind: str, conj, conj_inv, W) -> np.ndarray:
@@ -506,42 +558,40 @@ def _conjugated_residuals(kind: str, conj, conj_inv, W) -> np.ndarray:
     return residuals
 
 
-def _stabilizer_chunk(rids, W, tol: ToleranceConfig):
+def _stabilizer_chunk(ids, W, tol: ToleranceConfig):
     b = reduce_orbits(W, tol)
     # degenerate rows conjugate the base-point stabilizer through the adapted
     # basis, witnessed neutral rows through the inverse of the witness
     degenerate = np.flatnonzero(b.on_cone & (b.epsilon == 0))
     neutral = np.flatnonzero(b.witnessed)
     basis, witness = b.basis[degenerate], b.witness[neutral]
-    residuals = dict(zip(degenerate.tolist(), _json_reals(_conjugated_residuals(
-        OrbitKind.DEGENERATE, basis, lorentz_inverse(basis), W[degenerate]
-    ))))
-    residuals.update(zip(neutral.tolist(), _json_reals(_conjugated_residuals(
-        OrbitKind.NEUTRAL_PLUS, lorentz_inverse(witness), witness, W[neutral]
-    ))))
-    on = b.on_cone.tolist()
-    for i, rid in enumerate(rids):
-        if not on[i]:
-            yield _STABILIZER_OFF, (rid, b.reason[i])
-            continue
-        res = residuals.get(i)
-        if res is None:
-            yield _right_angle(rid)
-            continue
-        yield _stabilizer_on(b.kind[i]), (rid, *res, max(0.0, *res))
+    records = [None] * len(W)
+    for rows, kind, conj, conj_inv in (
+        (degenerate, OrbitKind.DEGENERATE, basis, lorentz_inverse(basis)),
+        (neutral, OrbitKind.NEUTRAL_PLUS, lorentz_inverse(witness), witness),
+    ):
+        residuals = _json_reals(_conjugated_residuals(kind, conj, conj_inv, W[rows]))
+        for i, res in zip(rows.tolist(), residuals):
+            records[i] = _stabilizer_on(b.kind[i]), (ids[i], *res, max(0.0, *res))
+    for i in np.flatnonzero(~b.on_cone | (b.epsilon != 0) & ~b.witnessed).tolist():
+        if b.on_cone[i]:
+            records[i] = _right_angle(ids[i])
+        else:
+            records[i] = _STABILIZER_OFF, (ids[i], _json_string(b.reason[i]))
+    return records
 
 
-def _report_chunk(items: list, reported) -> tuple:
+def _report_chunk(items: list, rows: list) -> tuple:
     """Report stage: (records, exit code) of one chunk, the report's rows in
     place of items' Nones and each failure an error record with its message.
     An invariant violation is also printed to stderr."""
+    if any(items):
+        rows = iter(rows)
+        rows = [next(rows) if item is None else item for item in items]
     code = 0
-    records = []
-    for item in items:
-        if item is None:
-            item = next(reported)
-        if item[0] is _ERROR:
-            rid, exc = item[1]
+    for i, (shape, values) in enumerate(rows):
+        if shape is _ERROR:
+            rid, exc = values
             if isinstance(exc, InvariantViolationError):
                 code = 4
                 message = f"invariant violation: {exc}"
@@ -549,9 +599,8 @@ def _report_chunk(items: list, reported) -> tuple:
             else:
                 code = max(code, 2)
                 message = str(exc)
-            item = _ERROR, (rid, message)
-        records.append(item)
-    return records, code
+            rows[i] = _ERROR, (rid, _json_string(message))
+    return rows, code
 
 
 # --- output formatting ----------------------------------------------------
@@ -569,16 +618,16 @@ def _json_array(records) -> str:
 
 
 def _row(shape: _Shape, values: tuple) -> dict:
-    """A record's table cells by column: a _TEXT value as it comes, a real
-    with 6 significant digits (never -0: reals come through _json_reals) and
-    any other leaf as its JSON text."""
+    """A record's table cells by column: a slot's value through its cell
+    conversion, and a fixed leaf as its JSON text but a real with 6
+    significant digits (never -0: reals come through _json_reals)."""
     values = iter(values)
     row = {}
     for path, leaf in shape.columns:
-        value = next(values) if type(leaf) is _Slot else leaf
-        if leaf is not _TEXT:
-            value = "%.6g" % value if type(value) is float else _scalar(value)
-        row[path] = value
+        if type(leaf) is _Slot:
+            row[path] = leaf.cell(next(values))
+        else:
+            row[path] = _real_cell(leaf) if type(leaf) is float else _scalar(leaf)
     return row
 
 
@@ -631,8 +680,8 @@ def _run_batch(args, report) -> int:
     docs = _iter_raw(stream)
     try:
         while chunk := list(itertools.islice(docs, CHUNK)):
-            items, rids, W = _decode_chunk(chunk)
-            records, chunk_code = _report_chunk(items, report(rids, W, tol))
+            items, ids, W = _decode_chunk(chunk)
+            records, chunk_code = _report_chunk(items, report(ids, W, tol) if ids else [])
             code = max(code, chunk_code)
             if args.format == "ndjson":
                 sys.stdout.write(_ndjson(records))

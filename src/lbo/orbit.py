@@ -133,7 +133,8 @@ class OrbitKind:
     DEGENERATE = "Degenerate"
 
 
-_KIND_BY_SIGN = {1: OrbitKind.NEUTRAL_PLUS, -1: OrbitKind.NEUTRAL_MINUS, 0: OrbitKind.DEGENERATE}
+# Kinds by epsilon + 2 on the cone, and 0 off it.
+_KIND_BY_CODE = (None, OrbitKind.NEUTRAL_MINUS, OrbitKind.DEGENERATE, OrbitKind.NEUTRAL_PLUS)
 
 
 @dataclass(frozen=True)
@@ -226,15 +227,14 @@ def reduce_orbits(W, tol: ToleranceConfig = DEFAULT_TOL, *, frames: bool = True)
     n = len(W)
     spatial, temporal = _split_norms_rows(W)
     pf = pfaffian(W)
-    reason = tuple(_cone_reason(s, t, tol) for s, t in zip(spatial.tolist(), temporal.tolist()))
-    on = np.array([x is None for x in reason], dtype=bool)
+    on, reason = _cone_reason(spatial, temporal, tol)
 
     degenerate = np.abs(pf) <= tol.eps * np.maximum(spatial, 1.0)
     epsilon = np.zeros(n, dtype=int)
     epsilon[on & ~degenerate] = np.where(pf[on & ~degenerate] > 0, 1, -1)
     r0 = np.full(n, np.nan)
     r0[on] = np.where(degenerate[on], 0.0, np.sqrt(np.abs(pf[on])))
-    kind = tuple(_KIND_BY_SIGN[e] if o else None for e, o in zip(epsilon.tolist(), on.tolist()))
+    kind = tuple(map(_KIND_BY_CODE.__getitem__, np.where(on, epsilon + 2, 0).tolist()))
 
     r, phi = np.full(n, np.nan), np.full(n, np.nan)
     basis, witness = np.full((n, 4, 4), np.nan), np.full((n, 4, 4), np.nan)
@@ -246,8 +246,7 @@ def reduce_orbits(W, tol: ToleranceConfig = DEFAULT_TOL, *, frames: bool = True)
         # the reduction of canonical_representative, row by row
         p = phi[witnessed]
         theta = np.where(p < _HALF_PI, 0.5 * p, 0.5 * p + _HALF_PI)
-        t = [critical_rapidity(x) for x in p.tolist()]
-        rotation_boost = rotation_matrix(2, theta) @ boost_matrix(2, t)
+        rotation_boost = rotation_matrix(2, theta) @ boost_matrix(2, _critical_rapidities(p))
         witness[witnessed] = rotation_boost @ lorentz_inverse(basis[witnessed])
         reduced[witnessed] = (_compound(witness[witnessed]) @ W[witnessed][:, :, None])[:, :, 0]
     return OrbitBatch(
@@ -310,9 +309,16 @@ def critical_rapidity(phi: float) -> float:
         raise ValueError("phi must lie in [0, pi]")
     if phi == _HALF_PI:
         raise ValueError(RIGHT_ANGLE)
-    if phi < _HALF_PI:
-        return float(np.arctanh(np.tan(0.5 * phi)))
-    return float(np.arctanh(1.0 / np.tan(0.5 * phi)))
+    return float(_critical_rapidities(np.array([phi], dtype=float))[0])
+
+
+def _critical_rapidities(phi: np.ndarray) -> np.ndarray:
+    """critical_rapidity of each entry of an array of angles in [0, pi] off the right angle."""
+    t = np.empty_like(phi)
+    below = phi < _HALF_PI
+    t[below] = np.arctanh(np.tan(0.5 * phi[below]))
+    t[~below] = np.arctanh(1.0 / np.tan(0.5 * phi[~below]))
+    return t
 
 
 def canonical_representative(

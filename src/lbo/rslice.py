@@ -32,7 +32,7 @@ from .orbit import (
     base_point,
     critical_rapidity,
 )
-from .wedge import _compound, _cone_reason, _split_norms_rows, as_bivector, split_norms
+from .wedge import _compound, _cone_reason, _split_norms_rows, as_bivector
 
 
 class SliceTopology(Enum):
@@ -57,8 +57,9 @@ def in_slice(w, r: float, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff w is a light-cone bivector whose split norm matches r*r relatively."""
     if not 0 < r < np.inf:
         raise ValueError(f"slice radius must be positive and finite, got {r!r}")
-    spatial, temporal = split_norms(w)
-    return _cone_reason(spatial, temporal, tol) is None and _on_radius(spatial, r, tol)
+    spatial, temporal = _split_norms_rows(as_bivector(w)[None])
+    on, _ = _cone_reason(spatial, temporal, tol)
+    return bool(on[0]) and _on_radius(float(spatial[0]), r, tol)
 
 
 def _on_radius(spatial, r: float, tol: ToleranceConfig):
@@ -126,11 +127,13 @@ def empirical_min_radius(
     n = max(40, int(np.sqrt(samples)))
     if n % 2 == 0:
         n += 1  # odd count keeps 0 on the rapidity grid
-    thetas, ts = np.repeat(np.linspace(0.0, np.pi, n), n), np.tile(np.linspace(-2.5, 2.5, n), n)
+    # grid point k is rotation k // n after boost k % n; each block gathers
+    # from the n distinct matrices of each kind
+    rotations = rotation_matrix(2, np.linspace(0.0, np.pi, n))
+    boosts = boost_matrix(2, np.linspace(-2.5, 2.5, n))
     for lo in range(0, n * n, SAMPLE_BLOCK):
-        block = slice(lo, lo + SAMPLE_BLOCK)
-        surface = rotation_matrix(2, thetas[block]) @ boost_matrix(2, ts[block])
-        best = min(best, least_radius(surface, scaled))
+        k = np.arange(lo, min(lo + SAMPLE_BLOCK, n * n))
+        best = min(best, least_radius(rotations[k // n] @ boosts[k % n], scaled))
 
     sweep = np.linspace(0.0, 10.0, 1001)
     for lo in range(0, len(sweep), SAMPLE_BLOCK):

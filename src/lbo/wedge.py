@@ -98,18 +98,29 @@ def _split_norms_rows(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return sq[:, 0] + sq[:, 1] + sq[:, 3], sq[:, 2] + sq[:, 4] + sq[:, 5]
 
 
-def _cone_reason(spatial: float, temporal: float, tol: ToleranceConfig) -> str | None:
-    """light_cone_reason from the two split norms."""
-    if spatial == 0.0 and temporal == 0.0:
-        return "zero bivector"
-    if not abs(spatial - temporal) <= tol.eps * max(spatial, temporal, 1.0):
-        return f"split norms differ: spatial {spatial:.6g} vs temporal {temporal:.6g}"
-    if spatial <= tol.eps:
-        return (
-            f"split norms at or below the tolerance {tol.eps:.6g}: "
-            f"spatial {spatial:.6g} vs temporal {temporal:.6g}"
+def _cone_reason(spatial: np.ndarray, temporal: np.ndarray, tol: ToleranceConfig) -> tuple:
+    """Light-cone verdicts from arrays of split norms: (on, reason), the mask of
+    rows on the cone and a tuple of why each row is off it (None on it).
+
+    On the cone the two norms agree relatively (to eps times the larger, or
+    times 1 below it) and the spatial one lies above eps.  The verdicts are
+    array comparisons; only rows off the cone get a text.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, and eps times a huge norm
+        zero = (spatial == 0.0) & (temporal == 0.0)
+        bound = tol.eps * np.maximum(np.maximum(spatial, temporal), 1.0)
+        apart = ~(np.abs(spatial - temporal) <= bound)
+        low = spatial <= tol.eps
+    off = zero | apart | low
+    reason = [None] * len(off)
+    for i in np.flatnonzero(off).tolist():
+        norms = f"spatial {float(spatial[i]):.6g} vs temporal {float(temporal[i]):.6g}"
+        reason[i] = (
+            "zero bivector" if zero[i]
+            else f"split norms differ: {norms}" if apart[i]
+            else f"split norms at or below the tolerance {tol.eps:.6g}: {norms}"
         )
-    return None
+    return ~off, tuple(reason)
 
 
 def light_cone_reason(w, tol: ToleranceConfig = DEFAULT_TOL) -> str | None:
@@ -117,7 +128,7 @@ def light_cone_reason(w, tol: ToleranceConfig = DEFAULT_TOL) -> str | None:
 
     On the cone the two split norms agree and the spatial one lies above eps.
     """
-    return _cone_reason(*split_norms(w), tol)
+    return _cone_reason(*_split_norms_rows(as_bivector(w)[None]), tol)[1][0]
 
 
 def in_light_cone(w, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

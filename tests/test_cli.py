@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 GOLD_OFF_CONE = (
@@ -693,6 +693,122 @@ def test_escaped_lines_skip_the_joined_parse(monkeypatch):
     assert parsed == lines
 
 
+def _decoded_record_by_record(docs):
+    """What _decode_chunk must give for docs, from _decode_record on each alone:
+    (id text, message) per bad document and None per good one, the good
+    ones' id texts, and their bivectors wedged one row at a time."""
+    import lbo.cli as cli
+
+    items, ids, rows = [], [], []
+    for doc in docs:
+        rid, row = cli._decode_record(doc)
+        if isinstance(row, cli._InputError):
+            items.append((cli._scalar(rid), str(row)))
+            continue
+        items.append(None)
+        ids.append(cli._scalar(rid))
+        rows.append(row if len(row) == 6 else cli.wedge(np.array(row[:4]), np.array(row[4:])))
+    return items, ids, np.array(rows, dtype=float).reshape(-1, 6)
+
+
+def _decoded_by_chunk(docs):
+    import lbo.cli as cli
+
+    items, ids, W = cli._decode_chunk(docs)
+    items = [item and (item[1][0], str(item[1][1])) for item in items]
+    return items, ids, W
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# a value of each JSON type
+_JSON_VALUE = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=3),
+    st.lists(st.none(), max_size=1), st.dictionaries(st.text(max_size=1), st.none(), max_size=1),
+)
+_ENTRY = st.one_of(
+    _FINITE, st.floats(), st.booleans(), st.none(), st.sampled_from(["1", "x", ""]),
+    st.lists(_FINITE, max_size=2),
+)
+_LAYOUTS = [("c",), ("x", "y"), ("c", "x"), ("c", "y"), ("x",), ("y",), ()]
+
+
+@st.composite
+def _document(draw, layouts=_LAYOUTS, entry=_ENTRY, ids=_JSON_VALUE, clean=False):
+    """A record object; a clean one has lists of the layout's lengths."""
+    doc = {}
+    if draw(st.booleans()):
+        doc["id"] = draw(ids)
+    for name in draw(st.sampled_from(layouts)):
+        length = 6 if name == "c" else 4
+        field = st.lists(entry, min_size=length, max_size=length)
+        doc[name] = draw(field if clean else field | st.lists(entry, max_size=7) | _JSON_VALUE)
+    return doc
+
+
+@st.composite
+def _chunks(draw):
+    """Documents of one layout, finite floats and string ids, with a few of any kind among them."""
+    layout = draw(st.sampled_from([("c",), ("x", "y")]))
+    clean = _document([layout], _FINITE, st.text(max_size=3), clean=True)
+    docs = draw(st.lists(clean, max_size=8))
+    anything = st.one_of(
+        _document(),
+        _document(_LAYOUTS, _FINITE, clean=True),  # any layout, and ids of any type
+        _document([("c",), ("x", "y")], _ENTRY, clean=True),  # entries of any type
+        _JSON_VALUE,
+        st.builds(_bad_line),
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        doc = draw(anything)
+        docs.insert(draw(st.integers(0, len(docs))), doc)
+    return docs
+
+
+def _bad_line():
+    import lbo.cli as cli
+
+    return cli._parse_json("{not json")
+
+
+@settings(max_examples=400, deadline=None)
+@given(_chunks())
+@example([{"id": "b", "c": [True, False, -0.0, 0.0, 5e-324, 1.0]}, {"c": [1.0] * 6}])
+@example([{"x": [1.0, 2.0, 3.0, -0.0], "y": [0.0, 1.0, 0.0, 0.0]},
+          {"x": [2.0] * 4, "y": [0.5] * 4}])
+@example([{"c": [1.0, 0.0, 0.0, 0.0, 0.0, float(v)]} for v in ("nan", "inf", "-inf")])
+@example([{"c": [[1.0], [2.0], [0.0], [0.0], [0.0], [1.0]]}, {"c": [[1.0]] * 6}])
+def test_chunk_decode_matches_each_record_alone(docs):
+    with np.errstate(over="ignore", invalid="ignore"):  # wedges of huge entries overflow
+        items, ids, W = _decoded_by_chunk(docs)
+        want_items, want_ids, want_W = _decoded_record_by_record(docs)
+    assert (items, ids) == (want_items, want_ids)
+    assert W.shape == want_W.shape
+    assert np.array_equal(W.view(np.int64), want_W.view(np.int64))
+
+
+def test_a_clean_chunk_decodes_without_decode_record(monkeypatch):
+    import lbo.cli as cli
+
+    decoded = []
+    decode = cli._decode_record
+    monkeypatch.setattr(cli, "_decode_record", lambda doc: decoded.append(doc) or decode(doc))
+    rng = np.random.default_rng(5)
+    coefficients = [{"id": f"c{k}", "c": rng.normal(size=6).tolist()} for k in range(cli.CHUNK)]
+    pairs = [{"x": rng.normal(size=4).tolist(), "y": rng.normal(size=4).tolist()}] * 3
+    for docs in (coefficients, pairs):
+        items, ids, W = cli._decode_chunk(docs)
+        assert items == [None] * len(docs) and len(ids) == len(W) == len(docs)
+    # a whole run over more than two chunks
+    text = "".join(json.dumps(doc) + "\n" for doc in coefficients * 3)
+    code, out = _main_in_process(["slice", "--r", "1"], text)
+    assert code == 0 and out.count("\n") == 3 * cli.CHUNK
+    assert decoded == []
+    # one bad record sends its chunk, and only it, through _decode_record
+    docs = coefficients[:-1] + [{"id": "bad", "c": [1.0, 2.0]}]
+    assert cli._decode_chunk(docs)[0][-1][1][0] == '"bad"'
+    assert decoded == docs
+
+
 class _WatchedStdin(io.StringIO):
     """Input that notes how many lines were written by the time it gives the line after."""
 
@@ -786,11 +902,9 @@ def _check_real_slots(v: float) -> None:
     (fed,) = cli._json_reals(np.array([v]))
     for shape in shapes:
         slots = [leaf for _, leaf in shape.columns if type(leaf) is cli._Slot]
-        values = [fed if s is cli._REAL else "true" if s is cli._TEXT else "x" for s in slots]
-        texts = [
-            cli._scalar(v) if s is cli._REAL else "true" if s is cli._TEXT else '"x"'
-            for s in slots
-        ]
+        # every other slot takes JSON text and prints it as it comes
+        values = [fed if s is cli._REAL else "true" for s in slots]
+        texts = [cli._scalar(v) if s is cli._REAL else "true" for s in slots]
         assert cli.dumps(shape, tuple(values)) == _written_leaf_by_leaf(shape.skeleton, iter(texts))
 
 
@@ -814,6 +928,9 @@ def test_text_slots_hold_the_json_of_their_values():
     for kind, text in cli._KIND_TEXT.items():
         assert text == cli._scalar(kind)
     for t, (topology, boundary) in cli._TOPOLOGY_TEXT.items():
+        if t is None:  # off the cone
+            assert topology is boundary is None
+            continue
         assert topology == cli._scalar(t.value)
         assert boundary == cli._scalar(t is SliceTopology.SPHERE_2)
     assert [cli._BOOL_TEXT[b] for b in (False, True)] == [cli._scalar(False), cli._scalar(True)]

@@ -5,10 +5,12 @@ library ran before its stacked passes: a pass of samples drawn with three
 numpy calls per letter and one normal call per sample (where the library
 decodes a whole pass of raw PCG64 output as arrays), a generator matrix
 written from an identity per letter, a word product taken letter by letter,
-the isometry and pfaffian suites of `verify`, empirical_min_radius, and the
-closed-form cross product the adapted frames used before np.cross.  Both
-sides run under the same numpy, so they must agree exactly (never allclose),
-including across the edges of the SAMPLE_BLOCK passes.
+the isometry and pfaffian suites of `verify`, empirical_min_radius and its
+grid's repeated rotation and boost stacks, the closed-form cross product the
+adapted frames used before np.cross, and reduce_orbits' per-row light-cone
+test and critical rapidities.  Both sides run under the same numpy, so they
+must agree exactly (never allclose), including across the edges of the
+SAMPLE_BLOCK passes.
 """
 import numpy as np
 import pytest
@@ -29,10 +31,12 @@ from lbo.minkowski import (
     rotation_matrix,
     word_matrix,
 )
-from lbo.orbit import base_point, canonical_form
+from lbo.minkowski import ToleranceConfig, lorentz_inverse
+from lbo.orbit import _HALF_PI, OrbitKind, base_point, canonical_form, reduce_orbits
 from lbo.rslice import empirical_min_radius
 from lbo.verify import _suite_isometry, _suite_pfaffian
 from lbo.wedge import _compound, _split_norms_rows, hat_inner, in_light_cone, pfaffian, split_norms
+from conftest import random_degenerate_bivector, random_light_cone_bivector
 
 _ROTATION_PLANES = {1: (0, 1), 2: (0, 2), 3: (1, 2)}
 _BOOST_PLANES = {1: (2, 3), 2: (1, 3), 3: (0, 3)}
@@ -448,3 +452,120 @@ def test_empirical_min_radius_pushes_w_through_each_word(monkeypatch):
     rng = np.random.default_rng(seed)
     want = [_compound(reference_random_proper_lorentz(rng, 4)) @ w for _ in range(samples)]
     assert same_bits(np.concatenate(passes[grid_and_sweep:]), want)
+
+
+def test_empirical_min_radius_grid_gathers_the_repeated_stacks(monkeypatch):
+    # the grid's surfaces, gathered from n rotations and n boosts, against the
+    # n * n of each that np.repeat and np.tile made, block by block
+    surfaces = []
+
+    def spy(P):
+        surfaces.append(np.array(P))
+        return _compound(P)
+
+    monkeypatch.setattr(lbo.rslice, "_compound", spy)
+    for samples in (1, 2000, 3000):
+        surfaces.clear()
+        empirical_min_radius(base_point(1.0), samples, 0)
+        n = max(40, int(np.sqrt(samples)))
+        n += 1 - n % 2  # odd, as the grid makes it
+        thetas = np.repeat(np.linspace(0.0, np.pi, n), n)
+        ts = np.tile(np.linspace(-2.5, 2.5, n), n)
+        for k, lo in enumerate(range(0, n * n, SAMPLE_BLOCK)):
+            block = slice(lo, lo + SAMPLE_BLOCK)
+            want = rotation_matrix(2, thetas[block]) @ boost_matrix(2, ts[block])
+            assert surfaces[k].shape == want.shape and same_bits(surfaces[k], want)
+
+
+def reference_cone_reason(spatial, temporal, tol):
+    """The light-cone test reduce_orbits ran on each row before its array verdicts."""
+    if spatial == 0.0 and temporal == 0.0:
+        return "zero bivector"
+    if not abs(spatial - temporal) <= tol.eps * max(spatial, temporal, 1.0):
+        return f"split norms differ: spatial {spatial:.6g} vs temporal {temporal:.6g}"
+    if spatial <= tol.eps:
+        return (
+            f"split norms at or below the tolerance {tol.eps:.6g}: "
+            f"spatial {spatial:.6g} vs temporal {temporal:.6g}"
+        )
+    return None
+
+
+def reference_critical_rapidity(phi):
+    if phi < _HALF_PI:
+        return float(np.arctanh(np.tan(0.5 * phi)))
+    return float(np.arctanh(1.0 / np.tan(0.5 * phi)))
+
+
+_KIND_BY_SIGN = {1: OrbitKind.NEUTRAL_PLUS, -1: OrbitKind.NEUTRAL_MINUS, 0: OrbitKind.DEGENERATE}
+
+
+def reference_verdicts(W, tol):
+    """reason, on_cone, kind, epsilon, witness and reduced of reduce_orbits as its
+    per-row loops gave them; the frames come from reduce_orbits itself."""
+    spatial, temporal = _split_norms_rows(W)
+    reason = tuple(
+        reference_cone_reason(s, t, tol) for s, t in zip(spatial.tolist(), temporal.tolist())
+    )
+    on = np.array([x is None for x in reason], dtype=bool)
+    pf = pfaffian(W)
+    degenerate = np.abs(pf) <= tol.eps * np.maximum(spatial, 1.0)
+    epsilon = np.zeros(len(W), dtype=int)
+    epsilon[on & ~degenerate] = np.where(pf[on & ~degenerate] > 0, 1, -1)
+    kind = tuple(_KIND_BY_SIGN[e] if o else None for e, o in zip(epsilon.tolist(), on.tolist()))
+    frames = reduce_orbits(W, tol)
+    witnessed = (epsilon != 0) & (frames.phi != _HALF_PI)
+    witness, reduced = np.full((len(W), 4, 4), np.nan), np.full((len(W), 6), np.nan)
+    p = frames.phi[witnessed]
+    theta = np.where(p < _HALF_PI, 0.5 * p, 0.5 * p + _HALF_PI)
+    t = [reference_critical_rapidity(x) for x in p.tolist()]
+    rotation_boost = rotation_matrix(2, theta) @ boost_matrix(2, t)
+    witness[witnessed] = rotation_boost @ lorentz_inverse(frames.basis[witnessed])
+    reduced[witnessed] = (_compound(witness[witnessed]) @ W[witnessed][:, :, None])[:, :, 0]
+    return reason, on, kind, epsilon, witness, reduced
+
+
+def verdict_rows(rng, eps):
+    """Random, zero, signed-zero, subnormal, nan, inf and band-edge rows."""
+    rows = [random_light_cone_bivector(rng, 10.0 ** rng.uniform(-12, 150)) for _ in range(40)]
+    rows += [random_degenerate_bivector(rng, 10.0 ** rng.uniform(-12, 150)) for _ in range(20)]
+    rows += list(rng.normal(size=(20, 6)))
+    rows += [np.zeros(6), -np.zeros(6), np.array([0.0, -0.0, 0.0, -0.0, 0.0, -0.0])]
+    rows += [base_point(phi) for phi in (0.0, np.pi / 3, _HALF_PI, 2.0, np.pi)]
+    rows += [w * 1e-310 for w in rows[:3]] + [np.array([5e-324, 0, 0, 0, 0, 5e-324])]
+    for bad in (np.nan, np.inf, -np.inf):
+        rows += [np.array([bad, 0, 0, 0, 0, 1.0]), np.full(6, bad)]
+    rows.append(np.array([1e200, 0, 0, 0, 0, 1e200]))  # norms overflow: inf - inf
+    w = random_light_cone_bivector(rng)
+    spatial = split_norms(w)[0]
+    for k in (-2, -1, 0, 1, 2):
+        # temporal norm around the relative bound, by a few ulps at the tiny eps
+        stretch = 1.0 + k * max(eps, 2.0 ** -52) / 2.0
+        rows.append(np.array([w[0], w[1], w[2] * stretch, w[3], w[4] * stretch, w[5] * stretch]))
+        # spatial norm around eps
+        rows.append(w * np.sqrt(eps * (1.0 + k * 1e-6) / spatial))
+        # pfaffian around the degenerate band
+        rows.append(base_point(_HALF_PI - k * eps))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-300])
+def test_reduce_orbits_verdicts_match_the_per_row_loops(eps):
+    tol = ToleranceConfig(eps=eps)
+    W = verdict_rows(np.random.default_rng(21), eps)
+    with np.errstate(over="ignore", invalid="ignore"):  # nan and inf rows
+        batch = reduce_orbits(W, tol)
+        reason, on, kind, epsilon, witness, reduced = reference_verdicts(W, tol)
+    assert batch.reason == reason
+    assert np.array_equal(batch.on_cone, on)
+    assert batch.kind == kind
+    assert np.array_equal(batch.epsilon, epsilon)
+    assert same_bits(batch.witness, witness)
+    assert same_bits(batch.reduced, reduced)
+    # every verdict and every reason appears, and witnessed rows among them
+    kinds = {None, OrbitKind.NEUTRAL_PLUS, OrbitKind.NEUTRAL_MINUS, OrbitKind.DEGENERATE}
+    assert set(kind) == kinds
+    assert {r.split(":")[0][:22] for r in reason if r} == {
+        "zero bivector", "split norms differ", "split norms at or belo"
+    }
+    assert batch.witnessed.sum() >= 10
