@@ -39,26 +39,29 @@ stops writing and exits with the code of the records written so far.
 
 Flags can be seeded from the environment with the LBO_ prefix (LBO_TOL,
 LBO_SEED, LBO_SAMPLES, LBO_R, LBO_FORMAT); explicit flags win.
+
+Start-up: lbo.stabilizer and lbo.verify load only in the subcommands that
+run them, and only the process entry, console(), freezes the import heap.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import io
 import itertools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
 
-from . import verify
 from .errors import DegenerateOrbitError, InvariantViolationError, NotInLightConeError
 from .minkowski import ToleranceConfig, lorentz_inverse
 from .orbit import RIGHT_ANGLE, OrbitKind, normal_form_bivector, reconstruct, reduce_orbits
 from .rslice import SliceTopology, _on_radius, slice_topology
-from .stabilizer import fixing_residual, generator_stack
 from .wedge import _row_norms, wedge
 
 # Records per chunk: each chunk is decoded into one array and reduced by one
@@ -234,10 +237,26 @@ def _bivectors(rows: list) -> np.ndarray:
     return W
 
 
+# A byte that is not UTF-8, read with errors="surrogateescape".
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def _escaped_byte(text: str):
+    """The first byte of text that did not decode as UTF-8, or None; an ASCII
+    text, every benchmark corpus's, is cleared by one str.isascii()."""
+    if text.isascii():
+        return None
+    escaped = _ESCAPED_BYTE.search(text)
+    return None if escaped is None else ord(escaped[0]) - 0xDC00
+
+
 def _parse_json(text: str):
     """The JSON document in text, or an _InputError that says why there is none
     (with the parser's exception as its __cause__).  Integers parse as floats,
     so one past the largest double is inf, as 1e400 is, whatever its length."""
+    byte = _escaped_byte(text)
+    if byte is not None:
+        return _InputError(f"line is not UTF-8: byte 0x{byte:02x}")
     try:
         return json.loads(text, parse_int=float)
     except (ValueError, RecursionError) as exc:  # also too deep nesting
@@ -280,9 +299,11 @@ def _parse_lines(lines: list) -> list:
     each line is parsed alone, so a bad line gets its own error text.  The
     bracket test is cheap and comes first, so a chunk it rejects costs what
     line-by-line parsing costs; a chunk it passes with a bad line in it also
-    pays for the failed joined parse.
+    pays for the failed joined parse.  A chunk with a byte that is not UTF-8
+    is parsed line by line, so that the byte's line alone is an error.
     """
-    if _brackets_close_per_line("".join(lines)):
+    text = "".join(lines)
+    if _brackets_close_per_line(text) and _escaped_byte(text) is None:
         try:
             docs = json.loads("[" + ",".join(lines) + "]", parse_int=float)
         except (ValueError, RecursionError):
@@ -441,6 +462,8 @@ _STABILIZER_OFF = _Shape(
 @functools.cache
 def _stabilizer_on(kind: str) -> _Shape:
     """The on-cone stabilizer shape of kind: its families and parameters are fixed text."""
+    from .stabilizer import generator_stack
+
     families = [
         {"family": family.value, "parameter": t, "fixing_residual": _REAL}
         for family, t in generator_stack(kind)[1]
@@ -549,6 +572,8 @@ def _slice_chunk(ids, W, tol: ToleranceConfig, r: float):
 def _conjugated_residuals(kind: str, conj, conj_inv, W) -> np.ndarray:
     """fixing_residual(conj[i] @ stack @ conj_inv[i], W[i]) for each row i, with
     the generator stack of kind, STABILIZER_BLOCK rows per stacked product."""
+    from .stabilizer import fixing_residual, generator_stack
+
     stack = generator_stack(kind)[0]
     residuals = np.empty((len(W), len(stack)))
     for start in range(0, len(W), STABILIZER_BLOCK):
@@ -645,8 +670,15 @@ def _table(records) -> str:
 
 
 def _open_input(args):
+    """The input stream.  A byte that is not UTF-8 reads as a lone surrogate
+    (surrogateescape), which _parse_json turns into its line's error."""
     if args.infile and args.infile != "-":
-        return open(args.infile, "r", encoding="utf-8")
+        try:
+            return open(args.infile, "r", encoding="utf-8", errors="surrogateescape")
+        except OSError as exc:
+            raise _InputError(f"cannot read --in {args.infile}: {exc.strerror}") from exc
+    if isinstance(sys.stdin, io.TextIOWrapper):
+        sys.stdin.reconfigure(errors="surrogateescape")
     return sys.stdin
 
 
@@ -718,14 +750,21 @@ def _cmd_stabilizer(args) -> int:
     return _run_batch(args, _stabilizer_chunk)
 
 
-def _check_line(check: verify.Check) -> str:
-    """The line verify prints for one check."""
+def _check_line(check) -> str:
+    """The line verify prints for one verify.Check."""
     status = "PASS" if check.passed else "FAIL"
     bound = f"{check.value:.3e} <= {check.threshold:.0e}"
     return f"{check.suite:<10} {check.name:<44} {status}  {bound}"
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
+    # checked here, in argparse's words, so that no other subcommand loads verify
+    suites = (*verify.SUITES, "all")
+    if args.suite not in suites:
+        choices = ", ".join(map(repr, suites))
+        raise _UsageError(f"argument --suite: invalid choice: {args.suite!r} (choose from {choices})")
     if args.samples < 1:
         raise _UsageError(f"--samples must be at least 1, got {args.samples}")
     if args.seed < 0:  # numpy seeds are nonnegative
@@ -793,7 +832,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_stabilizer)
 
     p = sub.add_parser("verify", help="run a named invariant suite")
-    p.add_argument("--suite", choices=(*verify.SUITES, "all"), required=True)
+    p.add_argument("--suite", required=True, help="a suite of lbo.verify, or all")
     p.add_argument("--seed", type=int, default=seed_default)
     p.add_argument("--samples", type=int, default=samples_default)
     p.add_argument("--tol", type=float, default=tol_default)
@@ -817,5 +856,14 @@ def main(argv=None) -> int:
         return 4
 
 
+def console() -> int:
+    """The process entry of python -m lbo.cli and of the lbo command: freeze
+    the import-time heap, so that the run's collections, the final ones at
+    exit among them, skip numpy's and lbo's module objects; then main.  main,
+    the in-process API, leaves the collector as it finds it."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console())

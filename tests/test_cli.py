@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -1164,3 +1165,45 @@ def test_file_input(tmp_path):
     p = run_cli(["classify", "--in", str(path)])
     assert p.returncode == 0
     assert json.loads(p.stdout)["id"] == "f"
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_an_unreadable_input_file_is_an_input_error(kind, tmp_path):
+    path, reason = {
+        "missing": (tmp_path / "absent.ndjson", os.strerror(errno.ENOENT)),
+        "directory": (tmp_path, os.strerror(errno.EISDIR)),
+    }[kind]
+    p = run_cli(["classify", "--in", str(path)])
+    assert p.returncode == 2
+    assert p.stdout == b""
+    assert p.stderr.decode() == f"input error: cannot read --in {path}: {reason}\n"
+
+
+NOT_UTF8 = b'{"id":null,"error":"line is not UTF-8: byte 0xff"}'
+
+
+@pytest.mark.parametrize("source", ["stdin", "file"])
+@pytest.mark.parametrize("at", [0, 60])
+def test_a_line_that_is_not_utf8_is_one_error_record(at, source, tmp_path):
+    # the first line, parsed alone, and lines inside the first chunk: a bad
+    # byte inside an id, which json.loads would accept, and a bad line alone
+    lines = batch_lines(count=150).splitlines(keepends=True)
+    bad = [b'{"id":"b\xff","c":[1,0,0,0,0,1]}\n', b"\xff\n"]
+    payload = b"".join(lines[:at] + bad + lines[at:])
+    if source == "file":
+        path = tmp_path / "records.ndjson"
+        path.write_bytes(payload)
+        p = run_cli(["classify", "--in", str(path)])
+    else:  # a strict stdin, as a non-UTF-8 locale gives it, must not raise either
+        p = run_cli(["classify"], payload, env_extra={"PYTHONIOENCODING": "utf-8:strict"})
+    assert p.returncode == 2
+    assert p.stderr == b""
+    good = run_cli(["classify"], b"".join(lines)).stdout.splitlines()
+    assert p.stdout.splitlines() == good[:at] + [NOT_UTF8] * 2 + good[at:]
+
+
+def test_text_that_is_utf8_has_no_escaped_byte():
+    import lbo.cli as cli
+
+    assert cli._escaped_byte('{"id":"é中\U0001f600","c":[1,0,0,0,0,1]}') is None
+    assert cli._escaped_byte(b"ok \x80 \xfe".decode("utf-8", "surrogateescape")) == 0x80

@@ -25,6 +25,34 @@ def test_critical_rapidity_frozen_and_symmetric():
         assert abs(critical_rapidity(phi) - critical_rapidity(np.pi - phi)) < 1e-10
 
 
+def test_critical_rapidity_certificate():
+    """tanh t = tan(phi/2) if and only if tanh 2t = sin phi, for phi in (0, pi/2),
+    proved with sympy; then critical_rapidity against atanh(tan(phi/2)) at 50 digits."""
+    sp = pytest.importorskip("sympy")
+    mpmath = pytest.importorskip("mpmath")
+    from sympy.calculus.util import function_range
+
+    phi, t, x = sp.symbols("phi t x", real=True)
+    g = 2 * x / (1 + x**2)  # both sides are g of something in (-1, 1)
+    assert sp.simplify(sp.expand_trig(sp.tanh(2 * t)) - g.subs(x, sp.tanh(t))) == 0
+    assert sp.simplify(g.subs(x, sp.tan(phi / 2)) - sp.sin(phi)) == 0
+    assert function_range(sp.tanh(t), t, sp.S.Reals) == sp.Interval.open(-1, 1)
+    assert function_range(sp.tan(phi / 2), phi, sp.Interval.open(0, sp.pi / 2)) == sp.Interval.open(0, 1)
+    # g is strictly increasing on (-1, 1), so one-to-one there: g(tanh t) = g(tan(phi/2))
+    # holds exactly when tanh t = tan(phi/2)
+    increasing = sp.solve_univariate_inequality(sp.diff(g, x) > 0, x, relational=False)
+    assert increasing == sp.Interval.open(-1, 1)
+
+    with mpmath.workdps(50):
+        for angle in np.linspace(0.0, np.pi / 2, 202)[1:-1]:
+            half_tan = mpmath.tan(mpmath.mpf(angle) / 2)
+            exact = mpmath.atanh(half_tan)
+            # a rounding of tan(phi/2) grows by the condition number of atanh there
+            condition = half_tan / ((1 - half_tan**2) * exact)
+            ulps = abs(critical_rapidity(angle) - exact) / np.spacing(float(exact))
+            assert ulps <= 1 + condition, (angle, float(ulps), float(condition))
+
+
 def test_critical_rapidity_errors():
     with pytest.raises(ValueError):
         critical_rapidity(np.pi / 2)
