@@ -4,6 +4,7 @@ Input records are JSON objects carrying either six bivector coefficients
 {"c": [...]} or a vector pair {"x": [...], "y": [...]} whose wedge is taken,
 plus an optional string "id".  Batches stream as NDJSON (one object per
 line); a single pretty-printed object or a top-level array also works.
+Input is read as UTF-8, from stdin and from --in alike.
 
 Output is deterministic byte-for-byte: keys appear in fixed order and reals
 are printed with 17 significant digits, so re-runs compare equal.  A batch
@@ -16,10 +17,18 @@ bytes and exit code as a record-by-record run:
   tests run over it whole becomes one array, its vector pairs wedged in one
   stacked call; any other chunk is decoded record by record.
 - report: one reduce_orbits call, and for stabilizer stacked products of
-  STABILIZER_BLOCK records.  Every output record has one of a few shapes,
-  each compiled once to a %-template with typed slots: reals are formatted
-  by the template, every other value arrives as JSON text rendered once per
-  column, and the rows' values are zipped from the columns.
+  STABILIZER_BLOCK records.  One function, _row_status, gives every row of
+  every report its status: on the cone; off it, with its reason; an input
+  error (split norms or pfaffian past the double range, or a neutral row at
+  the right angle); or an invariant violation, a residual past its ceiling.
+  classify, canonical and stabilizer check the reconstruction and
+  representative residuals, and stabilizer its fixing residuals too; slice
+  has no frames and answers from the invariants.  Every output record has
+  one of a few shapes, each compiled once to a %-template with typed slots:
+  reals are formatted by the template, every other value arrives as JSON
+  text rendered once per column, and the rows' values are zipped from the
+  columns.  An off-cone record has the keys of its on-cone record, null
+  where a value is not defined off the cone, and then its reason.
 - write: the chunk's lines, error records in input order among them, go to
   stdout as one string, so an unbuffered stdout (PYTHONUNBUFFERED) costs one
   write call per chunk, not one per record.  json output joins every line;
@@ -34,7 +43,8 @@ shape has no such leaf.
 Exit codes: 0 success, 2 input error, 3 usage error, 4 internal invariant
 violation.  A record that fails with an input error or an invariant
 violation is emitted as an error record and the batch continues; 4 wins
-over 2 in the exit code.  When the reader of stdout goes away, a batch
+over 2 in the exit code, and each violation also prints one line to
+stderr.  No output real is inf or nan.  When the reader of stdout goes away, a batch
 stops writing and exits with the code of the records written so far.
 
 Flags can be seeded from the environment with the LBO_ prefix (LBO_TOL,
@@ -171,15 +181,16 @@ def _leaves(node, path=""):
 
 
 class _Shape:
-    """One record shape: its skeleton, the %-template compiled from it and its
-    columns (path, leaf)."""
+    """One record shape: its skeleton, the %-template compiled from it, its
+    columns (path, leaf) and the exit code a record of it gives a batch."""
 
-    __slots__ = ("skeleton", "template", "columns")
+    __slots__ = ("skeleton", "template", "columns", "code")
 
-    def __init__(self, skeleton: dict):
+    def __init__(self, skeleton: dict, code: int = 0):
         self.skeleton = skeleton
         self.template = _compile(skeleton)
         self.columns = tuple(_leaves(skeleton))
+        self.code = code
 
 
 def dumps(shape: _Shape, values: tuple) -> str:
@@ -187,7 +198,9 @@ def dumps(shape: _Shape, values: tuple) -> str:
     return shape.template % values
 
 
-_ERROR = _Shape({"id": _TEXT, "error": _TEXT})
+# Row statuses; an error's status is its exit code, and its record's shape.
+_ON, _OFF, _INPUT_ERROR, _VIOLATION = 0, 1, 2, 4
+_ERRORS = {c: _Shape({"id": _TEXT, "error": _TEXT}, c) for c in (_INPUT_ERROR, _VIOLATION)}
 
 
 # --- record parsing -------------------------------------------------------
@@ -388,9 +401,9 @@ def _clean_chunk(docs: list):
 
 def _decode_chunk(docs: list):
     """Decode stage: (items, ids, W) for one chunk of parsed documents.  items
-    holds an error record per document that does not decode and None where
-    the report's next row goes; ids are the JSON texts of the others' ids and
-    W is the (n, 6) array of their rows."""
+    holds an input-error record, its message as JSON text, per document that
+    does not decode and None where the report's next row goes; ids are the
+    JSON texts of the others' ids and W is the (n, 6) array of their rows."""
     clean = _clean_chunk(docs)
     if clean is not None:
         return [None] * len(docs), *clean
@@ -398,7 +411,7 @@ def _decode_chunk(docs: list):
     for doc in docs:
         rid, row = _decode_record(doc)
         if isinstance(row, _InputError):
-            items.append((_ERROR, (_scalar(rid), row)))
+            items.append((_ERRORS[_INPUT_ERROR], (_scalar(rid), _json_string(str(row)))))
         else:
             items.append(None)
             ids.append(_scalar(rid))
@@ -410,15 +423,15 @@ def _decode_chunk(docs: list):
 #
 # Each report takes the ids (as JSON text) and the (n, 6) array of one chunk
 # of decoded records, reduces them with one reduce_orbits call and returns,
-# in order, one (shape, values) record per row.  Each column becomes a list
-# once, reals through _json_reals and every other value as its JSON text, and
-# the rows' values are zipped from the columns; a row off the cone, or one
-# that fails, then takes its own record, a failure (_ERROR, (id, exception)).
+# in order, one (shape, values) record per row in its on-cone shapes.  Each
+# column becomes a list once, reals through _json_reals and every other value
+# as its JSON text, and the rows' values are zipped from the columns.  Then
+# _row_status decides, once for every report, which rows are answered, off
+# the cone, refused or a bug, and _settled gives each row the record of its
+# status.
 
-_CLASSIFY_OFF = _Shape(
-    {"id": _TEXT, "in_light_cone": False, "A": _REAL, "B": _REAL, "pfaffian": _REAL,
-     "canonical": None, "class": None, "reason": _TEXT}
-)
+_OVERFLOW = "bivector overflows the double range: its split norms or pfaffian are not finite"
+
 _CLASSIFY_ON, _CLASSIFY_ON_SLICE = (
     _Shape(
         {"id": _TEXT, "in_light_cone": True, "A": _REAL, "B": _REAL, "pfaffian": _REAL,
@@ -430,10 +443,6 @@ _CLASSIFY_ON, _CLASSIFY_ON_SLICE = (
     for slice_block in ({}, {"slice": {"r_queried": _REAL, "topology": _TEXT, "boundary": _TEXT}})
 )
 
-_CANONICAL_OFF = _Shape(
-    {"id": _TEXT, "in_light_cone": False, "r": None, "phi": None, "basis": None,
-     "representative": None, "witness": None, "reason": _TEXT}
-)
 _CANONICAL_NEUTRAL = _Shape(
     {"id": _TEXT, "in_light_cone": True, "r": _REAL, "phi": _REAL, "basis": [_REAL] * 16,
      "representative": [_REAL] * 6, "witness": [_REAL] * 16}
@@ -444,18 +453,10 @@ _CANONICAL_DEGENERATE = _Shape(
      "note": "degenerate orbit: no element of the form r0*(e12 + eps*e34) exists"}
 )
 
-_SLICE_OFF = _Shape(
-    {"id": _TEXT, "in_light_cone": False, "r_queried": _REAL, "class": None, "topology": None,
-     "in_slice": False, "reason": _TEXT}
-)
 _SLICE_ON = _Shape(
     {"id": _TEXT, "in_light_cone": True, "r_queried": _REAL,
      "class": {"kind": _TEXT, "r0": _REAL, "epsilon": _TEXT},
      "topology": _TEXT, "boundary": _TEXT, "in_slice": _TEXT}
-)
-
-_STABILIZER_OFF = _Shape(
-    {"id": _TEXT, "in_light_cone": False, "kind": None, "families": None, "reason": _TEXT}
 )
 
 
@@ -474,6 +475,26 @@ def _stabilizer_on(kind: str) -> _Shape:
     )
 
 
+# The leaves an off-cone record keeps of its on-cone record: the top-level
+# keys whose values are defined off the cone.  Every other key is null.
+_OFF_CONE = {"id": _TEXT, "in_light_cone": False, "A": _REAL, "B": _REAL, "pfaffian": _REAL,
+             "r_queried": _REAL, "in_slice": False}
+
+
+@functools.cache
+def _off_cone(on: _Shape) -> tuple:
+    """(shape, kept) of the off-cone record of a row whose on-cone shape is on:
+    every top-level key of on, in its order, with its _OFF_CONE leaf or null,
+    then reason; kept indexes the on-cone values that fill its slots."""
+    skeleton, kept, at = {}, [], 0
+    for key, node in on.skeleton.items():
+        skeleton[key] = _OFF_CONE.get(key)
+        if type(skeleton[key]) is _Slot:
+            kept.append(at)
+        at += sum(type(leaf) is _Slot for _, leaf in _leaves(node))
+    return _Shape({**skeleton, "reason": _TEXT}), kept
+
+
 # The _TEXT values of an orbit kind, and of a slice topology with its boundary
 # flag ((None, None) off the cone).
 _KIND_TEXT = {
@@ -488,8 +509,72 @@ _TOPOLOGY_TEXT = {
 _EPSILON_TEXT = ("null", "1", "-1")
 
 
-def _right_angle(rid):
-    return _ERROR, (rid, _InputError(f"neutral bivector: {RIGHT_ANGLE}"))
+def _row_status(b, W=None, fixing=None) -> tuple:
+    """(status, message, reconstruction, representative) of each row of a
+    chunk, from b = reduce_orbits(W): its status, its message (the reason off
+    the cone, the error text of an error, None on the cone) and classify's two
+    residuals.
+
+    A row whose split norms or pfaffian are not finite is an input error, and
+    a row off the cone is off, with b's reason.  Given W, b has frames: a
+    neutral row at the right angle is an input error, and a row is an
+    invariant violation when its representative residual, or the max fixing
+    residual of its stabilizer given in fixing, lies past _BUG_CEILING times
+    max(1, witness max**2) (the bound grows with the witness's conditioning),
+    or its reconstruction residual past _BUG_CEILING.  A row takes the first
+    of these that it meets.  The reconstruction residual is 0 off the cone
+    and the representative's 0 on rows without a witness; both are None
+    without W.
+    """
+    status = np.where(b.on_cone, _ON, _OFF)
+    message = list(b.reason)
+
+    def error(rows, code, text, residual=None):
+        for i in np.flatnonzero(rows & (status < _INPUT_ERROR)).tolist():
+            status[i] = code
+            message[i] = text if residual is None else text % residual[i]
+
+    finite = np.isfinite(b.spatial) & np.isfinite(b.temporal) & np.isfinite(b.pfaffian)
+    error(~finite, _INPUT_ERROR, _OVERFLOW)
+    if W is None:
+        return status, message, None, None
+    on, ok = b.on_cone, b.witnessed
+    recon, rep, witness_max = np.zeros(len(W)), np.zeros(len(W)), np.zeros(len(W))
+    recon[on] = _row_norms(reconstruct(b)[on] - W[on]) / _row_norms(W[on])
+    expected = normal_form_bivector(b.r0[ok], b.epsilon[ok])
+    rep[ok] = _row_norms(b.reduced[ok] - expected) / np.maximum(b.r0[ok], 1.0)
+    witness_max[ok] = np.abs(b.witness[ok]).max(axis=(1, 2))
+    ceiling = _BUG_CEILING * np.maximum(1.0, witness_max * witness_max)
+    error(on & (b.epsilon != 0) & ~ok, _INPUT_ERROR, f"neutral bivector: {RIGHT_ANGLE}")
+    # a NaN residual fails its bound too
+    for residual, bound, what in (
+        (rep, ceiling, "reduced element off its normal form"),
+        (recon, _BUG_CEILING, "canonical form fails to reconstruct"),
+        (fixing, ceiling, "stabilizer generator fails to fix its element"),
+    ):
+        if residual is not None:
+            text = f"invariant violation: {what} (residual %.3e)"
+            error(~(residual <= bound), _VIOLATION, text, residual)
+    return status, message, recon, rep
+
+
+def _settled(records: list, status: tuple) -> list:
+    """records, one per row in its report's on-cone shapes, with each row that
+    is not on the cone given the record of its status: the off-cone record of
+    its shape, or an error record with its message, which an invariant
+    violation also prints to stderr."""
+    code, message = status[:2]
+    for i in np.flatnonzero(code != _ON).tolist():
+        shape, values = records[i]
+        row_code, text = int(code[i]), _json_string(message[i])
+        if row_code == _OFF:
+            off, kept = _off_cone(shape)
+            records[i] = off, (*[values[k] for k in kept], text)
+        else:
+            if row_code == _VIOLATION:
+                print(message[i], file=sys.stderr)
+            records[i] = _ERRORS[row_code], (values[0], text)
+    return records
 
 
 def _class_columns(b) -> list:
@@ -510,38 +595,16 @@ def _records(shape: _Shape, columns: list) -> list:
 
 def _classify_chunk(ids, W, tol: ToleranceConfig, r_query):
     b = reduce_orbits(W, tol)
-    on, ok = b.on_cone, b.witnessed
-    recon, rep_residual, witness_max = np.zeros(len(W)), np.zeros(len(W)), np.zeros(len(W))
-    recon[on] = _row_norms(reconstruct(b)[on] - W[on]) / _row_norms(W[on])
-    expected = normal_form_bivector(b.r0[ok], b.epsilon[ok])
-    rep_residual[ok] = _row_norms(b.reduced[ok] - expected) / np.maximum(b.r0[ok], 1.0)
-    witness_max[ok] = np.abs(b.witness[ok]).max(axis=(1, 2))
-    right_angle = (b.epsilon != 0) & ~ok
-    # the bound grows with the witness's conditioning
-    off_form = ok & (rep_residual > _BUG_CEILING * np.maximum(1.0, witness_max * witness_max))
-    no_reconstruction = recon > _BUG_CEILING
-    A, B, pf, r, phi, recon, rep_residual = map(
-        _json_reals, (b.spatial, b.temporal, b.pfaffian, b.r, b.phi, recon, rep_residual)
+    status = _row_status(b, W)
+    A, B, pf, r, phi, recon, rep = map(
+        _json_reals, (b.spatial, b.temporal, b.pfaffian, b.r, b.phi, *status[2:])
     )
-    rep = ["%.17g" % x if w else "null" for x, w in zip(rep_residual, ok.tolist())]
+    rep = ["%.17g" % x if w else "null" for x, w in zip(rep, b.witnessed.tolist())]
     columns = [ids, A, B, pf, r, phi, *_class_columns(b)]
     if r_query is not None:
         columns += [itertools.repeat(r_query), *_topology_columns(b, r_query, tol)]
     shape = _CLASSIFY_ON if r_query is None else _CLASSIFY_ON_SLICE
-    records = _records(shape, [*columns, recon, rep])
-    for i in np.flatnonzero(~on | right_angle | off_form | no_reconstruction).tolist():
-        if not on[i]:
-            records[i] = _CLASSIFY_OFF, (ids[i], A[i], B[i], pf[i], _json_string(b.reason[i]))
-        elif right_angle[i]:
-            records[i] = _right_angle(ids[i])
-        else:
-            message = (
-                f"reduced element off its normal form (residual {rep_residual[i]:.3e})"
-                if off_form[i]
-                else f"canonical form fails to reconstruct (residual {recon[i]:.3e})"
-            )
-            records[i] = _ERROR, (ids[i], InvariantViolationError(message))
-    return records
+    return _settled(_records(shape, [*columns, recon, rep]), status)
 
 
 def _canonical_chunk(ids, W, tol: ToleranceConfig):
@@ -549,24 +612,17 @@ def _canonical_chunk(ids, W, tol: ToleranceConfig):
     frame = _json_reals(np.column_stack([b.r, b.phi, b.basis.reshape(-1, 16)]))
     element = _json_reals(np.column_stack([b.reduced, b.witness.reshape(-1, 16)]))
     records = [(_CANONICAL_NEUTRAL, (rid, *f, *e)) for rid, f, e in zip(ids, frame, element)]
-    for i in np.flatnonzero(~b.witnessed).tolist():
-        if not b.on_cone[i]:
-            records[i] = _CANONICAL_OFF, (ids[i], _json_string(b.reason[i]))
-        elif b.epsilon[i]:
-            records[i] = _right_angle(ids[i])
-        else:
-            records[i] = _CANONICAL_DEGENERATE, (ids[i], *frame[i])
-    return records
+    for i in np.flatnonzero(b.on_cone & (b.epsilon == 0)).tolist():
+        records[i] = _CANONICAL_DEGENERATE, (ids[i], *frame[i])
+    return _settled(records, _row_status(b, W))
 
 
 def _slice_chunk(ids, W, tol: ToleranceConfig, r: float):
+    # answered from the invariants: no frames, so no right angle or residual to check
     b = reduce_orbits(W, tol, frames=False)
     member = map(_BOOL_TEXT.__getitem__, _on_radius(b.spatial, r, tol).tolist())
     columns = [ids, itertools.repeat(r), *_class_columns(b), *_topology_columns(b, r, tol), member]
-    records = _records(_SLICE_ON, columns)
-    for i in np.flatnonzero(~b.on_cone).tolist():
-        records[i] = _SLICE_OFF, (ids[i], r, _json_string(b.reason[i]))
-    return records
+    return _settled(_records(_SLICE_ON, columns), _row_status(b))
 
 
 def _conjugated_residuals(kind: str, conj, conj_inv, W) -> np.ndarray:
@@ -586,46 +642,31 @@ def _conjugated_residuals(kind: str, conj, conj_inv, W) -> np.ndarray:
 def _stabilizer_chunk(ids, W, tol: ToleranceConfig):
     b = reduce_orbits(W, tol)
     # degenerate rows conjugate the base-point stabilizer through the adapted
-    # basis, witnessed neutral rows through the inverse of the witness
+    # basis, witnessed neutral rows through the inverse of the witness; every
+    # other row keeps only its id, for the record of its status
     degenerate = np.flatnonzero(b.on_cone & (b.epsilon == 0))
     neutral = np.flatnonzero(b.witnessed)
     basis, witness = b.basis[degenerate], b.witness[neutral]
-    records = [None] * len(W)
+    records = _records(_stabilizer_on(OrbitKind.DEGENERATE), [ids])
+    fixing = np.zeros(len(W))
     for rows, kind, conj, conj_inv in (
         (degenerate, OrbitKind.DEGENERATE, basis, lorentz_inverse(basis)),
         (neutral, OrbitKind.NEUTRAL_PLUS, lorentz_inverse(witness), witness),
     ):
-        residuals = _json_reals(_conjugated_residuals(kind, conj, conj_inv, W[rows]))
-        for i, res in zip(rows.tolist(), residuals):
+        residuals = _conjugated_residuals(kind, conj, conj_inv, W[rows])
+        fixing[rows] = residuals.max(axis=1)
+        for i, res in zip(rows.tolist(), _json_reals(residuals)):
             records[i] = _stabilizer_on(b.kind[i]), (ids[i], *res, max(0.0, *res))
-    for i in np.flatnonzero(~b.on_cone | (b.epsilon != 0) & ~b.witnessed).tolist():
-        if b.on_cone[i]:
-            records[i] = _right_angle(ids[i])
-        else:
-            records[i] = _STABILIZER_OFF, (ids[i], _json_string(b.reason[i]))
-    return records
+    return _settled(records, _row_status(b, W, fixing))
 
 
 def _report_chunk(items: list, rows: list) -> tuple:
     """Report stage: (records, exit code) of one chunk, the report's rows in
-    place of items' Nones and each failure an error record with its message.
-    An invariant violation is also printed to stderr."""
+    place of items' Nones; the exit code is the largest of its records'."""
     if any(items):
         rows = iter(rows)
         rows = [next(rows) if item is None else item for item in items]
-    code = 0
-    for i, (shape, values) in enumerate(rows):
-        if shape is _ERROR:
-            rid, exc = values
-            if isinstance(exc, InvariantViolationError):
-                code = 4
-                message = f"invariant violation: {exc}"
-                print(message, file=sys.stderr)
-            else:
-                code = max(code, 2)
-                message = str(exc)
-            rows[i] = _ERROR, (rid, _json_string(message))
-    return rows, code
+    return rows, max([shape.code for shape, _ in rows], default=0)
 
 
 # --- output formatting ----------------------------------------------------
@@ -670,15 +711,19 @@ def _table(records) -> str:
 
 
 def _open_input(args):
-    """The input stream.  A byte that is not UTF-8 reads as a lone surrogate
-    (surrogateescape), which _parse_json turns into its line's error."""
+    """The input stream: --in, or stdin's file descriptor, read as UTF-8 either
+    way, whatever the locale.  A byte that is not UTF-8 reads as a lone
+    surrogate (surrogateescape), which _parse_json turns into its line's
+    error.  A stdin that is no file (a StringIO) is read as it is."""
     if args.infile and args.infile != "-":
         try:
             return open(args.infile, "r", encoding="utf-8", errors="surrogateescape")
         except OSError as exc:
             raise _InputError(f"cannot read --in {args.infile}: {exc.strerror}") from exc
     if isinstance(sys.stdin, io.TextIOWrapper):
-        sys.stdin.reconfigure(errors="surrogateescape")
+        # a stream of its own on the descriptor, which closing leaves open
+        return open(sys.stdin.fileno(), "r", encoding="utf-8", errors="surrogateescape",
+                    closefd=False)
     return sys.stdin
 
 
@@ -713,7 +758,10 @@ def _run_batch(args, report) -> int:
     try:
         while chunk := list(itertools.islice(docs, CHUNK)):
             items, ids, W = _decode_chunk(chunk)
-            records, chunk_code = _report_chunk(items, report(ids, W, tol) if ids else [])
+            # a row whose arithmetic overflows shows in its status, not as a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows = report(ids, W, tol) if ids else []
+            records, chunk_code = _report_chunk(items, rows)
             code = max(code, chunk_code)
             if args.format == "ndjson":
                 sys.stdout.write(_ndjson(records))

@@ -46,12 +46,15 @@ def wedge(x, y) -> np.ndarray:
 
     Each coefficient is x_i*y_j - x_j*y_i, two roundings of products and one
     of their difference, so a row of a stack has the bits of its own wedge.
+    Products past the largest double are inf (and a difference of two of
+    them nan) without a warning, as in pfaffian.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.shape[-1:] != (4,):
         raise ValueError("wedge expects two 4-vectors or two (..., 4) stacks of one shape")
-    return x[..., _K] * y[..., _L] - x[..., _L] * y[..., _K]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return x[..., _K] * y[..., _L] - x[..., _L] * y[..., _K]
 
 
 def basis_bivector(i: int, j: int) -> np.ndarray:

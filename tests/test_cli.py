@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 GOLD_OFF_CONE = (
     b'{"id":"gold","in_light_cone":false,"A":0.328125,"B":1.0125,'
-    b'"pfaffian":0.39374999999999999,"canonical":null,"class":null,'
+    b'"pfaffian":0.39374999999999999,"canonical":null,"class":null,"diagnostics":null,'
     b'"reason":"split norms differ: spatial 0.328125 vs temporal 1.0125"}\n'
 )
 GOLD_NEUTRAL = (
@@ -226,7 +226,7 @@ def _chunk_test_lines(count):
         elif kind == 9:
             rec = {"id": rid, "c": [1, 0, 0, 0, 0, "x" if k % 2 else 10**400]}
         else:
-            rec = {"id": rid, "c": [7e-5, 0, 0, 0, 0, 6.3e-5]}  # classify: invariant violation
+            rec = {"id": rid, "c": [7e-5, 0, 0, 0, 0, 6.3e-5]}  # a violation, but in slice
         lines.append(json.dumps(rec))
     lines[count // 2] = "{not json"
     lines[count // 3] = "[" * 100000 + "]" * 100000  # nested past the recursion limit
@@ -265,7 +265,7 @@ def test_output_does_not_depend_on_the_chunk(args, monkeypatch):
         one_code, one = _main_in_process(args, line)
         codes.append(one_code)
         parts.append(one)
-    assert code == max(codes) == (4 if args[0] == "classify" else 2)
+    assert code == max(codes) == (2 if args[0] == "slice" else 4)
     assert batch == "".join(parts)
 
 
@@ -279,7 +279,7 @@ def test_formatted_output_does_not_depend_on_the_chunk(args, fmt, monkeypatch):
     args = [*args, "--format", fmt]
     text = "".join(_chunk_test_lines(cli.CHUNK + 45))
     code, batch = _main_in_process(args, text)
-    assert code == (4 if args[0] == "classify" else 2)
+    assert code == (2 if args[0] == "slice" else 4)
     # one record per chunk and per stabilizer block
     monkeypatch.setattr(cli, "CHUNK", 1)
     monkeypatch.setattr(cli, "STABILIZER_BLOCK", 1)
@@ -307,12 +307,13 @@ def test_stacked_stabilizer_residuals_are_bit_identical():
     tol = ToleranceConfig(eps=1e-9)
     batch = reduce_orbits(W, tol)
     records = list(cli._stabilizer_chunk([f"r{i}" for i in range(len(W))], W, tol))
+    off_cone = cli._off_cone(cli._stabilizer_on(OrbitKind.DEGENERATE))[0]
     seen = set()
     for i, (shape, values) in enumerate(records):
         kind = batch.kind[i]
         seen.add(kind)
         if kind is None:
-            assert shape is cli._STABILIZER_OFF
+            assert shape is off_cone
             continue
         if kind == OrbitKind.DEGENERATE:
             conj, conj_inv = batch.basis[i], lorentz_inverse(batch.basis[i])
@@ -333,20 +334,21 @@ def test_stacked_stabilizer_residuals_are_bit_identical():
 # negative-zero coefficients, a right-angle neutral record (an error with
 # --tol 1e-300), a decode error, a bad JSON line after a valid first line, a
 # non-string id, integral float outputs, an exit-4 record for classify,
-# off-cone, zero, vector-pair and array records, and split norms that
-# overflow to inf.  slice.ndjson meets the radius 1 in every topology.
+# canonical and stabilizer (slice answers it from the invariants), off-cone,
+# zero, vector-pair and array records, and split norms that overflow (an
+# input error).  slice.ndjson meets the radius 1 in every topology.
 GOLDEN = Path(__file__).parent / "golden"
 CLASSIFY, SLICE = ["classify", "--r", "1.0"], ["slice", "--r", "1.0"]
 JSON, TABLE, TINY_TOL = ["--format", "json"], ["--format", "table"], ["--tol", "1e-300"]
 GOLDEN_CASES = [
     ("classify.json", "mixed.ndjson", [*CLASSIFY, *JSON], 4),
-    ("canonical.json", "mixed.ndjson", ["canonical", *JSON], 2),
+    ("canonical.json", "mixed.ndjson", ["canonical", *JSON], 4),
     ("slice.json", "mixed.ndjson", [*SLICE, *JSON], 2),
-    ("stabilizer.json", "mixed.ndjson", ["stabilizer", *JSON], 2),
+    ("stabilizer.json", "mixed.ndjson", ["stabilizer", *JSON], 4),
     ("classify.table", "mixed.ndjson", [*CLASSIFY, *TABLE], 4),
-    ("canonical.table", "mixed.ndjson", ["canonical", *TABLE], 2),
+    ("canonical.table", "mixed.ndjson", ["canonical", *TABLE], 4),
     ("slice.table", "mixed.ndjson", [*SLICE, *TABLE], 2),
-    ("stabilizer.table", "mixed.ndjson", ["stabilizer", *TABLE], 2),
+    ("stabilizer.table", "mixed.ndjson", ["stabilizer", *TABLE], 4),
     ("classify.tol300.json", "mixed.ndjson", [*CLASSIFY, *JSON, *TINY_TOL], 2),
     ("canonical.tol300.json", "mixed.ndjson", ["canonical", *JSON, *TINY_TOL], 2),
     ("slice.tol300.json", "mixed.ndjson", [*SLICE, *JSON, *TINY_TOL], 2),
@@ -362,6 +364,24 @@ def test_golden_formats(output, source, args, code):
     p = run_cli(args, (GOLDEN / source).read_bytes())
     assert p.returncode == code
     assert p.stdout == (GOLDEN / output).read_bytes()
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _strict_json(text):
+    """The document in text, which must be strict JSON: no NaN or Infinity."""
+    return json.loads(text, parse_constant=_no_constant)
+
+
+@pytest.mark.parametrize(
+    "output", sorted({case[0] for case in GOLDEN_CASES if not case[0].endswith(".table")})
+)
+def test_golden_outputs_are_strict_json(output):
+    text = (GOLDEN / output).read_text(encoding="utf-8")
+    for doc in text.splitlines() if output.endswith(".ndjson") else [text]:
+        _strict_json(doc)
 
 
 VERIFY_GOLDEN_CASES = [
@@ -589,10 +609,10 @@ GOLD_EDGE_SLICE = (
 # The edge lines six times among 300 records, around the first chunk boundary
 # and inside chunks: sha256 of stdout per command, exit code 2 for each.
 GOLD_EDGE_DIGESTS = {
-    "classify": "df2372cb165805e43b8f735ae4c73b9448e91b46830cf79ac00adf22c4f7872f",
+    "classify": "b82da38c1fdaddc49037d9730405db40b026a9017b08d31718d54f049c74d81c",
     "canonical": "3a882ba75210643818c412471aadf984919972eda6889ba0d97c30c7fa74f64b",
-    "slice": "adf21ff813ea4d82e4a322ec2621b80088a465dc74a32c6b23251a2e5f806232",
-    "stabilizer": "ee4138bc96a2b75be56361c453ab48301d7bf78fca6a1f6a6bad4cc0be13c3a4",
+    "slice": "76b51a3b164ef67d70b03c2b747c6641ae98b043fc419faf8d056cf9b74eed95",
+    "stabilizer": "8a25b9446b053134f3b3e49f26e6c3990915a0dd6847afe971f7d284cff475de",
 }
 COMMAND_ARGS = {
     "classify": ["classify", "--r", "1.0"],
@@ -696,15 +716,15 @@ def test_escaped_lines_skip_the_joined_parse(monkeypatch):
 
 def _decoded_record_by_record(docs):
     """What _decode_chunk must give for docs, from _decode_record on each alone:
-    (id text, message) per bad document and None per good one, the good
-    ones' id texts, and their bivectors wedged one row at a time."""
+    (id text, message as JSON text) per bad document and None per good one,
+    the good ones' id texts, and their bivectors wedged one row at a time."""
     import lbo.cli as cli
 
     items, ids, rows = [], [], []
     for doc in docs:
         rid, row = cli._decode_record(doc)
         if isinstance(row, cli._InputError):
-            items.append((cli._scalar(rid), str(row)))
+            items.append((cli._scalar(rid), cli._json_string(str(row))))
             continue
         items.append(None)
         ids.append(cli._scalar(rid))
@@ -716,8 +736,8 @@ def _decoded_by_chunk(docs):
     import lbo.cli as cli
 
     items, ids, W = cli._decode_chunk(docs)
-    items = [item and (item[1][0], str(item[1][1])) for item in items]
-    return items, ids, W
+    assert {item[0] for item in items if item} <= {cli._ERRORS[2]}
+    return [item and item[1] for item in items], ids, W
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -779,9 +799,8 @@ def _bad_line():
 @example([{"c": [1.0, 0.0, 0.0, 0.0, 0.0, float(v)]} for v in ("nan", "inf", "-inf")])
 @example([{"c": [[1.0], [2.0], [0.0], [0.0], [0.0], [1.0]]}, {"c": [[1.0]] * 6}])
 def test_chunk_decode_matches_each_record_alone(docs):
-    with np.errstate(over="ignore", invalid="ignore"):  # wedges of huge entries overflow
-        items, ids, W = _decoded_by_chunk(docs)
-        want_items, want_ids, want_W = _decoded_record_by_record(docs)
+    items, ids, W = _decoded_by_chunk(docs)
+    want_items, want_ids, want_W = _decoded_record_by_record(docs)
     assert (items, ids) == (want_items, want_ids)
     assert W.shape == want_W.shape
     assert np.array_equal(W.view(np.int64), want_W.view(np.int64))
@@ -899,7 +918,9 @@ def _check_real_slots(v: float) -> None:
     from lbo.orbit import OrbitKind
 
     shapes = [x for x in vars(cli).values() if isinstance(x, cli._Shape)]
+    shapes += [*cli._ERRORS.values()]
     shapes += [cli._stabilizer_on(k) for k in (OrbitKind.NEUTRAL_PLUS, OrbitKind.DEGENERATE)]
+    shapes += [cli._off_cone(shape)[0] for shape in shapes if "in_light_cone" in shape.skeleton]
     (fed,) = cli._json_reals(np.array([v]))
     for shape in shapes:
         slots = [leaf for _, leaf in shape.columns if type(leaf) is cli._Slot]
@@ -937,36 +958,33 @@ def test_text_slots_hold_the_json_of_their_values():
     assert [cli._BOOL_TEXT[b] for b in (False, True)] == [cli._scalar(False), cli._scalar(True)]
 
 
-# What each command printed, warning on stderr, for a row whose pfaffian overflows.
-OVERFLOW = b'{"c":[1e200,0,0,0,0,1e200]}\n'
-OVERFLOW_REASON = b'"reason":"split norms differ: spatial inf vs temporal inf"}\n'
-GOLD_OVERFLOW = {
-    "classify": b'{"id":null,"in_light_cone":false,"A":inf,"B":inf,"pfaffian":inf,'
-    b'"canonical":null,"class":null,' + OVERFLOW_REASON,
-    "canonical": b'{"id":null,"in_light_cone":false,"r":null,"phi":null,"basis":null,'
-    b'"representative":null,"witness":null,' + OVERFLOW_REASON,
-    "slice": b'{"id":null,"in_light_cone":false,"r_queried":1,"class":null,"topology":null,'
-    b'"in_slice":false,' + OVERFLOW_REASON,
-    "stabilizer": b'{"id":null,"in_light_cone":false,"kind":null,"families":null,'
-    + OVERFLOW_REASON,
-}
+# Rows whose split norms or pfaffian overflow, given as coefficients and as a
+# vector pair whose wedge overflows: an input error in every command, without
+# a warning, where they once printed inf or nan.
+OVERFLOW = b'{"c":[1e200,0,0,0,0,1e200]}\n{"id":"xy","x":[0,0,0,1.4e154],"y":[0,0,1.4e154,0]}\n'
+OVERFLOW_ERROR = (
+    b'"error":"bivector overflows the double range: its split norms or pfaffian are not finite"}\n'
+)
+GOLD_OVERFLOW = b'{"id":null,' + OVERFLOW_ERROR + b'{"id":"xy",' + OVERFLOW_ERROR
 
 
-@pytest.mark.parametrize("command", sorted(GOLD_OVERFLOW))
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
 def test_overflowing_pfaffian_is_quiet(command):
-    args = ["classify"] if command == "classify" else COMMAND_ARGS[command]
-    p = run_cli(args, OVERFLOW)
-    assert (p.returncode, p.stderr) == (0, b"")
-    assert p.stdout == GOLD_OVERFLOW[command]
+    p = run_cli(COMMAND_ARGS[command], OVERFLOW)
+    assert (p.returncode, p.stderr) == (2, b"")
+    assert p.stdout == GOLD_OVERFLOW
 
 
-def test_invariant_violation_is_an_error_record_and_batch_goes_on():
+@pytest.mark.parametrize("command", ["classify", "canonical", "stabilizer"])
+def test_invariant_violation_is_an_error_record_and_batch_goes_on(command):
+    # split norms 19% apart pass the cone test's floor at 1; their reduced
+    # element is off its normal form (ROADMAP item 1)
     stdin = (
         b'{"id":"a","c":[1,0,0,0,0,1]}\n'
         b'{"id":"bad","c":[7e-5,0,0,0,0,6.3e-5]}\n'
         b'{"id":"c","c":[1,0,0,0,0,1]}\n'
     )
-    p = run_cli(["classify"], stdin)
+    p = run_cli([command], stdin)
     assert p.returncode == 4
     lines = p.stdout.splitlines()
     assert [json.loads(line)["id"] for line in lines] == ["a", "bad", "c"]
@@ -976,11 +994,30 @@ def test_invariant_violation_is_an_error_record_and_batch_goes_on():
     assert bad["error"].startswith("invariant violation: ")
     assert p.stderr.decode().splitlines() == [bad["error"]]
     # exit 4 takes precedence over an input error's 2, in either order
-    p = run_cli(["classify"], stdin + b'{"id":"short","c":[1,2]}\n')
+    p = run_cli([command], stdin + b'{"id":"short","c":[1,2]}\n')
     assert p.returncode == 4
     assert len(p.stdout.splitlines()) == 4
-    p = run_cli(["classify"], b'{"id":"short","c":[1,2]}\n' + stdin)
+    p = run_cli([command], b'{"id":"short","c":[1,2]}\n' + stdin)
     assert p.returncode == 4
+
+
+@pytest.mark.parametrize("offset,code", [(5e-7, 0), (1e-3, 4)])
+def test_a_stabilizer_residual_past_the_ceiling_is_a_violation(offset, code, monkeypatch):
+    import lbo.cli as cli
+
+    for name in ("LBO_FORMAT", "LBO_R", "LBO_TOL"):
+        monkeypatch.delenv(name, raising=False)
+    conjugated = cli._conjugated_residuals
+    monkeypatch.setattr(cli, "_conjugated_residuals", lambda *args: conjugated(*args) + offset)
+    # a neutral and a degenerate record, each with a witness or basis of condition 1
+    got = _main_in_process(["stabilizer"], GOLD_PAIR.decode())
+    assert got[0] == code
+    records = [json.loads(line) for line in got[1].splitlines()]
+    if code == 0:
+        assert [rec["max_residual"] > offset for rec in records] == [True, True]
+    else:
+        message = "invariant violation: stabilizer generator fails to fix its element"
+        assert [rec["error"][: len(message)] for rec in records] == [message] * 2
 
 
 # (args, environment, exit code): 3 for a bad flag or environment value, 2 for a bad radius
@@ -1072,11 +1109,12 @@ def test_table_cells_are_the_json_leaves(args, source, monkeypatch):
     code, ndjson = _main_in_process(args, text)
     table_code, table = _main_in_process([*args, "--format", "table"], text)
     assert table_code == code
-    # the writer prints an overflowed real as inf, which json reads as Infinity;
     # an integral real prints without a fraction, so every number is read as a
     # float, and the one integer leaf, epsilon (+-1), prints the same either way
-    ndjson = re.sub(r"(?<=[:,\[])(-?)inf\b", r"\1Infinity", ndjson)
-    records = [_table_cells(json.loads(line, parse_int=float)) for line in ndjson.splitlines()]
+    records = [
+        _table_cells(json.loads(line, parse_int=float, parse_constant=_no_constant))
+        for line in ndjson.splitlines()
+    ]
     header, *lines = table.splitlines()
     columns = header.split()
     starts = [m.start() for m in re.finditer(r"\S+", header)]
@@ -1207,3 +1245,114 @@ def test_text_that_is_utf8_has_no_escaped_byte():
 
     assert cli._escaped_byte('{"id":"é中\U0001f600","c":[1,0,0,0,0,1]}') is None
     assert cli._escaped_byte(b"ok \x80 \xfe".decode("utf-8", "surrogateescape")) == 0x80
+
+
+def test_stdin_decodes_like_in(tmp_path):
+    # a locale codec on stdin must not change the bytes: both read UTF-8
+    payload = '{"id":"é","c":[1,0,0,0,0,1]}\n{"id":"b\\u00e9","c":[2,-2,3,1,0,0]}\n'.encode()
+    path = tmp_path / "records.ndjson"
+    path.write_bytes(payload)
+    latin = {"PYTHONIOENCODING": "latin-1"}
+    by_stdin = run_cli(["classify"], payload, env_extra=latin)
+    by_file = run_cli(["classify", "--in", str(path)], env_extra=latin)
+    assert by_stdin.returncode == by_file.returncode == 0
+    assert by_stdin.stdout == by_file.stdout == run_cli(["classify"], payload).stdout
+    assert by_stdin.stdout.count(b'"id":"\\u00e9"') == 1
+    assert by_stdin.stdout.count(b'"id":"b\\u00e9"') == 1
+    # two in-process runs on one real stdin: the first reads it all
+    twice = "import lbo.cli as cli; print(cli.main(['classify']), cli.main(['classify']))"
+    env = {k: v for k, v in os.environ.items() if not k.startswith("LBO_")}
+    p = subprocess.run(
+        [sys.executable, "-c", twice], input=payload, capture_output=True, env={**env, **latin}
+    )
+    assert (p.stdout, p.stderr) == (by_file.stdout + b"0 0\n", b"")
+
+
+# Rows from the edge generators of the kernel, for the property that every
+# batch subcommand gives a row the answer classify gives it.
+_BASE_ROWS = (
+    [1, 0, 0.6, 0, 0, 0.8],  # neutral
+    [2, -2, 3, 1, 0, 0],  # neutral, generic frame
+    [1, 0, 0, 0, 0, -1],  # neutral minus, phi = pi
+    [2, -2, 2, 1, 1, -2],  # degenerate
+    [0, 0, 1.5, 1.5, 0, 0],  # axial and polar parallel
+    [0, 0, -2, 2, 0, 0],  # anti-parallel
+)
+_EDGE_ROWS = st.one_of(
+    # scaled rows, magnitudes 1e-300 to 1e150
+    st.builds(
+        lambda row, e: {"c": [v * 10.0**e for v in row]},
+        st.sampled_from(_BASE_ROWS), st.floats(-300, 150),
+    ),
+    # off-cone rows
+    st.builds(lambda c: {"c": c}, st.lists(st.floats(-10, 10), min_size=6, max_size=6)),
+    # the edges of the cone band and of the degenerate band
+    st.builds(lambda d: {"c": [1, 0, 0, 0, 0, 1 + d]}, st.floats(4e-10, 6e-10)),
+    st.builds(lambda t: {"c": [1, 0, 1, 0, 0, t]}, st.floats(-2e-9, 2e-9)),
+    # bad-style rows: small split norms apart, under the cone test's floor at 1
+    st.builds(
+        lambda e, f: {"c": [10.0**e, 0, 0, 0, 0, f * 10.0**e]},
+        st.floats(-6, -4), st.floats(0.5, 1),
+    ),
+    # angles that round to pi/2 (neutral at --tol 1e-300)
+    st.builds(lambda t: {"c": [1, 0, 1, 0, 0, t]}, st.floats(1e-30, 1e-17)),
+    # zero rows and overflow rows
+    st.just({"c": [0, 0, 0, 0, 0, 0]}),
+    st.just({"c": [1e200, 0, 0, 0, 0, 1e200]}),
+    st.just({"x": [0, 0, 0, 1.4e154], "y": [0, 0, 1.4e154, 0]}),
+)
+
+
+def _answer(command, line) -> tuple:
+    """(exit code, error text, in_light_cone, kind) of one output record; the
+    kind is Degenerate, Neutral (canonical) or the class's kind."""
+    rec = _strict_json(line)
+    if "error" in rec:
+        code = 4 if rec["error"].startswith("invariant violation: ") else 2
+        return code, rec["error"], None, None
+    if not rec["in_light_cone"]:
+        kind = None
+    elif command == "canonical":
+        kind = "Degenerate" if "note" in rec else "Neutral"
+    else:
+        kind = rec["kind"] if command == "stabilizer" else rec["class"]["kind"]
+    return 0, None, rec["in_light_cone"], kind
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(_EDGE_ROWS, min_size=1, max_size=6), tol=st.sampled_from(["1e-9", "1e-300"]))
+@example(rows=[{"c": [7e-5, 0, 0, 0, 0, 6.3e-5]}, {"c": [1, 0, 1, 0, 0, 1e-20]}], tol="1e-300")
+@example(rows=[{"c": [7e-5, 0, 0, 0, 0, 6.3e-5]}, {"c": [1e150, 0, 6e149, 0, 0, 8e149]}],
+         tol="1e-9")
+def test_subcommands_agree_with_classify(rows, tol, tmp_path_factory):
+    # metamorphic: one record, one answer in every subcommand.  slice has no
+    # frames, so where classify refuses a row at the right angle or finds an
+    # invariant violation, slice answers it on the cone from its invariants
+    import lbo.cli as cli
+
+    path = tmp_path_factory.mktemp("agree") / "rows.ndjson"
+    records = [json.dumps({"id": f"r{i}", **row}) + "\n" for i, row in enumerate(rows)]
+    path.write_text("".join(records))
+    answers, codes = {}, {}
+    for command, args in COMMAND_ARGS.items():
+        out, err = io.StringIO(), io.StringIO()
+        argv = [*args, "--in", str(path), "--tol", tol, "--format", "ndjson"]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            codes[command] = cli.main(argv)
+        answers[command] = [_answer(command, line) for line in out.getvalue().splitlines()]
+        assert len(answers[command]) == len(rows)
+        assert codes[command] == max(answer[0] for answer in answers[command])
+        violations = [a[1] for a in answers[command] if a[0] == 4]
+        assert err.getvalue().splitlines() == violations
+    neutral = {"Neutral", "NeutralPlus", "NeutralMinus"}
+    for i, want in enumerate(answers["classify"]):
+        code, error, on, kind = want
+        canonical = answers["canonical"][i]
+        assert canonical[:3] == want[:3]
+        assert canonical[3] == (kind if kind in (None, "Degenerate") else "Neutral")
+        assert answers["stabilizer"][i] == want
+        got = answers["slice"][i]
+        if code == 4 or code == 2 and "right angle" in error:
+            assert got[:3] == (0, None, True) and got[3] in neutral | {"Degenerate"}
+        else:
+            assert got == want
