@@ -16,11 +16,11 @@ bytes and exit code as a record-by-record run:
   document; otherwise each line is parsed alone.  A chunk that passes a few
   tests run over it whole becomes one array, its vector pairs wedged in one
   stacked call; any other chunk is decoded record by record.
-- report: one reduce_orbits call, and for stabilizer stacked products of
-  STABILIZER_BLOCK records.  One function, _row_status, gives every row of
-  every report its status: on the cone; off it, with its reason; an input
-  error (split norms or pfaffian past the double range, or a neutral row at
-  the right angle); or an invariant violation, a residual past its ceiling.
+- report: one reduce_orbits call, and for stabilizer one stabilizer_residuals
+  call.  One function, _row_status, gives every row of every report its
+  status: on the cone; off it, with its reason; an input error (split norms
+  or pfaffian past the double range, or a neutral row at the right angle);
+  or an invariant violation, a residual past its ceiling.
   classify, canonical and stabilizer check the reconstruction and
   representative residuals, and stabilizer its fixing residuals too; slice
   has no frames and answers from the invariants.  Every output record has
@@ -69,7 +69,7 @@ import sys
 import numpy as np
 
 from .errors import DegenerateOrbitError, InvariantViolationError, NotInLightConeError
-from .minkowski import ToleranceConfig, lorentz_inverse
+from .minkowski import ToleranceConfig
 from .orbit import RIGHT_ANGLE, OrbitKind, normal_form_bivector, reconstruct, reduce_orbits
 from .rslice import SliceTopology, _on_radius, slice_topology
 from .wedge import _row_norms, wedge
@@ -78,11 +78,6 @@ from .wedge import _row_norms, wedge
 # reduce_orbits call.  Large enough to spread the kernel's fixed cost, small
 # enough that the first output line is not held back.
 CHUNK = 128
-
-# Stabilizer rows conjugated per stacked product: the (rows, 12, 4, 4) stack
-# and its second compounds stay small, where a whole chunk at once raises the
-# peak memory of a run by several percent.
-STABILIZER_BLOCK = 16
 
 # Residuals past this ceiling (scaled by witness conditioning) indicate a bug,
 # not an input problem, and map to exit code 4.
@@ -625,35 +620,14 @@ def _slice_chunk(ids, W, tol: ToleranceConfig, r: float):
     return _settled(_records(_SLICE_ON, columns), _row_status(b))
 
 
-def _conjugated_residuals(kind: str, conj, conj_inv, W) -> np.ndarray:
-    """fixing_residual(conj[i] @ stack @ conj_inv[i], W[i]) for each row i, with
-    the generator stack of kind, STABILIZER_BLOCK rows per stacked product."""
-    from .stabilizer import fixing_residual, generator_stack
-
-    stack = generator_stack(kind)[0]
-    residuals = np.empty((len(W), len(stack)))
-    for start in range(0, len(W), STABILIZER_BLOCK):
-        rows = slice(start, start + STABILIZER_BLOCK)
-        conjugated = conj[rows, None] @ stack @ conj_inv[rows, None]
-        residuals[rows] = fixing_residual(conjugated, W[rows])
-    return residuals
-
-
 def _stabilizer_chunk(ids, W, tol: ToleranceConfig):
+    from .stabilizer import stabilizer_residuals
+
     b = reduce_orbits(W, tol)
-    # degenerate rows conjugate the base-point stabilizer through the adapted
-    # basis, witnessed neutral rows through the inverse of the witness; every
-    # other row keeps only its id, for the record of its status
-    degenerate = np.flatnonzero(b.on_cone & (b.epsilon == 0))
-    neutral = np.flatnonzero(b.witnessed)
-    basis, witness = b.basis[degenerate], b.witness[neutral]
+    # a row without residuals keeps only its id, for the record of its status
     records = _records(_stabilizer_on(OrbitKind.DEGENERATE), [ids])
     fixing = np.zeros(len(W))
-    for rows, kind, conj, conj_inv in (
-        (degenerate, OrbitKind.DEGENERATE, basis, lorentz_inverse(basis)),
-        (neutral, OrbitKind.NEUTRAL_PLUS, lorentz_inverse(witness), witness),
-    ):
-        residuals = _conjugated_residuals(kind, conj, conj_inv, W[rows])
+    for rows, residuals in stabilizer_residuals(b, W):
         fixing[rows] = residuals.max(axis=1)
         for i, res in zip(rows.tolist(), _json_reals(residuals)):
             records[i] = _stabilizer_on(b.kind[i]), (ids[i], *res, max(0.0, *res))

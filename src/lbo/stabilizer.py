@@ -23,8 +23,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvariantViolationError
-from .minkowski import BOOST, ROTATION, GeneratorKind, boost_matrix, lie_generator, rotation_matrix
-from .orbit import OrbitClass, OrbitKind, base_point, normal_form_bivector, tangent_frame
+from .minkowski import (
+    BOOST, ROTATION, GeneratorKind, boost_matrix, lie_generator, lorentz_inverse, rotation_matrix,
+)
+from .orbit import (
+    OrbitClass, OrbitKind, base_point, canonical_bivector, normal_form_bivector, tangent_frame,
+)
 from .wedge import _compound, _row_norms, as_bivector, from_null_basis, lie_pushforward_matrix
 
 # Span-comparison ceiling for subspace membership and equality tests.
@@ -150,21 +154,42 @@ def fixing_residual(P, w) -> float | np.ndarray:
     """Relative residual of the pushforward of w by P against w itself.
 
     P is an (n, 4, 4) stack (returns n residuals) or one 4x4 matrix, taken as
-    a stack of one (returns a float).  For an (m, 6) stack of bivectors P is
-    an (m, n, 4, 4) stack, and row i of the (m, n) result pushes w[i] forward
-    by the matrices P[i], with the bits of fixing_residual(P[i], w[i]).
+    a stack of one (returns a float).
     """
-    P = np.asarray(P, dtype=float)
-    w = np.ascontiguousarray(w, dtype=float)
-    if w.ndim == 1:
-        res = fixing_residual(P.reshape(1, -1, 4, 4), as_bivector(w)[None])[0]
-        return float(res[0]) if P.ndim == 2 else res
-    if w.shape[1:] != (6,) or P.ndim != 4 or P.shape[0] != len(w) or P.shape[2:] != (4, 4):
-        raise ValueError(
-            f"expected (m, 6) bivectors and (m, n, 4, 4) matrices, got {w.shape} and {P.shape}"
-        )
-    d = (_compound(P) @ w[:, None, :, None])[..., 0] - w[:, None, :]
-    return _row_norms(d) / _row_norms(w)[:, None]
+    w = np.ascontiguousarray(as_bivector(w))[None]
+    d = (_compound(np.reshape(P, (-1, 4, 4))) @ w[..., None])[..., 0] - w
+    res = _row_norms(d) / _row_norms(w)
+    return float(res[0]) if np.ndim(P) == 2 else res
+
+
+@functools.cache
+def _moved_stack(kind: str) -> np.ndarray:
+    """_compound(S) - I for each S of generator_stack(kind): a read-only (n, 6, 6) array."""
+    moved = _compound(generator_stack(kind)[0]) - np.eye(6)
+    moved.flags.writeable = False
+    return moved
+
+
+def stabilizer_residuals(b, W) -> list:
+    """[(rows, residuals), ...] for b = reduce_orbits(W): degenerate rows, then
+    witnessed neutral ones, and for each generator_stack matrix S the residual
+    fixing_residual(F S F^-1, w) reassociated as |C(F) (C(S) - I) v| / |w|,
+    C = _compound, where the row's frame F takes its base point v (normal
+    form, reduced element) to w.  S fixes v exactly, so only rounding is
+    left.  Each row has the bits of its own one-row call.
+    """
+    degenerate, neutral = np.flatnonzero(b.on_cone & (b.epsilon == 0)), np.flatnonzero(b.witnessed)
+    out = []
+    for rows, kind, frame, v in (
+        (degenerate, OrbitKind.DEGENERATE, b.basis[degenerate],
+         canonical_bivector(b.r[degenerate], b.phi[degenerate])),
+        (neutral, OrbitKind.NEUTRAL_PLUS, lorentz_inverse(b.witness[neutral]), b.reduced[neutral]),
+    ):
+        moved = _moved_stack(kind)
+        u = (moved.reshape(-1, 6) @ v[:, :, None]).reshape(len(v), len(moved), 6)  # (m, n, 6)
+        d = np.ascontiguousarray((_compound(frame) @ u.swapaxes(1, 2)).swapaxes(1, 2))
+        out.append((rows, _row_norms(d) / _row_norms(W[rows])[:, None]))
+    return out
 
 
 def stabilizer_sweep_matrix(a: float, b: float, c: float, d: float):

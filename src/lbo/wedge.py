@@ -105,21 +105,23 @@ def _cone_reason(spatial: np.ndarray, temporal: np.ndarray, tol: ToleranceConfig
     """Light-cone verdicts from arrays of split norms: (on, reason), the mask of
     rows on the cone and a tuple of why each row is off it (None on it).
 
-    On the cone the two norms agree relatively (to eps times the larger, or
-    times 1 below it) and the spatial one lies above eps.  The verdicts are
-    array comparisons; only rows off the cone get a text.
+    On the cone the two norms are finite, agree relatively (to eps times the
+    larger, or times 1 below it) and the spatial one lies above eps.  The
+    verdicts are array comparisons; only rows off the cone get a text.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, and eps times a huge norm
         zero = (spatial == 0.0) & (temporal == 0.0)
         bound = tol.eps * np.maximum(np.maximum(spatial, temporal), 1.0)
         apart = ~(np.abs(spatial - temporal) <= bound)
         low = spatial <= tol.eps
-    off = zero | apart | low
+    unbounded = ~(np.isfinite(spatial) & np.isfinite(temporal))
+    off = zero | unbounded | apart | low
     reason = [None] * len(off)
     for i in np.flatnonzero(off).tolist():
         norms = f"spatial {float(spatial[i]):.6g} vs temporal {float(temporal[i]):.6g}"
         reason[i] = (
             "zero bivector" if zero[i]
+            else f"split norms are not finite: {norms}" if unbounded[i]
             else f"split norms differ: {norms}" if apart[i]
             else f"split norms at or below the tolerance {tol.eps:.6g}: {norms}"
         )
@@ -129,13 +131,13 @@ def _cone_reason(spatial: np.ndarray, temporal: np.ndarray, tol: ToleranceConfig
 def light_cone_reason(w, tol: ToleranceConfig = DEFAULT_TOL) -> str | None:
     """Why w is off the light cone, or None when it is on it.
 
-    On the cone the two split norms agree and the spatial one lies above eps.
+    On the cone the two split norms are finite and agree, and the spatial one lies above eps.
     """
     return _cone_reason(*_split_norms_rows(as_bivector(w)[None]), tol)[1][0]
 
 
 def in_light_cone(w, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True iff w is isotropic and nonzero: the two split norms agree and do not vanish."""
+    """True iff w is isotropic and nonzero: its split norms are finite, agree and do not vanish."""
     return light_cone_reason(w, tol) is None
 
 

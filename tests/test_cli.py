@@ -25,43 +25,45 @@ GOLD_NEUTRAL = (
     b'"diagnostics":{"reconstruction_residual":0,"representative_residual":0}}\n'
 )
 
-# Frozen from the thread-pool implementation: a generic neutral record and a
-# generic degenerate one (axial (1, 2, 2), polar (3, 0, 0) and (2, 1, -2)).
+# A generic neutral record and a generic degenerate one (axial (1, 2, 2),
+# polar (3, 0, 0) and (2, 1, -2)).  GOLD_CANONICAL is frozen from the
+# thread-pool implementation; GOLD_STABILIZER from the residuals carried
+# through each row's reduced element.
 GOLD_PAIR = b'{"id":"n","c":[2,-2,3,1,0,0]}\n{"id":"d","c":[2,-2,2,1,1,-2]}\n'
 GOLD_STABILIZER = (
     b'{"id":"n","in_light_cone":true,"kind":"NeutralPlus","families":[{"family":"rotation12",'
-    b'"parameter":-0.90000000000000002,"fixing_residual":3.9599683826557206e-16},'
+    b'"parameter":-0.90000000000000002,"fixing_residual":1.6257199769860883e-16},'
     b'{"family":"boost34","parameter":-0.90000000000000002,'
-    b'"fixing_residual":4.4177019029269051e-16},{"family":"reflected_boost34",'
-    b'"parameter":-0.90000000000000002,"fixing_residual":4.4177019029269051e-16},'
+    b'"fixing_residual":2.0237321307822327e-16},{"family":"reflected_boost34",'
+    b'"parameter":-0.90000000000000002,"fixing_residual":2.0237321307822327e-16},'
     b'{"family":"rotation12","parameter":-0.29999999999999999,'
-    b'"fixing_residual":2.5774771283283483e-16},{"family":"boost34",'
-    b'"parameter":-0.29999999999999999,"fixing_residual":3.7791322414956014e-16},'
+    b'"fixing_residual":4.8624425061441905e-17},{"family":"boost34",'
+    b'"parameter":-0.29999999999999999,"fixing_residual":5.0057777280374086e-17},'
     b'{"family":"reflected_boost34","parameter":-0.29999999999999999,'
-    b'"fixing_residual":3.7791322414956014e-16},{"family":"rotation12",'
-    b'"parameter":0.29999999999999999,"fixing_residual":1.8549918689772906e-16},'
+    b'"fixing_residual":5.0057777280374086e-17},{"family":"rotation12",'
+    b'"parameter":0.29999999999999999,"fixing_residual":4.8624425061441905e-17},'
     b'{"family":"boost34","parameter":0.29999999999999999,'
-    b'"fixing_residual":3.7921335575229103e-16},{"family":"reflected_boost34",'
-    b'"parameter":0.29999999999999999,"fixing_residual":3.7921335575229103e-16},'
+    b'"fixing_residual":5.0057777280374086e-17},{"family":"reflected_boost34",'
+    b'"parameter":0.29999999999999999,"fixing_residual":5.0057777280374086e-17},'
     b'{"family":"rotation12","parameter":0.90000000000000002,'
-    b'"fixing_residual":4.1869132231567339e-16},{"family":"boost34",'
-    b'"parameter":0.90000000000000002,"fixing_residual":5.0471411113383631e-16},'
+    b'"fixing_residual":1.6257199769860883e-16},{"family":"boost34",'
+    b'"parameter":0.90000000000000002,"fixing_residual":2.0237321307822327e-16},'
     b'{"family":"reflected_boost34","parameter":0.90000000000000002,'
-    b'"fixing_residual":5.0471411113383631e-16}],"max_residual":5.0471411113383631e-16}\n'
+    b'"fixing_residual":2.0237321307822327e-16}],"max_residual":2.0237321307822327e-16}\n'
     b'{"id":"d","in_light_cone":true,"kind":"Degenerate",'
     b'"families":[{"family":"null_rotation_a","parameter":-0.90000000000000002,'
-    b'"fixing_residual":3.5108334685767017e-16},{"family":"null_rotation_b",'
-    b'"parameter":-0.90000000000000002,"fixing_residual":4.1950828177019914e-16},'
+    b'"fixing_residual":2.1857113945566185e-16},{"family":"null_rotation_b",'
+    b'"parameter":-0.90000000000000002,"fixing_residual":3.6800075365978525e-16},'
     b'{"family":"null_rotation_a","parameter":-0.29999999999999999,'
-    b'"fixing_residual":3.0517111990148255e-16},{"family":"null_rotation_b",'
-    b'"parameter":-0.29999999999999999,"fixing_residual":2.5772695602081545e-16},'
+    b'"fixing_residual":7.2812474516374935e-17},{"family":"null_rotation_b",'
+    b'"parameter":-0.29999999999999999,"fixing_residual":1.4226142528809761e-16},'
     b'{"family":"null_rotation_a","parameter":0.29999999999999999,'
-    b'"fixing_residual":2.2812914531392959e-16},{"family":"null_rotation_b",'
-    b'"parameter":0.29999999999999999,"fixing_residual":2.5772695602081545e-16},'
+    b'"fixing_residual":7.2812474516374923e-17},{"family":"null_rotation_b",'
+    b'"parameter":0.29999999999999999,"fixing_residual":1.4226142528809761e-16},'
     b'{"family":"null_rotation_a","parameter":0.90000000000000002,'
-    b'"fixing_residual":2.9139682792692303e-16},{"family":"null_rotation_b",'
-    b'"parameter":0.90000000000000002,"fixing_residual":4.2919051663548791e-16}],'
-    b'"max_residual":4.2919051663548791e-16}\n'
+    b'"fixing_residual":2.1857113945566185e-16},{"family":"null_rotation_b",'
+    b'"parameter":0.90000000000000002,"fixing_residual":3.680007536597853e-16}],'
+    b'"max_residual":3.680007536597853e-16}\n'
 )
 GOLD_CANONICAL = (
     b'{"id":"n","in_light_cone":true,"r":3,"phi":1.2309594173407747,"basis":[0,0,1,0,'
@@ -280,9 +282,8 @@ def test_formatted_output_does_not_depend_on_the_chunk(args, fmt, monkeypatch):
     text = "".join(_chunk_test_lines(cli.CHUNK + 45))
     code, batch = _main_in_process(args, text)
     assert code == (2 if args[0] == "slice" else 4)
-    # one record per chunk and per stabilizer block
+    # one record per chunk
     monkeypatch.setattr(cli, "CHUNK", 1)
-    monkeypatch.setattr(cli, "STABILIZER_BLOCK", 1)
     assert _main_in_process(args, text) == (code, batch)
 
 
@@ -290,13 +291,12 @@ def test_stacked_stabilizer_residuals_are_bit_identical():
     import lbo.cli as cli
     from lbo.minkowski import ToleranceConfig, lorentz_inverse
     from lbo.orbit import OrbitKind, reduce_orbits
-    from lbo.stabilizer import fixing_residual, generator_stack
+    from lbo.stabilizer import fixing_residual, generator_stack, stabilizer_residuals
 
-    # neutral of both signs, degenerate and off-cone rows over six decades,
-    # more than two stabilizer blocks and not a multiple of one
+    # neutral of both signs, degenerate and off-cone rows over six decades
     rng = np.random.default_rng(3)
     rows = []
-    for k in range(2 * cli.STABILIZER_BLOCK + 7):
+    for k in range(39):
         a, b = rng.normal(size=3), rng.normal(size=3)
         if k % 4 == 1:
             b = np.cross(a, b)
@@ -315,15 +315,20 @@ def test_stacked_stabilizer_residuals_are_bit_identical():
         if kind is None:
             assert shape is off_cone
             continue
+        alone = W[i : i + 1]  # the row's one-row call
+        (one,) = [res[0] for rows, res in stabilizer_residuals(reduce_orbits(alone, tol), alone)
+                  if len(rows)]
+        assert values[0] == f"r{i}"
+        assert np.array_equal(values[1:-1], one)
+        assert values[-1] == max(0.0, *one)
+        # the stabilizer conjugated to the row: the same residual, associated otherwise
         if kind == OrbitKind.DEGENERATE:
-            conj, conj_inv = batch.basis[i], lorentz_inverse(batch.basis[i])
+            conj, conj_inv, m = batch.basis[i], lorentz_inverse(batch.basis[i]), 1.0
         else:
             conj, conj_inv = lorentz_inverse(batch.witness[i]), batch.witness[i]
-        stack, _ = generator_stack(kind)
-        expected = fixing_residual(conj @ stack @ conj_inv, W[i])
-        assert values[0] == f"r{i}"
-        assert np.array_equal(values[1:-1], expected)
-        assert values[-1] == max(0.0, *expected)
+            m = np.abs(batch.witness[i]).max()
+        conjugated = fixing_residual(conj @ generator_stack(kind)[0] @ conj_inv, W[i])
+        assert np.all(np.abs(one - conjugated) <= 64 * 2.0**-53 * max(1.0, m) ** 4)
     assert seen == {None, OrbitKind.NEUTRAL_PLUS, OrbitKind.NEUTRAL_MINUS, OrbitKind.DEGENERATE}
 
 
@@ -612,7 +617,7 @@ GOLD_EDGE_DIGESTS = {
     "classify": "b82da38c1fdaddc49037d9730405db40b026a9017b08d31718d54f049c74d81c",
     "canonical": "3a882ba75210643818c412471aadf984919972eda6889ba0d97c30c7fa74f64b",
     "slice": "76b51a3b164ef67d70b03c2b747c6641ae98b043fc419faf8d056cf9b74eed95",
-    "stabilizer": "8a25b9446b053134f3b3e49f26e6c3990915a0dd6847afe971f7d284cff475de",
+    "stabilizer": "608de6b194334e8b07975b6d6983631c5a34a58b392f76c13539bab4b4f0a09f",
 }
 COMMAND_ARGS = {
     "classify": ["classify", "--r", "1.0"],
@@ -1003,12 +1008,13 @@ def test_invariant_violation_is_an_error_record_and_batch_goes_on(command):
 
 @pytest.mark.parametrize("offset,code", [(5e-7, 0), (1e-3, 4)])
 def test_a_stabilizer_residual_past_the_ceiling_is_a_violation(offset, code, monkeypatch):
-    import lbo.cli as cli
+    import lbo.stabilizer as stabilizer
 
     for name in ("LBO_FORMAT", "LBO_R", "LBO_TOL"):
         monkeypatch.delenv(name, raising=False)
-    conjugated = cli._conjugated_residuals
-    monkeypatch.setattr(cli, "_conjugated_residuals", lambda *args: conjugated(*args) + offset)
+    residuals = stabilizer.stabilizer_residuals
+    monkeypatch.setattr(stabilizer, "stabilizer_residuals",
+                        lambda *args: [(rows, res + offset) for rows, res in residuals(*args)])
     # a neutral and a degenerate record, each with a witness or basis of condition 1
     got = _main_in_process(["stabilizer"], GOLD_PAIR.decode())
     assert got[0] == code

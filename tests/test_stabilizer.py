@@ -1,10 +1,15 @@
+import functools
+
 import numpy as np
 import pytest
 
 from conftest import random_light_cone_bivector
 from lbo.errors import InvariantViolationError
-from lbo.minkowski import boost_matrix, is_proper_lorentz, lorentz_inverse, random_proper_lorentz
-from lbo.orbit import OrbitKind, orbit_class, tangent_frame
+from lbo.minkowski import (
+    BOOST, ROTATION, GeneratorKind, ToleranceConfig, boost_matrix, is_proper_lorentz,
+    lie_generator, lorentz_inverse, random_proper_lorentz,
+)
+from lbo.orbit import OrbitKind, orbit_class, reduce_orbits, tangent_frame
 from lbo.stabilizer import (
     STACK_PARAMETERS,
     Family,
@@ -21,9 +26,10 @@ from lbo.stabilizer import (
     null_rotation_b,
     stabilizer_element,
     stabilizer_generators,
+    stabilizer_residuals,
     stabilizer_sweep_matrix,
 )
-from lbo.wedge import _compound, hat_inner
+from lbo.wedge import PAIRS, _compound, basis_bivector, hat_inner
 
 PARAMS = (-1.3, -0.5, 0.2, 0.8, 1.7)
 
@@ -105,20 +111,31 @@ def test_stacked_fixing_residual_is_bit_identical(kind, rng):
 
 
 
-def test_fixing_residual_of_a_bivector_stack(rng):
+def test_fixing_residual_refuses_a_bivector_stack(rng):
     stack, _ = generator_stack(OrbitKind.NEUTRAL_PLUS)
-    conj = np.array([random_proper_lorentz(rng, 4) for _ in range(7)])
-    mats = conj[:, None] @ stack @ lorentz_inverse(conj)[:, None]
-    scales = (1e-3, 0.5, 1.0, 3.0, 1e3, 1.0, 2.0)
-    W = np.array([random_light_cone_bivector(rng, scale=s) for s in scales])
-    stacked = fixing_residual(mats, W)
-    assert stacked.shape == (7, len(stack))
-    for i in range(7):
-        assert np.array_equal(stacked[i], fixing_residual(mats[i], W[i]))
-    with pytest.raises(ValueError):
-        fixing_residual(mats[:-1], W)
-    with pytest.raises(ValueError):
-        fixing_residual(mats[0], W)
+    W = np.array([random_light_cone_bivector(rng) for _ in range(3)])
+    for P in (stack, stack[0]):
+        with pytest.raises(ValueError):
+            fixing_residual(P, W)
+
+
+def test_stabilizer_residuals_take_the_rows_with_frames():
+    # exactly isotropic rows: neutral of both signs, degenerate, a neutral row
+    # at the right angle (no witness at this tolerance); then an off-cone row
+    rows = [[2.0, -2.0, 3.0, 1.0, 0, 0], [0.25, -0.25, -0.375, 0.125, 0, 0]]
+    rows += [[30.0, 0, 0, 0, 0, 30.0]]
+    rows += [[0, 0, 0, 1.0, 0, 1.0], [2.0, -2.0, 2.0, 1.0, 1.0, -2.0]]
+    rows += [[1.0, 0, 1.0, 0, 0, 1e-20], [1.0, 2.0, 0, 0, 0, 1.0]]
+    W = np.array(rows)
+    b = reduce_orbits(W, ToleranceConfig(eps=1e-300))
+    (degenerate, dres), (neutral, nres) = stabilizer_residuals(b, W)
+    assert degenerate.tolist() == [3, 4] and dres.shape == (2, 8)
+    assert neutral.tolist() == [0, 1, 2] and nres.shape == (3, 12)
+    assert [b.epsilon[i] for i in neutral] == [1, -1, 1]
+    assert np.all(dres < 1e-14)
+    witness_max = np.abs(b.witness[neutral]).max(axis=(1, 2))
+    assert np.all(nres < 1e-14 * np.maximum(1.0, witness_max)[:, None] ** 4)
+
 
 def test_null_rotation_angle_identities():
     for t in PARAMS:
@@ -292,3 +309,61 @@ def test_fixing_residual_detects_motion():
     w = neutral_base(1.0, 1)
     assert fixing_residual(np.eye(4), w) == 0.0
     assert fixing_residual(boost_matrix(2, 0.5), w) > 0.1
+
+
+def _minor_compound(P):
+    """The second compound of a 4x4 matrix of any ring's entries, as nested lists."""
+    return [[P[k, i] * P[l, j] - P[k, j] * P[l, i] for i, j in PAIRS] for k, l in PAIRS]
+
+
+def test_stabilizer_certificate():
+    """Proved with sympy over symbolic parameters: the neutral families fix
+    r0*(e12 + eps*e34) and the null rotations fix the degenerate base exactly,
+    and the two null-rotation families commute.  So in the carried residual
+    |C(F) (C(S) - I) v| / |w| the factor (C(S) - I) v vanishes exactly, and a
+    residual is rounding alone.  The numeric families are then checked
+    against the proved ones."""
+    sp = pytest.importorskip("sympy")
+    t, x, y, r0 = sp.symbols("t x y r0", real=True)
+    exact = functools.partial(sp.Matrix.applyfunc, f=sp.nsimplify)
+    # the symbolic compound is _compound's formula
+    P = random_proper_lorentz(np.random.default_rng(5), 4)
+    assert np.array_equal(np.array(_minor_compound(P)), _compound(P))
+
+    def family(axis, kind):  # exp(t X) of the family's Lie generator
+        m = (t * exact(sp.Matrix(lie_generator(GeneratorKind(axis, kind))))).exp()
+        return m.applyfunc(lambda entry: sp.simplify(entry.rewrite(sp.cos)))
+
+    def fixes(S, v):
+        return sp.simplify(sp.Matrix(_minor_compound(S)) * v - v) == sp.zeros(6, 1)
+
+    e12, e34 = (exact(sp.Matrix(basis_bivector(*p))) for p in ((1, 2), (3, 4)))
+    rotation, boost = family(1, ROTATION), family(1, BOOST)
+    for eps in (1, -1):
+        base = r0 * (e12 + eps * e34)
+        assert exact(sp.Matrix(neutral_base(1.0, eps))) == base.subs(r0, 1)
+        assert all(fixes(S, base) for S in (rotation, boost, -boost))
+        assert not fixes(family(2, BOOST), base)  # the proof can fail
+
+    a, b = (exact(sp.Matrix(f(x))) for f in (null_rotation_a, null_rotation_b))
+    half_pi = sp.pi / 2
+    degenerate = sp.sqrt(2) * (
+        sp.cos(half_pi) * e12 + sp.sin(half_pi) * exact(sp.Matrix(basis_bivector(2, 3))) + e34
+    )
+    assert fixes(a, degenerate) and fixes(b, degenerate)
+    assert sp.expand(a * b.subs(x, y) - b.subs(x, y) * a) == sp.zeros(4, 4)
+
+    # the numeric base points and generator stacks are the proved ones, rounded
+    np.testing.assert_allclose(degenerate_base(), np.array(degenerate, dtype=float)[:, 0],
+                               rtol=1e-15, atol=1e-16)
+    for kind, fams in (
+        (OrbitKind.NEUTRAL_PLUS, {Family.ROTATION_12: rotation, Family.BOOST_34: boost,
+                                  Family.REFLECTED_BOOST_34: -boost}),
+        (OrbitKind.DEGENERATE, {Family.NULL_ROTATION_A: a, Family.NULL_ROTATION_B: b}),
+    ):
+        stack, labels = generator_stack(kind)
+        for m, (fam, p) in zip(stack, labels):
+            param = x if kind == OrbitKind.DEGENERATE else t
+            value = np.tanh(p) if kind == OrbitKind.DEGENERATE else p
+            want = np.array(fams[fam].subs(param, value).evalf(30), dtype=float)
+            np.testing.assert_allclose(m, want, rtol=1e-14, atol=1e-15)

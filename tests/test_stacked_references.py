@@ -481,6 +481,8 @@ def reference_cone_reason(spatial, temporal, tol):
     """The light-cone test reduce_orbits ran on each row before its array verdicts."""
     if spatial == 0.0 and temporal == 0.0:
         return "zero bivector"
+    if not (np.isfinite(spatial) and np.isfinite(temporal)):
+        return f"split norms are not finite: spatial {spatial:.6g} vs temporal {temporal:.6g}"
     if not abs(spatial - temporal) <= tol.eps * max(spatial, temporal, 1.0):
         return f"split norms differ: spatial {spatial:.6g} vs temporal {temporal:.6g}"
     if spatial <= tol.eps:
@@ -566,6 +568,6 @@ def test_reduce_orbits_verdicts_match_the_per_row_loops(eps):
     kinds = {None, OrbitKind.NEUTRAL_PLUS, OrbitKind.NEUTRAL_MINUS, OrbitKind.DEGENERATE}
     assert set(kind) == kinds
     assert {r.split(":")[0][:22] for r in reason if r} == {
-        "zero bivector", "split norms differ", "split norms at or belo"
+        "zero bivector", "split norms are not fi", "split norms differ", "split norms at or belo"
     }
     assert batch.witnessed.sum() >= 10

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_light_cone_bivector
+from lbo.errors import NotInLightConeError
 from lbo.minkowski import (
     BOOST,
     ROTATION,
@@ -15,6 +16,7 @@ from lbo.minkowski import (
     lie_generator,
     random_proper_lorentz,
 )
+from lbo.orbit import orbit_class
 from lbo.wedge import (
     HAT_DIAG,
     NULL_BASIS_MATRIX,
@@ -173,6 +175,19 @@ def test_in_light_cone_band():
     assert light_cone_reason(inside) is None
     # NaN never lands on the cone
     assert not in_light_cone(np.full(6, np.nan))
+
+
+def test_split_norms_past_the_double_range_are_off_the_cone():
+    # eps times an infinite norm is inf, so no bound on the norms' distance holds
+    rows = {
+        "spatial inf vs temporal 0": [0, 0, 0, 1e155, 0, 0],
+        "spatial 0 vs temporal inf": wedge([0, 0, 0, 1.4e154], [0, 0, 1.4e154, 0]),
+    }
+    for norms, w in rows.items():
+        assert not in_light_cone(w)
+        assert light_cone_reason(w) == f"split norms are not finite: {norms}"
+        with pytest.raises(NotInLightConeError):
+            orbit_class(w)
 
 
 def test_pushforward_preserves_inner_and_cone(rng):
