@@ -15,12 +15,15 @@ bytes and exit code as a record-by-record run:
   joined as an array, which is taken only when each line provably holds one
   document; otherwise each line is parsed alone.  A chunk that passes a few
   tests run over it whole becomes one array, its vector pairs wedged in one
-  stacked call; any other chunk is decoded record by record.
+  stacked call; any other chunk is decoded record by record.  Every
+  document is a row: one that does not decode is a zero row, refused with
+  its message.
 - report: one reduce_orbits call, and for stabilizer one stabilizer_residuals
   call.  One function, _row_status, gives every row of every report its
-  status: on the cone; off it, with its reason; an input error (split norms
-  or pfaffian past the double range, or a neutral row at the right angle);
-  or an invariant violation, a residual past its ceiling.
+  status: on the cone; off it, with its reason; an input error (refused by
+  the decode, split norms or pfaffian past the double range, or a neutral
+  row at the right angle); or an invariant violation, a residual past its
+  ceiling.
   classify, canonical and stabilizer check the reconstruction and
   representative residuals, and stabilizer its fixing residuals too; slice
   has no frames and answers from the invariants.  Every output record has
@@ -29,15 +32,14 @@ bytes and exit code as a record-by-record run:
   text rendered once per column, and the rows' values are zipped from the
   columns.  An off-cone record has the keys of its on-cone record, null
   where a value is not defined off the cone, and then its reason.
-- write: the chunk's lines, error records in input order among them, go to
-  stdout as one string, so an unbuffered stdout (PYTHONUNBUFFERED) costs one
-  write call per chunk, not one per record.  json output joins every line;
-  both it and the table are written once, at the end.
-
-A table is a flat view of the JSON records: a column per leaf path
-(canonical.r, families.0.parameter), in order of first appearance, and in
-each cell the leaf's JSON text, but a real to 6 digits; - where a record's
-shape has no such leaf.
+- write: the chunk's records render to its NDJSON lines, which go to stdout
+  as one string, so an unbuffered stdout (PYTHONUNBUFFERED) costs one write
+  call per chunk, not one per record.  json and table output are views of
+  the same lines, written once, at the end: json joins them into one array,
+  and a table is a flat view of their parsed records, a column per leaf path
+  (canonical.r, families.0.parameter) in order of first appearance, in each
+  cell the leaf's JSON text, but a real to 6 digits; - where a record has no
+  such leaf.
 
 --threads is still accepted for compatibility and has no effect.
 Exit codes: 0 success, 2 input error, 3 usage error, 4 internal invariant
@@ -109,25 +111,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Slot:
-    """A skeleton leaf filled per record: format is its conversion in the
-    template, cell turns its value into a table cell."""
+    """A skeleton leaf filled per record: format is its conversion in the template."""
 
-    __slots__ = ("format", "cell")
+    __slots__ = ("format",)
 
-    def __init__(self, format: str, cell):
+    def __init__(self, format: str):
         self.format = format
-        self.cell = cell
 
 
-def _real_cell(x) -> str:
-    """A real's table cell: 6 significant digits."""
-    return "%.6g" % x
-
-
-_REAL = _Slot("%.17g", _real_cell)  # a float, never null, fed through _json_reals so never -0.0
-_TEXT = _Slot("%s", str)  # JSON text: ids, messages, enum names, bools and nullable ints
-# JSON text of a real or null, a real in a table
-_REAL_TEXT = _Slot("%s", lambda text: text if text == "null" else _real_cell(float(text)))
+_REAL = _Slot("%.17g")  # a float, never null, fed through _json_reals so never -0.0
+_TEXT = _Slot("%s")  # JSON text: ids, messages, enum names, bools and nullable values
 # What json.dumps returns for a str, without its dispatch on the argument's type.
 _json_string = json.encoder.encode_basestring_ascii
 _BOOL_TEXT = ("false", "true")  # indexed by a bool
@@ -167,7 +160,8 @@ def _compile(node) -> str:
 
 
 def _leaves(node, path=""):
-    """(dotted path, leaf) of each leaf of a skeleton, in the order the template prints them."""
+    """(dotted path, leaf) of each leaf of a skeleton or a parsed record, in
+    the order the template prints them."""
     if type(node) not in (dict, list):
         yield path, node
         return
@@ -176,15 +170,14 @@ def _leaves(node, path=""):
 
 
 class _Shape:
-    """One record shape: its skeleton, the %-template compiled from it, its
-    columns (path, leaf) and the exit code a record of it gives a batch."""
+    """One record shape: its skeleton, the %-template compiled from it and
+    the exit code a record of it gives a batch."""
 
-    __slots__ = ("skeleton", "template", "columns", "code")
+    __slots__ = ("skeleton", "template", "code")
 
     def __init__(self, skeleton: dict, code: int = 0):
         self.skeleton = skeleton
         self.template = _compile(skeleton)
-        self.columns = tuple(_leaves(skeleton))
         self.code = code
 
 
@@ -395,35 +388,34 @@ def _clean_chunk(docs: list):
 
 
 def _decode_chunk(docs: list):
-    """Decode stage: (items, ids, W) for one chunk of parsed documents.  items
-    holds an input-error record, its message as JSON text, per document that
-    does not decode and None where the report's next row goes; ids are the
-    JSON texts of the others' ids and W is the (n, 6) array of their rows."""
+    """Decode stage: (ids, W, refused) for one chunk of parsed documents: the
+    JSON text of each document's id, the (n, 6) array of their rows, and a
+    (row, message) pair per document that does not decode, whose row of W is
+    zero."""
     clean = _clean_chunk(docs)
     if clean is not None:
-        return [None] * len(docs), *clean
-    items, ids, rows = [], [], []
-    for doc in docs:
+        return *clean, []
+    ids, rows, refused = [], [], []
+    for i, doc in enumerate(docs):
         rid, row = _decode_record(doc)
+        ids.append(_scalar(rid))
         if isinstance(row, _InputError):
-            items.append((_ERRORS[_INPUT_ERROR], (_scalar(rid), _json_string(str(row)))))
-        else:
-            items.append(None)
-            ids.append(_scalar(rid))
-            rows.append(row)
-    return items, ids, _bivectors(rows)
+            refused.append((i, str(row)))
+            row = [0.0] * 6
+        rows.append(row)
+    return ids, _bivectors(rows), refused
 
 
 # --- chunk reports ----------------------------------------------------------
 #
 # Each report takes the ids (as JSON text) and the (n, 6) array of one chunk
-# of decoded records, reduces them with one reduce_orbits call and returns,
-# in order, one (shape, values) record per row in its on-cone shapes.  Each
-# column becomes a list once, reals through _json_reals and every other value
-# as its JSON text, and the rows' values are zipped from the columns.  Then
-# _row_status decides, once for every report, which rows are answered, off
-# the cone, refused or a bug, and _settled gives each row the record of its
-# status.
+# of decoded records, reduces them with one reduce_orbits call and returns
+# (records, status): in order, one (shape, values) record per row in its
+# on-cone shapes, and the rows' _row_status.  Each column becomes a list
+# once, reals through _json_reals and every other value as its JSON text, and
+# the rows' values are zipped from the columns.  _row_status decides, once for
+# every report, which rows are answered, off the cone, refused or a bug, and
+# _settled gives each row the record of its status.
 
 _OVERFLOW = "bivector overflows the double range: its split norms or pfaffian are not finite"
 
@@ -433,7 +425,7 @@ _CLASSIFY_ON, _CLASSIFY_ON_SLICE = (
          "canonical": {"r": _REAL, "phi": _REAL},
          "class": {"kind": _TEXT, "r0": _REAL, "epsilon": _TEXT},
          **slice_block,
-         "diagnostics": {"reconstruction_residual": _REAL, "representative_residual": _REAL_TEXT}}
+         "diagnostics": {"reconstruction_residual": _REAL, "representative_residual": _TEXT}}
     )
     for slice_block in ({}, {"slice": {"r_queried": _REAL, "topology": _TEXT, "boundary": _TEXT}})
 )
@@ -553,12 +545,16 @@ def _row_status(b, W=None, fixing=None) -> tuple:
     return status, message, recon, rep
 
 
-def _settled(records: list, status: tuple) -> list:
+def _settled(records: list, status: tuple, refused: list) -> list:
     """records, one per row in its report's on-cone shapes, with each row that
     is not on the cone given the record of its status: the off-cone record of
     its shape, or an error record with its message, which an invariant
-    violation also prints to stderr."""
+    violation also prints to stderr.  A refused (row, message) pair of the
+    decode makes its row an input error first; its zero row is off the cone,
+    so no other status competes."""
     code, message = status[:2]
+    for i, text in refused:
+        code[i], message[i] = _INPUT_ERROR, text
     for i in np.flatnonzero(code != _ON).tolist():
         shape, values = records[i]
         row_code, text = int(code[i]), _json_string(message[i])
@@ -599,7 +595,7 @@ def _classify_chunk(ids, W, tol: ToleranceConfig, r_query):
     if r_query is not None:
         columns += [itertools.repeat(r_query), *_topology_columns(b, r_query, tol)]
     shape = _CLASSIFY_ON if r_query is None else _CLASSIFY_ON_SLICE
-    return _settled(_records(shape, [*columns, recon, rep]), status)
+    return _records(shape, [*columns, recon, rep]), status
 
 
 def _canonical_chunk(ids, W, tol: ToleranceConfig):
@@ -609,7 +605,7 @@ def _canonical_chunk(ids, W, tol: ToleranceConfig):
     records = [(_CANONICAL_NEUTRAL, (rid, *f, *e)) for rid, f, e in zip(ids, frame, element)]
     for i in np.flatnonzero(b.on_cone & (b.epsilon == 0)).tolist():
         records[i] = _CANONICAL_DEGENERATE, (ids[i], *frame[i])
-    return _settled(records, _row_status(b, W))
+    return records, _row_status(b, W)
 
 
 def _slice_chunk(ids, W, tol: ToleranceConfig, r: float):
@@ -617,7 +613,7 @@ def _slice_chunk(ids, W, tol: ToleranceConfig, r: float):
     b = reduce_orbits(W, tol, frames=False)
     member = map(_BOOL_TEXT.__getitem__, _on_radius(b.spatial, r, tol).tolist())
     columns = [ids, itertools.repeat(r), *_class_columns(b), *_topology_columns(b, r, tol), member]
-    return _settled(_records(_SLICE_ON, columns), _row_status(b))
+    return _records(_SLICE_ON, columns), _row_status(b)
 
 
 def _stabilizer_chunk(ids, W, tol: ToleranceConfig):
@@ -631,48 +627,20 @@ def _stabilizer_chunk(ids, W, tol: ToleranceConfig):
         fixing[rows] = residuals.max(axis=1)
         for i, res in zip(rows.tolist(), _json_reals(residuals)):
             records[i] = _stabilizer_on(b.kind[i]), (ids[i], *res, max(0.0, *res))
-    return _settled(records, _row_status(b, W, fixing))
-
-
-def _report_chunk(items: list, rows: list) -> tuple:
-    """Report stage: (records, exit code) of one chunk, the report's rows in
-    place of items' Nones; the exit code is the largest of its records'."""
-    if any(items):
-        rows = iter(rows)
-        rows = [next(rows) if item is None else item for item in items]
-    return rows, max([shape.code for shape, _ in rows], default=0)
+    return records, _row_status(b, W, fixing)
 
 
 # --- output formatting ----------------------------------------------------
-#
-# Each format renders records as one string: ndjson per chunk, json and
-# table once for the whole batch.
 
 
-def _ndjson(records) -> str:
-    return "".join([dumps(shape, values) + "\n" for shape, values in records])
-
-
-def _json_array(records) -> str:
-    return "[" + ",".join([dumps(shape, values) for shape, values in records]) + "]\n"
-
-
-def _row(shape: _Shape, values: tuple) -> dict:
-    """A record's table cells by column: a slot's value through its cell
-    conversion, and a fixed leaf as its JSON text but a real with 6
-    significant digits (never -0: reals come through _json_reals)."""
-    values = iter(values)
-    row = {}
-    for path, leaf in shape.columns:
-        if type(leaf) is _Slot:
-            row[path] = leaf.cell(next(values))
-        else:
-            row[path] = _real_cell(leaf) if type(leaf) is float else _scalar(leaf)
-    return row
-
-
-def _table(records) -> str:
-    rows = [_row(shape, values) for shape, values in records]
+def _table(ndjson: list) -> str:
+    """The table view of NDJSON lines: each line's leaves by path, a real to
+    6 significant digits and any other leaf as its JSON text."""
+    rows = [
+        {path: "%.6g" % leaf if type(leaf) is float else _scalar(leaf)
+         for path, leaf in _leaves(json.loads(line, parse_int=float))}
+        for line in ndjson
+    ]
     columns = list(dict.fromkeys(path for row in rows for path in row))
     lines = [columns, *([row.get(c, "-") for c in columns] for row in rows)]
     widths = [max(map(len, column)) for column in zip(*lines)]
@@ -722,27 +690,30 @@ def _drop_stdout() -> None:
 
 
 def _run_batch(args, report) -> int:
-    """Decode, report and write the input CHUNK records at a time.  ndjson
-    output is written once per chunk; json and table output once at the end."""
+    """Decode, report and render the input CHUNK records at a time.  ndjson
+    output is written once per chunk; json and table output, views of the
+    same lines, once at the end."""
     tol = _tolerance(args)
     code = 0
-    held = []  # json and table records
+    held = []  # json and table lines
     stream = _open_input(args)
     docs = _iter_raw(stream)
     try:
         while chunk := list(itertools.islice(docs, CHUNK)):
-            items, ids, W = _decode_chunk(chunk)
+            ids, W, refused = _decode_chunk(chunk)
             # a row whose arithmetic overflows shows in its status, not as a warning
             with np.errstate(over="ignore", invalid="ignore"):
-                rows = report(ids, W, tol) if ids else []
-            records, chunk_code = _report_chunk(items, rows)
-            code = max(code, chunk_code)
+                records = _settled(*report(ids, W, tol), refused)
+            code = max(code, *[shape.code for shape, _ in records])
+            lines = [dumps(shape, values) for shape, values in records]
             if args.format == "ndjson":
-                sys.stdout.write(_ndjson(records))
+                sys.stdout.write("\n".join(lines) + "\n")
             else:
-                held += records
-        if args.format != "ndjson":
-            sys.stdout.write((_json_array if args.format == "json" else _table)(held))
+                held += lines
+        if args.format == "json":
+            sys.stdout.write("[" + ",".join(held) + "]\n")
+        elif args.format == "table":
+            sys.stdout.write(_table(held))
         sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
     except BrokenPipeError:
         _drop_stdout()

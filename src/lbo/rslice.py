@@ -53,10 +53,15 @@ def min_slice_radius(phi: float) -> float:
     return float(np.sqrt(2.0) * np.sin(0.5 * phi) / np.cosh(t))
 
 
-def in_slice(w, r: float, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True iff w is a light-cone bivector whose split norm matches r*r relatively."""
+def _check_radius(r) -> None:
+    """A slice radius must be positive and finite."""
     if not 0 < r < np.inf:
         raise ValueError(f"slice radius must be positive and finite, got {r!r}")
+
+
+def in_slice(w, r: float, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """True iff w is a light-cone bivector whose split norm matches r*r relatively."""
+    _check_radius(r)
     spatial, temporal = _split_norms_rows(as_bivector(w)[None])
     on, _ = _cone_reason(spatial, temporal, tol)
     return bool(on[0]) and _on_radius(float(spatial[0]), r, tol)
@@ -82,8 +87,7 @@ def slice_topology(
     OrbitClass, or an OrbitBatch for a list with the topology of each row
     (None for rows off the cone), each row compared as one alone.
     """
-    if not 0 < r < np.inf:
-        raise ValueError(f"slice radius must be positive and finite, got {r!r}")
+    _check_radius(r)
     one = isinstance(klass, OrbitClass)
     kinds = (klass.kind,) if one else klass.kind
     r0 = np.array([klass.r0]) if one else klass.r0

@@ -154,12 +154,15 @@ def fixing_residual(P, w) -> float | np.ndarray:
     """Relative residual of the pushforward of w by P against w itself.
 
     P is an (n, 4, 4) stack (returns n residuals) or one 4x4 matrix, taken as
-    a stack of one (returns a float).
+    a stack of one (returns a float); any other shape is a ValueError.
     """
+    P = np.asarray(P, dtype=float)
+    if P.ndim not in (2, 3) or P.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix or an (n, 4, 4) stack, got shape {P.shape}")
     w = np.ascontiguousarray(as_bivector(w))[None]
-    d = (_compound(np.reshape(P, (-1, 4, 4))) @ w[..., None])[..., 0] - w
+    d = (_compound(P.reshape(-1, 4, 4)) @ w[..., None])[..., 0] - w
     res = _row_norms(d) / _row_norms(w)
-    return float(res[0]) if np.ndim(P) == 2 else res
+    return float(res[0]) if P.ndim == 2 else res
 
 
 @functools.cache

@@ -150,11 +150,12 @@ def pfaffian(w):
     difference of two of them nan) without a warning.
     """
     w = np.asarray(w, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if w.ndim == 2 and w.shape[1] == 6:
-            return w[:, 0] * w[:, 5] - w[:, 1] * w[:, 4] + w[:, 2] * w[:, 3]
+    if not (w.ndim == 2 and w.shape[1] == 6):
         w = as_bivector(w)
-        return float(w[0] * w[5] - w[1] * w[4] + w[2] * w[3])
+    c12, c13, c14, c23, c24, c34 = w.T  # scalars for one row, columns for a stack
+    with np.errstate(over="ignore", invalid="ignore"):
+        pf = c12 * c34 - c13 * c24 + c14 * c23
+    return pf if w.ndim == 2 else float(pf)
 
 
 def _rows_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:

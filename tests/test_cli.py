@@ -306,7 +306,7 @@ def test_stacked_stabilizer_residuals_are_bit_identical():
     W = np.array(rows)
     tol = ToleranceConfig(eps=1e-9)
     batch = reduce_orbits(W, tol)
-    records = list(cli._stabilizer_chunk([f"r{i}" for i in range(len(W))], W, tol))
+    records = cli._settled(*cli._stabilizer_chunk([f"r{i}" for i in range(len(W))], W, tol), [])
     off_cone = cli._off_cone(cli._stabilizer_on(OrbitKind.DEGENERATE))[0]
     seen = set()
     for i, (shape, values) in enumerate(records):
@@ -721,28 +721,28 @@ def test_escaped_lines_skip_the_joined_parse(monkeypatch):
 
 def _decoded_record_by_record(docs):
     """What _decode_chunk must give for docs, from _decode_record on each alone:
-    (id text, message as JSON text) per bad document and None per good one,
-    the good ones' id texts, and their bivectors wedged one row at a time."""
+    every document's id text, its bivector wedged one row at a time or a zero
+    row if it is bad, and (row, message) per bad document."""
     import lbo.cli as cli
 
-    items, ids, rows = [], [], []
-    for doc in docs:
+    ids, rows, refused = [], [], []
+    for i, doc in enumerate(docs):
         rid, row = cli._decode_record(doc)
-        if isinstance(row, cli._InputError):
-            items.append((cli._scalar(rid), cli._json_string(str(row))))
-            continue
-        items.append(None)
         ids.append(cli._scalar(rid))
+        if isinstance(row, cli._InputError):
+            refused.append((i, str(row)))
+            rows.append(np.zeros(6))
+            continue
         rows.append(row if len(row) == 6 else cli.wedge(np.array(row[:4]), np.array(row[4:])))
-    return items, ids, np.array(rows, dtype=float).reshape(-1, 6)
+    return ids, np.array(rows, dtype=float).reshape(-1, 6), refused
 
 
 def _decoded_by_chunk(docs):
     import lbo.cli as cli
 
-    items, ids, W = cli._decode_chunk(docs)
-    assert {item[0] for item in items if item} <= {cli._ERRORS[2]}
-    return [item and item[1] for item in items], ids, W
+    ids, W, refused = cli._decode_chunk(docs)
+    assert len(ids) == len(W) == len(docs)
+    return ids, W, refused
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -804,9 +804,9 @@ def _bad_line():
 @example([{"c": [1.0, 0.0, 0.0, 0.0, 0.0, float(v)]} for v in ("nan", "inf", "-inf")])
 @example([{"c": [[1.0], [2.0], [0.0], [0.0], [0.0], [1.0]]}, {"c": [[1.0]] * 6}])
 def test_chunk_decode_matches_each_record_alone(docs):
-    items, ids, W = _decoded_by_chunk(docs)
-    want_items, want_ids, want_W = _decoded_record_by_record(docs)
-    assert (items, ids) == (want_items, want_ids)
+    ids, W, refused = _decoded_by_chunk(docs)
+    want_ids, want_W, want_refused = _decoded_record_by_record(docs)
+    assert (ids, refused) == (want_ids, want_refused)
     assert W.shape == want_W.shape
     assert np.array_equal(W.view(np.int64), want_W.view(np.int64))
 
@@ -821,8 +821,8 @@ def test_a_clean_chunk_decodes_without_decode_record(monkeypatch):
     coefficients = [{"id": f"c{k}", "c": rng.normal(size=6).tolist()} for k in range(cli.CHUNK)]
     pairs = [{"x": rng.normal(size=4).tolist(), "y": rng.normal(size=4).tolist()}] * 3
     for docs in (coefficients, pairs):
-        items, ids, W = cli._decode_chunk(docs)
-        assert items == [None] * len(docs) and len(ids) == len(W) == len(docs)
+        ids, W, refused = cli._decode_chunk(docs)
+        assert refused == [] and len(ids) == len(W) == len(docs)
     # a whole run over more than two chunks
     text = "".join(json.dumps(doc) + "\n" for doc in coefficients * 3)
     code, out = _main_in_process(["slice", "--r", "1"], text)
@@ -830,7 +830,9 @@ def test_a_clean_chunk_decodes_without_decode_record(monkeypatch):
     assert decoded == []
     # one bad record sends its chunk, and only it, through _decode_record
     docs = coefficients[:-1] + [{"id": "bad", "c": [1.0, 2.0]}]
-    assert cli._decode_chunk(docs)[0][-1][1][0] == '"bad"'
+    ids, W, refused = cli._decode_chunk(docs)
+    assert ids[-1] == '"bad"' and [i for i, _ in refused] == [len(docs) - 1]
+    assert not W[-1].any()
     assert decoded == docs
 
 
@@ -928,7 +930,7 @@ def _check_real_slots(v: float) -> None:
     shapes += [cli._off_cone(shape)[0] for shape in shapes if "in_light_cone" in shape.skeleton]
     (fed,) = cli._json_reals(np.array([v]))
     for shape in shapes:
-        slots = [leaf for _, leaf in shape.columns if type(leaf) is cli._Slot]
+        slots = [leaf for _, leaf in cli._leaves(shape.skeleton) if type(leaf) is cli._Slot]
         # every other slot takes JSON text and prints it as it comes
         values = [fed if s is cli._REAL else "true" for s in slots]
         texts = [cli._scalar(v) if s is cli._REAL else "true" for s in slots]

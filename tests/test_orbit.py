@@ -26,6 +26,7 @@ from lbo.orbit import (
 )
 from lbo.wedge import (
     HAT_DIAG,
+    NULL_BASIS_MATRIX,
     hat_inner,
     in_light_cone,
     lie_pushforward_matrix,
@@ -279,6 +280,45 @@ def test_tangent_frame_gram_closed_form():
         expected[1, 1] = 2.0 * c
         expected[2, 3] = expected[3, 2] = 1.0
         np.testing.assert_allclose(tangent_gram(phi), expected, atol=1e-14)
+
+
+def test_tangent_gram_certificate():
+    """Proved with sympy over a symbolic phi: with NULL_BASIS_MATRIX's exact
+    sqrt(2)/2 entries, the tangent frame's Gram matrix under HAT_DIAG is
+    diag(-2cos phi, 2cos phi) + [[0, 1], [1, 0]], of signature (2, 2) away
+    from pi/2 and rank 2 at it.  The numeric frame and Gram matrix are then
+    checked against the proved ones at 50 digits."""
+    sp = pytest.importorskip("sympy")
+    mpmath = pytest.importorskip("mpmath")
+    phi = sp.symbols("phi", real=True)
+    c, s = sp.cos(phi), sp.sin(phi)
+    # the null basis: entries 0 and +-sqrt(2)/2, each within an ulp
+    signs = np.round(NULL_BASIS_MATRIX * np.sqrt(2.0))
+    assert np.abs(NULL_BASIS_MATRIX - signs * SQRT_HALF).max() <= np.spacing(SQRT_HALF)
+    null_basis = sp.sqrt(2) / 2 * sp.Matrix(signs.astype(int))
+    # the null-basis weights of x_plus, x_minus, y_plus and y_minus
+    weights = sp.Matrix([
+        [s, 0, -c, 0, 0, -1], [0, 0, -1, s, 0, c], [0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0],
+    ]).T
+    frame = null_basis * weights
+    gram = (frame.T * sp.diag(*HAT_DIAG.astype(int).tolist()) * frame).applyfunc(sp.simplify)
+    expected = sp.diag(-2 * c, 2 * c, sp.Matrix([[0, 1], [1, 0]]))
+    assert (gram - expected).applyfunc(sp.simplify) == sp.zeros(4, 4)
+    # the x block's entries have opposite signs where cos phi != 0; the y
+    # block's eigenvalues are +-1; so two of each sign, and rank 2 at pi/2
+    assert sp.Matrix([[0, 1], [1, 0]]).eigenvals() == {1: 1, -1: 1}
+    assert sp.solveset(c, phi, sp.Interval(0, sp.pi)) == sp.FiniteSet(sp.pi / 2)
+    assert gram.subs(phi, sp.pi / 2).rank() == 2
+
+    numeric_frame = sp.lambdify(phi, frame, "mpmath")
+    numeric_gram = sp.lambdify(phi, gram, "mpmath")
+    with mpmath.workdps(50):
+        for angle in np.linspace(0.0, np.pi, 49):
+            want_frame = np.array(numeric_frame(mpmath.mpf(angle)).tolist(), dtype=float)
+            want_gram = np.array(numeric_gram(mpmath.mpf(angle)).tolist(), dtype=float)
+            # entries of size at most 2, each a few roundings from its exact value
+            assert np.abs(tangent_frame(angle).stack() - want_frame).max() <= 4 * np.spacing(1.0)
+            assert np.abs(tangent_gram(angle) - want_gram).max() <= 8 * np.spacing(2.0)
 
 
 def test_tangent_frame_spans_orbit_directions():

@@ -117,6 +117,10 @@ def test_fixing_residual_refuses_a_bivector_stack(rng):
     for P in (stack, stack[0]):
         with pytest.raises(ValueError):
             fixing_residual(P, W)
+    # a P that is not a 4x4 matrix or an (n, 4, 4) stack, even with 16k entries
+    for P in (np.eye(4).reshape(2, 8), np.ones(32), np.broadcast_to(np.eye(4), (2, 3, 4, 4))):
+        with pytest.raises(ValueError, match="4x4"):
+            fixing_residual(P, W[0])
 
 
 def test_stabilizer_residuals_take_the_rows_with_frames():
@@ -367,3 +371,33 @@ def test_stabilizer_certificate():
             value = np.tanh(p) if kind == OrbitKind.DEGENERATE else p
             want = np.array(fams[fam].subs(param, value).evalf(30), dtype=float)
             np.testing.assert_allclose(m, want, rtol=1e-14, atol=1e-15)
+
+
+def test_sweep_determinant_certificate(rng):
+    """Proved with sympy over symbols: the sweep matrix is linear in (a, b, c,
+    d), and its determinant is -((a-d)^2 + (b-c)^2)((a+d)^2 + (b+c)^2), which
+    vanishes exactly on the invariant planes (a, b) = +/-(d, c).  The returned
+    closed form is then checked against the proved one at 50 digits."""
+    sp = pytest.importorskip("sympy")
+    mpmath = pytest.importorskip("mpmath")
+    a, b, c, d = symbols = sp.symbols("a b c d", real=True)
+    # the matrix of each unit weight, and the symbolic matrix they span
+    units = [stabilizer_sweep_matrix(*row)[0] for row in np.eye(4)]
+    assert all(set(np.unique(m)) <= {-1.0, 0.0, 1.0} for m in units)
+    M = sum((s * sp.Matrix(m.astype(int)) for s, m in zip(symbols, units)), sp.zeros(4, 4))
+    closed = -((a - d) ** 2 + (b - c) ** 2) * ((a + d) ** 2 + (b + c) ** 2)
+    assert sp.expand(M.det() - closed) == 0
+    for plane in ({a: d, b: c}, {a: -d, b: -c}):
+        assert closed.subs(plane) == 0
+    exact = sp.lambdify(symbols, closed, "mpmath")
+
+    grid = [*rng.normal(size=(40, 4)), *np.array(np.meshgrid(*[[-1.5, 0.0, 2.0]] * 4)).reshape(4, -1).T]
+    with mpmath.workdps(50):
+        for v in grid:
+            m, det = stabilizer_sweep_matrix(*v)
+            assert np.array_equal(m, sum(x * u for x, u in zip(v, units)))  # linear, exactly
+            want = exact(*map(mpmath.mpf, v.tolist()))
+            # rounding of sums of squares and their product, against their size
+            (p, q, r, s) = np.abs(v)
+            scale = ((p + s) ** 2 + (q + r) ** 2) ** 2
+            assert abs(det - want) <= 8 * np.finfo(float).eps * scale, (v, det, float(want))
