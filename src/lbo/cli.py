@@ -11,13 +11,12 @@ are printed with 17 significant digits, so re-runs compare equal.  A batch
 runs in chunks of up to CHUNK records, each in three stages, with the same
 bytes and exit code as a record-by-record run:
 
-- decode: CHUNK input lines are parsed by one json.loads of the lines
-  joined as an array, which is taken only when each line provably holds one
-  document; otherwise each line is parsed alone.  A chunk that passes a few
-  tests run over it whole becomes one array, its vector pairs wedged in one
-  stacked call; any other chunk is decoded record by record.  Every
-  document is a row: one that does not decode is a zero row, refused with
-  its message.
+- decode: each input line is parsed alone, by a scanner built once, and
+  json.loads words the refusal of a line that does not parse.  A chunk
+  that passes a few tests run over it whole becomes one array, its vector
+  pairs wedged in one stacked call; any other chunk is decoded record by
+  record.  Every document is a row: one that does not decode is a zero row,
+  refused with its message.
 - report: one reduce_orbits call, and for stabilizer one stabilizer_residuals
   call.  One function, _row_status, gives every row of every report its
   status: on the cone; off it, with its reason; an input error (refused by
@@ -73,7 +72,7 @@ import numpy as np
 from .errors import DegenerateOrbitError, InvariantViolationError, NotInLightConeError
 from .minkowski import ToleranceConfig
 from .orbit import RIGHT_ANGLE, OrbitKind, normal_form_bivector, reconstruct, reduce_orbits
-from .rslice import SliceTopology, _on_radius, slice_topology
+from .rslice import SliceTopology, _check_radius as _check_slice_radius, _on_radius, slice_topology
 from .wedge import _row_norms, wedge
 
 # Records per chunk: each chunk is decoded into one array and reduced by one
@@ -170,15 +169,13 @@ def _leaves(node, path=""):
 
 
 class _Shape:
-    """One record shape: its skeleton, the %-template compiled from it and
-    the exit code a record of it gives a batch."""
+    """One record shape: its skeleton and the %-template compiled from it."""
 
-    __slots__ = ("skeleton", "template", "code")
+    __slots__ = ("skeleton", "template")
 
-    def __init__(self, skeleton: dict, code: int = 0):
+    def __init__(self, skeleton: dict):
         self.skeleton = skeleton
         self.template = _compile(skeleton)
-        self.code = code
 
 
 def dumps(shape: _Shape, values: tuple) -> str:
@@ -186,9 +183,9 @@ def dumps(shape: _Shape, values: tuple) -> str:
     return shape.template % values
 
 
-# Row statuses; an error's status is its exit code, and its record's shape.
-_ON, _OFF, _INPUT_ERROR, _VIOLATION = 0, 1, 2, 4
-_ERRORS = {c: _Shape({"id": _TEXT, "error": _TEXT}, c) for c in (_INPUT_ERROR, _VIOLATION)}
+# Row statuses, numbered so that a chunk's largest is its exit code.
+_OFF, _ON, _INPUT_ERROR, _VIOLATION = -1, 0, 2, 4
+_ERROR = _Shape({"id": _TEXT, "error": _TEXT})
 
 
 # --- record parsing -------------------------------------------------------
@@ -251,13 +248,29 @@ def _escaped_byte(text: str):
     return None if escaped is None else ord(escaped[0]) - 0xDC00
 
 
+# The scanner of a decoder whose integers parse as floats, built once:
+# json.loads builds a decoder and its scanner on every call that passes a keyword.
+_scan = json.JSONDecoder(parse_int=float).scan_once
+
+
 def _parse_json(text: str):
     """The JSON document in text, or an _InputError that says why there is none
     (with the parser's exception as its __cause__).  Integers parse as floats,
-    so one past the largest double is inf, as 1e400 is, whatever its length."""
+    so one past the largest double is inf, as 1e400 is, whatever its length.
+
+    _scan reads a document from the first character; when only JSON white
+    space follows it, that is json.loads's document.  Any other text (leading
+    white space, a bad or a second document) goes to json.loads, which parses
+    it or words its refusal."""
     byte = _escaped_byte(text)
     if byte is not None:
         return _InputError(f"line is not UTF-8: byte 0x{byte:02x}")
+    try:
+        doc, end = _scan(text, 0)
+        if not text[end:].strip(" \t\n\r"):
+            return doc
+    except (StopIteration, ValueError, RecursionError):
+        pass
     try:
         return json.loads(text, parse_int=float)
     except (ValueError, RecursionError) as exc:  # also too deep nesting
@@ -266,60 +279,11 @@ def _parse_json(text: str):
         return error
 
 
-# Every byte but quotes, brackets and line feeds, for bytes.translate to delete.
-_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'"[]{}\n')))
-# Bracket nesting the line test follows; input records nest two or three deep.
-_MAX_NESTING = 16
-
-
-def _brackets_close_per_line(text: str) -> bool:
-    """Whether, in text that parses as part of one JSON document, each line
-    closes every bracket it opens.  A JSON string holds no line feed, so
-    strings stay within their lines; text with a backslash, with a bracket
-    inside a string or nested deeper than _MAX_NESTING is not proved."""
-    if "\\" in text:
-        return False
-    marks = text.encode("ascii", "ignore").translate(None, _NOT_STRUCTURE)
-    # strings are now adjacent quote pairs; one with a bracket inside leaves
-    # quotes behind, and they fail the final test
-    marks = marks.replace(b'""', b"")
-    for _ in range(_MAX_NESTING):
-        closed = marks.replace(b"[]", b"").replace(b"{}", b"")
-        if closed == marks:
-            return not marks.strip(b"\n")
-        marks = closed
-    return False
-
-
-def _parse_lines(lines: list) -> list:
-    """The JSON document of each line, or an _InputError for a line that does not parse.
-
-    When each line closes its own brackets, every comma that joins two lines
-    sits at the top level, so one json.loads of the lines joined as an array
-    gives the lines' documents if it gives one element per line.  Otherwise
-    each line is parsed alone, so a bad line gets its own error text.  The
-    bracket test is cheap and comes first, so a chunk it rejects costs what
-    line-by-line parsing costs; a chunk it passes with a bad line in it also
-    pays for the failed joined parse.  A chunk with a byte that is not UTF-8
-    is parsed line by line, so that the byte's line alone is an error.
-    """
-    text = "".join(lines)
-    if _brackets_close_per_line(text) and _escaped_byte(text) is None:
-        try:
-            docs = json.loads("[" + ",".join(lines) + "]", parse_int=float)
-        except (ValueError, RecursionError):
-            docs = None
-        if docs is not None and len(docs) == len(lines):
-            return docs
-    return [_parse_json(line) for line in lines]
-
-
 def _iter_docs(stream):
     """Yield parsed JSON documents, or an _InputError per line that does not parse:
-    NDJSON line mode, the first line alone and then the lines up to each
-    CHUNK-line boundary in one parse, with a whole-document fallback for a
-    first line that ends before its document does (the rest of the input is
-    read only then)."""
+    NDJSON line mode, each line parsed alone, with a whole-document fallback
+    for a first line that ends before its document does (the rest of the
+    input is read only then)."""
     lines = (line for line in stream if line.strip())
     first = next(lines, None)
     if first is None:
@@ -333,13 +297,8 @@ def _iter_docs(stream):
             yield whole
             return
         lines = (line for line in io.StringIO(rest) if line.strip())
-    # the first line, parsed alone to tell NDJSON from one document, counts
-    # towards the first chunk, so that a chunk of records waits for no line
-    # past its own
     yield doc
-    yield from _parse_lines(list(itertools.islice(lines, CHUNK - 1)))
-    while chunk := list(itertools.islice(lines, CHUNK)):
-        yield from _parse_lines(chunk)
+    yield from map(_parse_json, lines)
 
 
 def _iter_raw(stream):
@@ -545,27 +504,27 @@ def _row_status(b, W=None, fixing=None) -> tuple:
     return status, message, recon, rep
 
 
-def _settled(records: list, status: tuple, refused: list) -> list:
-    """records, one per row in its report's on-cone shapes, with each row that
-    is not on the cone given the record of its status: the off-cone record of
-    its shape, or an error record with its message, which an invariant
-    violation also prints to stderr.  A refused (row, message) pair of the
-    decode makes its row an input error first; its zero row is off the cone,
-    so no other status competes."""
+def _settled(records: list, status: tuple, refused: list) -> tuple:
+    """(records, code): records, one per row in its report's on-cone shapes,
+    with each row that is not on the cone given the record of its status (the
+    off-cone record of its shape, or an error record with its message, which
+    an invariant violation also prints to stderr), and the largest status.  A
+    refused (row, message) pair of the decode makes its row an input error
+    first; its zero row is off the cone, so no other status competes."""
     code, message = status[:2]
     for i, text in refused:
         code[i], message[i] = _INPUT_ERROR, text
     for i in np.flatnonzero(code != _ON).tolist():
         shape, values = records[i]
-        row_code, text = int(code[i]), _json_string(message[i])
-        if row_code == _OFF:
+        text = _json_string(message[i])
+        if code[i] == _OFF:
             off, kept = _off_cone(shape)
             records[i] = off, (*[values[k] for k in kept], text)
         else:
-            if row_code == _VIOLATION:
+            if code[i] == _VIOLATION:
                 print(message[i], file=sys.stderr)
-            records[i] = _ERRORS[row_code], (values[0], text)
-    return records
+            records[i] = _ERROR, (values[0], text)
+    return records, int(code.max())
 
 
 def _class_columns(b) -> list:
@@ -677,9 +636,12 @@ def _tolerance(args) -> ToleranceConfig:
 
 
 def _check_radius(r) -> None:
-    """A given --r (or LBO_R) must be positive and finite."""
-    if r is not None and not 0 < r < np.inf:
-        raise _InputError(f"--r must be positive and finite, got {r!r}")
+    """A given --r (or LBO_R) must be a slice radius."""
+    if r is not None:
+        try:
+            _check_slice_radius(r)
+        except ValueError as exc:
+            raise _InputError(f"--r: {exc}") from exc
 
 
 def _drop_stdout() -> None:
@@ -703,8 +665,8 @@ def _run_batch(args, report) -> int:
             ids, W, refused = _decode_chunk(chunk)
             # a row whose arithmetic overflows shows in its status, not as a warning
             with np.errstate(over="ignore", invalid="ignore"):
-                records = _settled(*report(ids, W, tol), refused)
-            code = max(code, *[shape.code for shape, _ in records])
+                records, chunk_code = _settled(*report(ids, W, tol), refused)
+            code = max(code, chunk_code)
             lines = [dumps(shape, values) for shape, values in records]
             if args.format == "ndjson":
                 sys.stdout.write("\n".join(lines) + "\n")

@@ -227,7 +227,7 @@ def lie_pushforward_matrix(X) -> np.ndarray:
 
 
 def _null_basis_matrix() -> np.ndarray:
-    s = 1.0 / np.sqrt(2.0)
+    s = np.sqrt(0.5)  # sqrt(2)/2 correctly rounded; 1/sqrt(2.0) is an ulp below it
     cols = [
         basis_bivector(1, 2) + basis_bivector(3, 4),  # self-dual partners of e1^e2
         basis_bivector(1, 3) + basis_bivector(4, 2),
@@ -257,7 +257,8 @@ def to_null_basis(w) -> np.ndarray:
 
 
 def from_null_basis(w) -> np.ndarray:
-    """Inverse of to_null_basis; the basis matrix is orthogonal so this is exact."""
+    """Inverse of to_null_basis up to rounding: the basis matrix's entries are
+    sqrt(2)/2 rounded to a double, so it is orthogonal only to within rounding."""
     v = np.asarray(w, dtype=float)
     if v.shape != (6,):
         raise ValueError(f"expected 6 null-basis coefficients, got shape {v.shape}")

@@ -306,7 +306,9 @@ def test_stacked_stabilizer_residuals_are_bit_identical():
     W = np.array(rows)
     tol = ToleranceConfig(eps=1e-9)
     batch = reduce_orbits(W, tol)
-    records = cli._settled(*cli._stabilizer_chunk([f"r{i}" for i in range(len(W))], W, tol), [])
+    records, _ = cli._settled(
+        *cli._stabilizer_chunk([f"r{i}" for i in range(len(W))], W, tol), []
+    )
     off_cone = cli._off_cone(cli._stabilizer_on(OrbitKind.DEGENERATE))[0]
     seen = set()
     for i, (shape, values) in enumerate(records):
@@ -644,20 +646,23 @@ def test_edge_lines_among_chunks(command):
 
 
 def _parsed_alone(lines):
-    """What the line-by-line parser gives each line: a document or an error's text."""
+    """What json.loads gives each line: a document or the text of its refusal."""
+    parsed = []
+    for line in lines:
+        try:
+            parsed.append(json.loads(line, parse_int=float))
+        except (ValueError, RecursionError) as exc:
+            parsed.append("bad JSON line: " + str(exc))
+    return parsed
+
+
+def _parsed_together(lines):
+    """What the CLI's parser gives each line: a document or an error's text."""
     import lbo.cli as cli
 
     return [
         str(doc) if isinstance(doc, cli._InputError) else doc
         for doc in map(cli._parse_json, lines)
-    ]
-
-
-def _parsed_together(lines):
-    import lbo.cli as cli
-
-    return [
-        str(doc) if isinstance(doc, cli._InputError) else doc for doc in cli._parse_lines(lines)
     ]
 
 
@@ -673,12 +678,18 @@ def _parsed_together(lines):
         ["1,[2\n", "3]\n"],
         # bad lines among good ones, and a trailing comma on the last line
         ["1\n", "1,\n", "2\n", '{"a" 1}\n', "[3]\n", "4,\n"],
-        # a line of two documents, and brackets nested past _MAX_NESTING
+        # a line of two documents, and brackets nested deep
         ["1,2\n", "3\n"],
         ["[" * 20 + "]" * 20 + "\n", "[" * 2000 + "]" * 1999 + "\n"],
     ],
 )
 def test_chunk_parse_matches_each_line_alone(lines):
+    assert _parsed_together(lines) == _parsed_alone(lines)
+
+
+def test_only_json_white_space_may_follow_a_document():
+    # white space that str.strip drops but JSON does not, a BOM, and leading space
+    lines = ["1\x0b\n", "{}\x0c\n", "[]\xa0\n", "2\u2028\n", "3 \t\r\n", "\ufeff4\n", " 5\n"]
     assert _parsed_together(lines) == _parsed_alone(lines)
 
 
@@ -688,11 +699,41 @@ _FRAGMENTS = st.sampled_from(
 )
 
 
+_FRAGMENT_LINES = st.lists(
+    st.lists(_FRAGMENTS, min_size=1, max_size=6).map("".join), min_size=1, max_size=6
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.lists(_FRAGMENTS, min_size=1, max_size=6).map("".join), min_size=1, max_size=6))
+@given(_FRAGMENT_LINES)
 def test_chunk_parse_matches_each_line_alone_on_fragments(texts):
     lines = [text + "\n" for text in texts]
     assert _parsed_together(lines) == _parsed_alone(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FRAGMENT_LINES)
+def test_pure_python_scanner_parses_each_line_alone_on_fragments(texts):
+    # the scanner of interpreters built without the _json accelerator
+    import lbo.cli as cli
+
+    lines = [text + "\n" for text in texts]
+    scanner = json.scanner.py_make_scanner(json.JSONDecoder(parse_int=float))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_scan", scanner)
+        assert _parsed_together(lines) == _parsed_alone(lines)
+
+
+def _counting_loads(monkeypatch) -> list:
+    """Count the CLI's json.loads calls: the list of the texts passed to it."""
+    import lbo.cli as cli
+
+    parsed = []
+    loads = json.loads
+    monkeypatch.setattr(
+        cli.json, "loads", lambda text, **kw: parsed.append(text) or loads(text, **kw)
+    )
+    return parsed
 
 
 def test_records_parse_in_one_pass(monkeypatch):
@@ -700,23 +741,33 @@ def test_records_parse_in_one_pass(monkeypatch):
 
     lines = batch_lines(cli.CHUNK).decode().splitlines(keepends=True)
     expected = [json.loads(line) for line in lines]
-    monkeypatch.setattr(cli, "_parse_json", None)  # no line is parsed alone
-    assert cli._parse_lines(lines) == expected
+    monkeypatch.setattr(cli.json, "loads", None)  # no clean line reaches json.loads
+    assert list(map(cli._parse_json, lines)) == expected
 
 
-def test_escaped_lines_skip_the_joined_parse(monkeypatch):
-    # the bracket test turns down text with a backslash before any joined
-    # parse, so such a chunk costs one json.loads per line and no more
+def test_escaped_lines_parse_without_json_loads(monkeypatch):
     import lbo.cli as cli
 
     lines = [json.dumps({"id": f"r{k}\u00e9", "c": [1, 0, 0, 0, 0, 1]}) + "\n" for k in range(9)]
-    parsed = []
-    loads = json.loads
-    monkeypatch.setattr(
-        cli.json, "loads", lambda text, **kw: parsed.append(text) or loads(text, **kw)
-    )
-    assert cli._parse_lines(lines) == [loads(line) for line in lines]
-    assert parsed == lines
+    expected = [json.loads(line) for line in lines]
+    parsed = _counting_loads(monkeypatch)
+    assert list(map(cli._parse_json, lines)) == expected
+    assert parsed == []
+
+
+def test_only_bad_lines_reach_json_loads(monkeypatch):
+    # a chunk of escaped ids with three bad lines: one json.loads call each
+    import lbo.cli as cli
+
+    lines = [json.dumps({"id": f"r{k}\u00e9", "c": [1, 0, 0, 0, 0, 1]}) + "\n" for k in range(128)]
+    bad = {5: '{"id":"bad" "x":[1,0,0,1]}\n', 64: "{not json\n", 127: "[1,\n"}
+    for at, line in bad.items():
+        lines[at] = line
+    parsed = _counting_loads(monkeypatch)
+    docs = list(cli._iter_docs(io.StringIO("".join(lines))))
+    assert len(docs) == 128
+    assert [i for i, doc in enumerate(docs) if isinstance(doc, cli._InputError)] == sorted(bad)
+    assert parsed == list(bad.values())
 
 
 def _decoded_record_by_record(docs):
@@ -925,7 +976,6 @@ def _check_real_slots(v: float) -> None:
     from lbo.orbit import OrbitKind
 
     shapes = [x for x in vars(cli).values() if isinstance(x, cli._Shape)]
-    shapes += [*cli._ERRORS.values()]
     shapes += [cli._stabilizer_on(k) for k in (OrbitKind.NEUTRAL_PLUS, OrbitKind.DEGENERATE)]
     shapes += [cli._off_cone(shape)[0] for shape in shapes if "in_light_cone" in shape.skeleton]
     (fed,) = cli._json_reals(np.array([v]))
@@ -1041,6 +1091,8 @@ BAD_SETTINGS = {
     "r-inf-slice": (["slice", "--r", "inf"], None, 2),
     "r-nan-slice": (["slice", "--r", "nan"], None, 2),
     "r-inf-classify": (["classify", "--r", "inf"], None, 2),
+    "r-zero-slice": (["slice", "--r", "0"], None, 2),
+    "r-negative-classify": (["classify", "--r", "-1"], None, 2),
     "env-r-inf": (["slice"], {"LBO_R": "inf"}, 2),
     "samples-negative": (["verify", "--suite", "isometry", "--samples", "-3"], None, 3),
     "samples-zero": (["verify", "--suite", "pfaffian", "--samples", "0"], None, 3),
@@ -1057,6 +1109,10 @@ def test_bad_settings_exit_codes(case):
     assert p.returncode == code
     assert p.stdout == b""
     assert b"Traceback" not in p.stderr
+    if code == 2:  # a bad radius, refused in the words of the library's check
+        r = float(env["LBO_R"] if env else args[args.index("--r") + 1])
+        message = f"input error: --r: slice radius must be positive and finite, got {r!r}\n"
+        assert p.stderr == message.encode()
 
 
 def test_whole_document_and_array_inputs():

@@ -258,6 +258,14 @@ def test_null_basis_is_orthogonal_and_round_trips(rng):
     np.testing.assert_allclose(from_null_basis(to_null_basis(w)), w, atol=1e-14)
 
 
+def test_null_basis_entries_are_correctly_rounded():
+    sp = pytest.importorskip("sympy")
+    half_root = float(sp.sqrt(2) / 2)
+    entries = NULL_BASIS_MATRIX[NULL_BASIS_MATRIX != 0]
+    assert len(entries) == 12
+    assert set(np.abs(entries).tolist()) == {half_root}
+
+
 def test_null_basis_vectors_are_isotropic():
     for sign in (1, -1):
         for i in (1, 2, 3):
