@@ -12,11 +12,11 @@ runs in chunks of up to CHUNK records, each in three stages, with the same
 bytes and exit code as a record-by-record run:
 
 - decode: each input line is parsed alone, by a scanner built once, and
-  json.loads words the refusal of a line that does not parse.  A chunk
-  that passes a few tests run over it whole becomes one array, its vector
-  pairs wedged in one stacked call; any other chunk is decoded record by
-  record.  Every document is a row: one that does not decode is a zero row,
-  refused with its message.
+  json.loads words the refusal of a line that does not parse.  One pass
+  over the chunk checks each document's structure; the entries of the good
+  ones, one flat list per layout, become one array, checked whole, and the
+  vector pairs are wedged in one stacked call.  Every document is a row:
+  one that does not decode is a zero row, refused with its message.
 - report: one reduce_orbits call, and for stabilizer one stabilizer_residuals
   call.  One function, _row_status, gives every row of every report its
   status: on the cone; off it, with its reason; an input error (refused by
@@ -62,7 +62,6 @@ import gc
 import io
 import itertools
 import json
-import math
 import os
 import re
 import sys
@@ -191,50 +190,6 @@ _ERROR = _Shape({"id": _TEXT, "error": _TEXT})
 # --- record parsing -------------------------------------------------------
 
 
-# The (name, length) fields of a record, by whether it has "c".
-_FIELDS = {True: (("c", 6),), False: (("x", 4), ("y", 4))}
-
-
-def _decode_record(obj) -> tuple:
-    """(id, row) for one parsed document, where row holds the six coefficients
-    or the entries of x then y as floats, or (id, _InputError) for a document
-    that does not decode; id is None unless it is a string."""
-    if isinstance(obj, _InputError):  # a line that did not parse
-        return None, obj
-    if not isinstance(obj, dict):
-        return None, _InputError("record must be a JSON object")
-    rid = obj.get("id")
-    if rid is not None and not isinstance(rid, str):
-        return None, _InputError("id must be a string")
-    has_c = "c" in obj
-    if has_c == ("x" in obj or "y" in obj):
-        return rid, _InputError('record needs exactly one of "c" or "x"/"y"')
-    fields, entries = _FIELDS[has_c], '"c"' if has_c else "vector"
-    for name, length in fields:
-        v = obj.get(name)
-        if not (isinstance(v, list) and len(v) == length):
-            return rid, _InputError(f'"{name}" must be a list of {length} numbers')
-    try:
-        row = [float(v) for name, _ in fields for v in obj[name]]
-    except (TypeError, ValueError) as exc:
-        return rid, _InputError(f"{entries} entries must be numbers: {exc}")
-    if not all(map(math.isfinite, row)):
-        return rid, _InputError(f"{entries} entries must be finite")
-    return rid, row
-
-
-def _bivectors(rows: list) -> np.ndarray:
-    """The (n, 6) array of decoded rows: one array of the coefficient rows and
-    one stacked wedge of the vector-pair rows."""
-    W = np.empty((len(rows), 6))
-    coefficients = [i for i, row in enumerate(rows) if len(row) == 6]
-    pairs = [i for i, row in enumerate(rows) if len(row) == 8]
-    W[coefficients] = np.array([rows[i] for i in coefficients]).reshape(-1, 6)
-    XY = np.array([rows[i] for i in pairs]).reshape(-1, 8)
-    W[pairs] = wedge(XY[:, :4], XY[:, 4:])
-    return W
-
-
 # A byte that is not UTF-8, read with errors="surrogateescape".
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
@@ -311,58 +266,87 @@ def _iter_raw(stream):
             yield doc
 
 
-def _clean_chunk(docs: list):
-    """(ids, W) of a chunk that decodes without a check per document, or None.
-
-    It does when every document is an object whose id is a string or absent,
-    all of them have one layout ("c", or "x" and "y"), every field is a list
-    of its length, and every entry is a finite float (every JSON number
-    parses to one).  Each test runs over the whole chunk; _decode_record,
-    which says why a record is bad, runs only on chunks that fail one.
-    """
-    if set(map(type, docs)) != {dict}:
-        return None
-    rids = list(map(dict.get, docs, itertools.repeat("id")))
-    id_types = set(map(type, rids))
-    if not id_types <= {str, type(None)}:
-        return None
-    has_c = "c" in docs[0]
-    for name in ("x", "y") if has_c else ("c",):
-        if any(map(dict.__contains__, docs, itertools.repeat(name))):
-            return None
-    fields = _FIELDS[has_c]
-    columns = [list(map(dict.get, docs, itertools.repeat(name))) for name, _ in fields]
-    for column, (_, length) in zip(columns, fields):
-        if set(map(type, column)) != {list} or set(map(len, column)) != {length}:
-            return None
-    flat = itertools.chain.from_iterable
-    entries = list(flat(flat(zip(*columns))))
-    if set(map(type, entries)) != {float}:
-        return None
-    rows = np.array(entries, dtype=float).reshape(len(docs), -1)
-    if not np.isfinite(rows).all():
-        return None
-    ids = list(map(_json_string if id_types == {str} else _scalar, rids))
-    return ids, rows if has_c else wedge(rows[:, :4], rows[:, 4:])
+# Why a record without exactly one layout is refused.
+_LAYOUT = 'record needs exactly one of "c" or "x"/"y"'
 
 
 def _decode_chunk(docs: list):
     """Decode stage: (ids, W, refused) for one chunk of parsed documents: the
     JSON text of each document's id, the (n, 6) array of their rows, and a
-    (row, message) pair per document that does not decode, whose row of W is
-    zero."""
-    clean = _clean_chunk(docs)
-    if clean is not None:
-        return *clean, []
-    ids, rows, refused = [], [], []
+    (row, message) pair per document that does not decode, in row order,
+    whose row of W is zero.
+
+    One pass reads each document and refuses it at the first check it fails:
+    its line parsed; it is an object; its id is a string or absent (null);
+    it has exactly one layout, "c" or "x"/"y"; each field is a list of its
+    length.  The entries of the documents that pass go onto one flat list
+    per layout, checked whole: every entry is a float (every JSON number
+    parses to one), else each row with another entry goes through float(),
+    which reads "1" and true as 1.0 and refuses a row it cannot read; then
+    every entry is finite, else each row that is not is refused.  The vector
+    pairs are wedged in one stacked call."""
+    ids, refused = [], []
+    c_rows, c_entries, xy_rows, xy_entries = [], [], [], []
     for i, doc in enumerate(docs):
-        rid, row = _decode_record(doc)
-        ids.append(_scalar(rid))
-        if isinstance(row, _InputError):
-            refused.append((i, str(row)))
-            row = [0.0] * 6
-        rows.append(row)
-    return ids, _bivectors(rows), refused
+        rid = message = None
+        if not isinstance(doc, dict):
+            message = str(doc) if isinstance(doc, _InputError) else "record must be a JSON object"
+        elif (rid := doc.get("id")) is not None and not isinstance(rid, str):
+            rid, message = None, "id must be a string"
+        elif (c := doc.get("c", doc)) is not doc:  # doc stands for a missing field
+            if "x" in doc or "y" in doc:
+                message = _LAYOUT
+            elif not (isinstance(c, list) and len(c) == 6):
+                message = '"c" must be a list of 6 numbers'
+            else:
+                c_rows.append(i)
+                c_entries += c
+        else:
+            x, y = doc.get("x", doc), doc.get("y", doc)
+            if x is doc and y is doc:
+                message = _LAYOUT
+            elif not (isinstance(x, list) and len(x) == 4):
+                message = '"x" must be a list of 4 numbers'
+            elif not (isinstance(y, list) and len(y) == 4):
+                message = '"y" must be a list of 4 numbers'
+            else:
+                xy_rows.append(i)
+                xy_entries += x
+                xy_entries += y
+        ids.append("null" if rid is None else _json_string(rid))
+        if message is not None:
+            refused.append((i, message))
+    W = np.zeros((len(docs), 6))
+    for rows, entries, what in ((c_rows, c_entries, '"c"'), (xy_rows, xy_entries, "vector")):
+        if not rows:  # an empty stacked wedge costs more than this test
+            continue
+        width = len(entries) // len(rows)
+        if set(map(type, entries)) != {float}:  # float() reads each row with another entry
+            for k in {j // width for j, v in enumerate(entries) if type(v) is not float}:
+                row = slice(k * width, (k + 1) * width)
+                try:
+                    entries[row] = [float(v) for v in entries[row]]
+                except (TypeError, ValueError) as exc:
+                    entries[row] = [0.0] * width
+                    refused.append((rows[k], f"{what} entries must be numbers: {exc}"))
+        A = np.array(entries).reshape(-1, width)
+        if not np.isfinite(A).all():
+            for k in np.flatnonzero(~np.isfinite(A).all(axis=1)).tolist():
+                A[k] = 0.0
+                refused.append((rows[k], f"{what} entries must be finite"))
+        # a slice, not an index per row, where one layout fills the chunk
+        at = rows if len(rows) < len(docs) else slice(None)
+        W[at] = A if width == 6 else wedge(A[:, :4], A[:, 4:])
+    refused.sort()
+    return ids, W, refused
+
+
+def _decode_record(doc) -> tuple:
+    """(id text, row of W, message or None) of one parsed document: the
+    one-document case of _decode_chunk.  The batch does not call it;
+    benchmarks/tracing.py hooks it by name."""
+    (rid,), (row,), refused = _decode_chunk([doc])
+    return rid, row, refused[0][1] if refused else None
 
 
 # --- chunk reports ----------------------------------------------------------

@@ -3,6 +3,7 @@ import errno
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -476,6 +477,13 @@ def test_canonical_neutral_reports_witness():
     )
 
 
+@pytest.mark.parametrize("args, env", [(["slice", "--r", "1e200"], None), (["slice"], {"LBO_R": "1e200"})])
+def test_no_row_lies_on_a_radius_whose_square_overflows(args, env):
+    p = run_cli(args, b'{"c":[1,0,0,0,0,1]}\n{"c":[1e150,0,0,0,0,1e150]}\n', env_extra=env)
+    assert (p.returncode, p.stderr) == (0, b"")
+    assert [json.loads(line)["in_slice"] for line in p.stdout.splitlines()] == [False, False]
+
+
 def test_slice_command_and_exit_codes():
     p = run_cli(["slice", "--r", "2.0"], b'{"c":[1,0,0,0,0,1]}\n')
     assert p.returncode == 0
@@ -770,18 +778,54 @@ def test_only_bad_lines_reach_json_loads(monkeypatch):
     assert parsed == list(bad.values())
 
 
+# The record-by-record decode that the one-pass chunk decode replaced, kept as
+# the reference that test_chunk_decode_matches_each_record_alone checks it
+# against: it shares no code with lbo.cli's decode.
+_REFERENCE_FIELDS = {True: (("c", 6),), False: (("x", 4), ("y", 4))}
+
+
+def _reference_decode_record(obj) -> tuple:
+    """(id, row) for one parsed document, where row holds the six coefficients
+    or the entries of x then y as floats, or (id, message) for a document that
+    does not decode; id is None unless it is a string."""
+    import lbo.cli as cli
+
+    if isinstance(obj, cli._InputError):  # a line that did not parse
+        return None, str(obj)
+    if not isinstance(obj, dict):
+        return None, "record must be a JSON object"
+    rid = obj.get("id")
+    if rid is not None and not isinstance(rid, str):
+        return None, "id must be a string"
+    has_c = "c" in obj
+    if has_c == ("x" in obj or "y" in obj):
+        return rid, 'record needs exactly one of "c" or "x"/"y"'
+    fields, entries = _REFERENCE_FIELDS[has_c], '"c"' if has_c else "vector"
+    for name, length in fields:
+        v = obj.get(name)
+        if not (isinstance(v, list) and len(v) == length):
+            return rid, f'"{name}" must be a list of {length} numbers'
+    try:
+        row = [float(v) for name, _ in fields for v in obj[name]]
+    except (TypeError, ValueError) as exc:
+        return rid, f"{entries} entries must be numbers: {exc}"
+    if not all(map(math.isfinite, row)):
+        return rid, f"{entries} entries must be finite"
+    return rid, row
+
+
 def _decoded_record_by_record(docs):
-    """What _decode_chunk must give for docs, from _decode_record on each alone:
+    """What _decode_chunk must give for docs, from the reference on each alone:
     every document's id text, its bivector wedged one row at a time or a zero
     row if it is bad, and (row, message) per bad document."""
     import lbo.cli as cli
 
     ids, rows, refused = [], [], []
     for i, doc in enumerate(docs):
-        rid, row = cli._decode_record(doc)
+        rid, row = _reference_decode_record(doc)
         ids.append(cli._scalar(rid))
-        if isinstance(row, cli._InputError):
-            refused.append((i, str(row)))
+        if isinstance(row, str):
+            refused.append((i, row))
             rows.append(np.zeros(6))
             continue
         rows.append(row if len(row) == 6 else cli.wedge(np.array(row[:4]), np.array(row[4:])))
@@ -854,37 +898,77 @@ def _bad_line():
           {"x": [2.0] * 4, "y": [0.5] * 4}])
 @example([{"c": [1.0, 0.0, 0.0, 0.0, 0.0, float(v)]} for v in ("nan", "inf", "-inf")])
 @example([{"c": [[1.0], [2.0], [0.0], [0.0], [0.0], [1.0]]}, {"c": [[1.0]] * 6}])
+@example([{"id": "p", "x": [1.0, 0.0, 0.0, 1.0], "y": [0.0, 1.0, 0.0, 0.0]},
+          {"id": "c", "c": [1.0, 0.0, 0.0, 0.0, 0.0, 1.0]},
+          {"x": [0.5, -0.0, 2.0, 1.0], "y": [1.0, 3.0, 0.0, 0.0]}])
+@example([{"c": [1.0, 0.0, 0.0, 0.0, 0.0, 1.0]}, {"id": "bad", "c": [1.0, 2.0]},
+          {"c": [0.0, 1.0, 0.0, 0.0, 1.0, 0.0]}])
+@example([{"c": ["1", 0.0, 0.0, 0.0, 0.0, 1e400]}, {"c": [1.0] * 6}])
+@example([{"c": [None, 0.0, 0.0, 0.0, 0.0, 1e400]}, {"c": [1.0] * 6}])
 def test_chunk_decode_matches_each_record_alone(docs):
+    import lbo.cli as cli
+
     ids, W, refused = _decoded_by_chunk(docs)
     want_ids, want_W, want_refused = _decoded_record_by_record(docs)
     assert (ids, refused) == (want_ids, want_refused)
     assert W.shape == want_W.shape
     assert np.array_equal(W.view(np.int64), want_W.view(np.int64))
+    messages = dict(refused)
+    for i, doc in enumerate(docs):
+        (rid,), (row,), alone = cli._decode_chunk([doc])
+        assert (rid, [m for _, m in alone]) == (ids[i], [messages[i]] if i in messages else [])
+        assert np.array_equal(row.view(np.int64), W[i].view(np.int64))
 
 
-def test_a_clean_chunk_decodes_without_decode_record(monkeypatch):
+def test_benchmark_hook_names_stay():
+    # benchmarks/tracing.py patches these names of lbo.cli when it sets up
     import lbo.cli as cli
 
-    decoded = []
-    decode = cli._decode_record
-    monkeypatch.setattr(cli, "_decode_record", lambda doc: decoded.append(doc) or decode(doc))
-    rng = np.random.default_rng(5)
-    coefficients = [{"id": f"c{k}", "c": rng.normal(size=6).tolist()} for k in range(cli.CHUNK)]
-    pairs = [{"x": rng.normal(size=4).tolist(), "y": rng.normal(size=4).tolist()}] * 3
-    for docs in (coefficients, pairs):
-        ids, W, refused = cli._decode_chunk(docs)
-        assert refused == [] and len(ids) == len(W) == len(docs)
-    # a whole run over more than two chunks
-    text = "".join(json.dumps(doc) + "\n" for doc in coefficients * 3)
-    code, out = _main_in_process(["slice", "--r", "1"], text)
-    assert code == 0 and out.count("\n") == 3 * cli.CHUNK
-    assert decoded == []
-    # one bad record sends its chunk, and only it, through _decode_record
-    docs = coefficients[:-1] + [{"id": "bad", "c": [1.0, 2.0]}]
+    for hook in (cli.json.loads, cli.wedge, cli.dumps, cli._decode_record):
+        assert callable(hook)
+    docs = [{"id": "g", "x": [1.0, 0.0, 0.0, 1.0], "y": [0.0, 1.0, 0.0, 0.0]},
+            {"id": "r", "c": [1.0, "x", 0.0, 0.0, 0.0, 1.0]}]
     ids, W, refused = cli._decode_chunk(docs)
-    assert ids[-1] == '"bad"' and [i for i, _ in refused] == [len(docs) - 1]
-    assert not W[-1].any()
-    assert decoded == docs
+    assert refused == [(1, "\"c\" entries must be numbers: could not convert string to float: 'x'")]
+    for i, message in enumerate((None, refused[0][1])):
+        rid, row, why = cli._decode_record(docs[i])
+        assert (rid, why) == (ids[i], message)
+        assert np.array_equal(row.view(np.int64), W[i].view(np.int64))
+
+
+def test_a_chunk_decodes_in_one_pass(monkeypatch):
+    # a pair chunk with one bad record and one "c" record: one stacked wedge
+    # of its pair rows, and no call per record
+    import lbo.cli as cli
+
+    rng = np.random.default_rng(5)
+    pairs = [
+        {"id": f"p{k}", "x": rng.normal(size=4).tolist(), "y": rng.normal(size=4).tolist()}
+        for k in range(cli.CHUNK)
+    ]
+    clean_ids, clean_W, clean_refused = cli._decode_chunk(pairs)
+    assert clean_refused == [] and clean_ids == [f'"p{k}"' for k in range(cli.CHUNK)]
+    docs = list(pairs)
+    docs[40] = {"id": "bad", "x": [1.0, 2.0], "y": [0.0, 1.0, 0.0, 0.0]}
+    docs[90] = {"id": "c", "c": [1.0, 0.0, 0.0, 0.0, 0.0, 1.0]}
+    wedged, decoded = [], []
+    wedge = cli.wedge
+    monkeypatch.setattr(cli, "wedge", lambda x, y: wedged.append(len(x)) or wedge(x, y))
+    monkeypatch.setattr(cli, "_decode_record", lambda doc: decoded.append(doc))
+    monkeypatch.setattr(cli.json, "loads", None)
+    ids, W, refused = cli._decode_chunk(docs)
+    assert wedged == [cli.CHUNK - 2] and decoded == []
+    assert refused == [(40, '"x" must be a list of 4 numbers')]
+    assert ids[40] == '"bad"' and ids[90] == '"c"' and not W[40].any()
+    assert W[90].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+    good = [k for k in range(cli.CHUNK) if k not in (40, 90)]
+    assert [ids[k] for k in good] == [clean_ids[k] for k in good]
+    assert np.array_equal(W[good].view(np.int64), clean_W[good].view(np.int64))
+    # a whole run over three such chunks
+    text = "".join(json.dumps(doc) + "\n" for doc in docs * 3)
+    code, out = _main_in_process(["slice", "--r", "1"], text)
+    assert code == 2 and out.count("\n") == 3 * cli.CHUNK
+    assert wedged == [cli.CHUNK - 2] * 4 and decoded == []
 
 
 class _WatchedStdin(io.StringIO):

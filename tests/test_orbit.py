@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_degenerate_bivector, random_light_cone_bivector
 from lbo.errors import DegenerateOrbitError, NotInLightConeError
-from lbo.minkowski import ToleranceConfig, is_proper_lorentz, rotation_matrix
+from lbo.minkowski import ToleranceConfig, boost_matrix, is_proper_lorentz, rotation_matrix
 from lbo.orbit import (
     RIGHT_ANGLE,
     OrbitKind,
@@ -11,6 +11,7 @@ from lbo.orbit import (
     canonical_bivector,
     canonical_form,
     canonical_representative,
+    critical_rapidity,
     from_vector_pair,
     normal_directions,
     normal_form_bivector,
@@ -27,6 +28,8 @@ from lbo.orbit import (
 from lbo.wedge import (
     HAT_DIAG,
     NULL_BASIS_MATRIX,
+    PAIRS,
+    _compound,
     hat_inner,
     in_light_cone,
     lie_pushforward_matrix,
@@ -201,6 +204,82 @@ def test_canonical_representative_rejects_degenerate(rng):
 
 def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _plane(c, s, i, j, boost):
+    """The symbolic rotation (boost false) or boost of the i-j plane with cos c and sin s (or cosh, sinh)."""
+    sp = pytest.importorskip("sympy")
+    m = sp.eye(4)
+    m[i, i] = m[j, j] = c
+    m[i, j], m[j, i] = (s, s) if boost else (-s, s)
+    return m
+
+
+def test_reduction_certificate():
+    """Proved with sympy over symbols r > 0 and u = tan(phi/2) > 0: the
+    second compound of rotation_matrix(2, theta) @ boost_matrix(2, t),
+    applied to canonical_bivector(r, phi), is r sqrt|cos phi| (e12 + eps e34),
+    with eps the sign of cos phi, in both branches of the reduction: below
+    pi/2 at theta = phi/2 and tanh t = tan(phi/2); above it at theta =
+    phi/2 + pi/2 and tanh t = cot(phi/2).  (On (0, pi), cos(phi/2) =
+    1/sqrt(1 + u**2) and sin(phi/2) = u/sqrt(1 + u**2); cosh t = 1/sqrt(1 -
+    tanh(t)**2).)  The symbolic matrices and compound are first checked
+    against the library's.  Then the kernel's rule, its theta and
+    critical_rapidity(phi) in floating point, is checked at 50 digits on
+    2000 angles off a 1e-3 band around pi/2: each entry of the element lies
+    within 8 u r m**2 of the exact one, m the witness's largest |entry|."""
+    sp = pytest.importorskip("sympy")
+    mpmath = pytest.importorskip("mpmath")
+
+    def compound(m):  # entry ((k,l),(i,j)) is the 2x2 minor of rows k, l and columns i, j
+        return sp.Matrix(6, 6, lambda a, b: m.extract(list(PAIRS[a]), list(PAIRS[b])).det())
+
+    x = sp.symbols("x", real=True)
+    for value in (0.3, -1.7):
+        rotation = _plane(sp.cos(x), sp.sin(x), 0, 2, False).subs(x, value)
+        boost = _plane(sp.cosh(x), sp.sinh(x), 1, 3, True).subs(x, value)
+        assert np.abs(np.array(rotation.evalf(), dtype=float) - rotation_matrix(2, value)).max() <= 1e-16
+        assert np.abs(np.array(boost.evalf(), dtype=float) - boost_matrix(2, value)).max() <= 4e-16
+    P = np.random.default_rng(0).normal(size=(4, 4))
+    assert np.abs(np.array(compound(sp.Matrix(P)).evalf(), dtype=float) - _compound(P)).max() < 1e-14
+
+    u, r, phi = sp.symbols("u r phi", positive=True)
+    cos_phi, sin_phi = (1 - u**2) / (1 + u**2), 2 * u / (1 + u**2)
+    assert sp.simplify(cos_phi.subs(u, sp.tan(phi / 2)) - sp.cos(phi)) == 0
+    assert sp.simplify(sin_phi.subs(u, sp.tan(phi / 2)) - sp.sin(phi)) == 0
+    w = r * sp.Matrix([cos_phi, 0, 0, sin_phi, 0, 1])
+    at = {u: sp.tan(sp.Rational(7, 20)), r: 3}  # phi = 0.7
+    assert np.abs(np.array(w.subs(at).evalf(), dtype=float)[:, 0] - canonical_bivector(3, 0.7)).max() <= 1e-15
+    half = sp.sqrt(1 + u**2)  # cos(phi/2) = 1/half, sin(phi/2) = u/half
+    # below pi/2, u < 1; above it, u > 1 and cosh t = u/sqrt(u**2 - 1)
+    for cos_theta, sin_theta, tanh_t, eps, root in (
+        (1 / half, u / half, u, 1, sp.sqrt(1 - u**2)),
+        (-u / half, 1 / half, 1 / u, -1, sp.sqrt(u**2 - 1)),
+    ):
+        cosh_t = 1 / sp.sqrt(1 - tanh_t**2)
+        witness = _plane(cos_theta, sin_theta, 0, 2, False) * _plane(cosh_t, tanh_t * cosh_t, 1, 3, True)
+        r0 = r * root / half  # positive, with the square of r sqrt|cos phi|
+        assert sp.simplify(r0**2 - r**2 * eps * cos_phi) == 0
+        residual = compound(witness) * w - r0 * sp.Matrix([1, 0, 0, 0, 0, eps])
+        assert residual.applyfunc(sp.simplify) == sp.zeros(6, 1)
+
+    unit = np.spacing(1.0) / 2
+    angles = np.linspace(0.0, np.pi, 2004)[1:-1]
+    angles = angles[np.abs(angles - np.pi / 2) > 1e-3]
+    assert len(angles) == 2000
+    with mpmath.workdps(50):
+        for angle in angles:
+            theta = 0.5 * angle if angle < np.pi / 2 else 0.5 * angle + np.pi / 2
+            witness = rotation_matrix(2, theta) @ boost_matrix(2, critical_rapidity(angle))
+            m = np.abs(witness).max()
+            cos_angle = mpmath.cos(mpmath.mpf(angle))
+            for scale in (0.02, 1.0, 3.7):
+                element = _compound(witness) @ canonical_bivector(scale, angle)
+                r0 = scale * mpmath.sqrt(abs(cos_angle))
+                exact = [r0, 0, 0, 0, 0, r0 if cos_angle > 0 else -r0]
+                error = max(abs(mpmath.mpf(float(e)) - x) for e, x in zip(element, exact))
+                # the worst on this grid is 4.3 u r m**2
+                assert error <= 8 * unit * scale * m * m, (angle, scale, float(error))
 
 
 def test_reduce_orbits_split_norms_match_split_norms(rng):

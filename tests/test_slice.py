@@ -117,6 +117,15 @@ def test_in_slice(rng):
                 assert in_slice(row, r, tol) is reference_in_slice(row, r, tol)
 
 
+def test_in_slice_is_false_where_the_radius_square_overflows():
+    # past r = 1.34e154 the square is inf, and no finite split norm equals it
+    for r in (1.35e154, 1e200, 1.7e308):
+        assert in_slice([1.0, 0, 0, 0, 0, 1.0], r) is False
+        assert in_slice([1e150, 0, 0, 0, 0, 1e150], r) is False
+    assert in_slice([1e150, 0, 0, 0, 0, 1e150], 1e150) is True
+    assert in_slice([1e154, 0, 0, 0, 0, 1e154], 1e154) is True  # a square of 1e308 is finite
+
+
 def test_slice_topology_neutral_bands():
     k = orbit_class(base_point(np.pi / 3))  # r0 = 1
     assert slice_topology(k, 0.5) is SliceTopology.EMPTY
