@@ -14,9 +14,10 @@ bytes and exit code as a record-by-record run:
 - decode: each input line is parsed alone, by a scanner built once, and
   json.loads words the refusal of a line that does not parse.  One pass
   over the chunk checks each document's structure; the entries of the good
-  ones, one flat list per layout, become one array, checked whole, and the
-  vector pairs are wedged in one stacked call.  Every document is a row:
-  one that does not decode is a zero row, refused with its message.
+  ones, one flat list per layout, become one array, and the vector pairs
+  are wedged in one stacked call.  An entry must be a JSON number; one past
+  the double range is left to the report's overflow check.  Every document
+  is a row: one that does not decode is a zero row, refused with its message.
 - report: one reduce_orbits call, and for stabilizer one stabilizer_residuals
   call.  One function, _row_status, gives every row of every report its
   status: on the cone; off it, with its reason; an input error (refused by
@@ -281,10 +282,10 @@ def _decode_chunk(docs: list):
     it has exactly one layout, "c" or "x"/"y"; each field is a list of its
     length.  The entries of the documents that pass go onto one flat list
     per layout, checked whole: every entry is a float (every JSON number
-    parses to one), else each row with another entry goes through float(),
-    which reads "1" and true as 1.0 and refuses a row it cannot read; then
-    every entry is finite, else each row that is not is refused.  The vector
-    pairs are wedged in one stacked call."""
+    parses to one), else each row with another entry, such as "1" or true,
+    is refused.  A row of floats goes into W as it stands: an entry past the
+    double range (1e400, NaN) makes its split norms not finite, an input
+    error of _row_status.  The vector pairs are wedged in one stacked call."""
     ids, refused = [], []
     c_rows, c_entries, xy_rows, xy_entries = [], [], [], []
     for i, doc in enumerate(docs):
@@ -321,19 +322,11 @@ def _decode_chunk(docs: list):
         if not rows:  # an empty stacked wedge costs more than this test
             continue
         width = len(entries) // len(rows)
-        if set(map(type, entries)) != {float}:  # float() reads each row with another entry
+        if set(map(type, entries)) != {float}:  # a row with another entry is refused
             for k in {j // width for j, v in enumerate(entries) if type(v) is not float}:
-                row = slice(k * width, (k + 1) * width)
-                try:
-                    entries[row] = [float(v) for v in entries[row]]
-                except (TypeError, ValueError) as exc:
-                    entries[row] = [0.0] * width
-                    refused.append((rows[k], f"{what} entries must be numbers: {exc}"))
+                entries[k * width : (k + 1) * width] = [0.0] * width
+                refused.append((rows[k], f"{what} entries must be numbers"))
         A = np.array(entries).reshape(-1, width)
-        if not np.isfinite(A).all():
-            for k in np.flatnonzero(~np.isfinite(A).all(axis=1)).tolist():
-                A[k] = 0.0
-                refused.append((rows[k], f"{what} entries must be finite"))
         # a slice, not an index per row, where one layout fills the chunk
         at = rows if len(rows) < len(docs) else slice(None)
         W[at] = A if width == 6 else wedge(A[:, :4], A[:, 4:])

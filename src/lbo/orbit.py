@@ -27,11 +27,8 @@ import numpy as np
 
 from .errors import DegenerateOrbitError, NotInLightConeError
 from .minkowski import (
-    DEFAULT_TOL,
-    ToleranceConfig,
-    boost_matrix,
-    lorentz_inverse,
-    rotation_matrix,
+    BOOST, DEFAULT_TOL, ROTATION, GeneratorKind, ToleranceConfig, boost_matrix, lie_generator,
+    lorentz_inverse, rotation_matrix,
 )
 from .wedge import (
     HAT_DIAG,
@@ -44,6 +41,7 @@ from .wedge import (
     basis_bivector,
     from_null_basis,
     hat_inner,
+    lie_pushforward_matrix,
     pfaffian,
 )
 
@@ -52,8 +50,6 @@ from .wedge import (
 # quantities that vanish identically rather than merely tangentially.
 PARALLEL_RESIDUAL_TOL = 1e-4
 NULL_RESIDUAL_TOL = 1e-6
-# Step of the central differences in parallel_frame_check.
-FD_STEP = 1e-5
 
 _HALF_PI = np.pi / 2
 
@@ -457,19 +453,19 @@ def parallel_frame_check(
 ) -> ParallelFrameReport:
     """Verify the transported tangent frame is parallel along the surface sweep.
 
-    Central differences give the derivatives of the transported frame fields;
-    in the neutral branch their tangential parts must vanish and the x-field
-    derivatives must coincide with the transported normal fields.  At the
-    right angle the normal fields fold into the x block, so instead the x
-    derivatives must be isotropic and lie in the transported x span while the
-    y fields stay constant.
+    The frame fields' derivatives are exact: the surface matrix M has
+    dM/dtheta = L_rot M and dM/dt = M L_boost, with L the bivector action of
+    an axis-2 generator.  In the neutral branch their tangential parts must
+    vanish and the x-field derivatives must coincide with the transported
+    normal fields.  At the right angle the normal fields fold into the x
+    block, so instead the x derivatives must be isotropic and lie in the
+    transported x span while the y fields stay constant.
     """
     frame0 = tangent_frame(phi).stack()
-    h = FD_STEP
     m_center = _surface_matrix(theta, t)
-    d_theta = (_surface_matrix(theta + h, t) - _surface_matrix(theta - h, t)) @ frame0 / (2.0 * h)
-    d_t = (_surface_matrix(theta, t + h) - _surface_matrix(theta, t - h)) @ frame0 / (2.0 * h)
     moved = m_center @ frame0
+    d_theta = lie_pushforward_matrix(lie_generator(GeneratorKind(2, ROTATION))) @ moved
+    d_t = m_center @ lie_pushforward_matrix(lie_generator(GeneratorKind(2, BOOST))) @ frame0
 
     names = ("x_plus", "x_minus", "y_plus", "y_minus")
     deriv = {}

@@ -69,9 +69,10 @@ def in_slice(w, r: float, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 
 def _on_radius(spatial, r: float, tol: ToleranceConfig):
     """in_slice for a light-cone bivector with split norm spatial (or an array of them).
-    No finite split norm lies on a radius whose square overflows."""
-    square = r * r
-    return (abs(spatial - square) <= tol.eps * r * r) & (square < np.inf)
+    No finite split norm lies on a radius whose square overflows (quietly) to inf."""
+    with np.errstate(over="ignore"):
+        square = r * r
+        return (abs(spatial - square) <= tol.eps * r * r) & (square < np.inf)
 
 
 # Topologies by the code slice_topology computes for a neutral row.

@@ -454,6 +454,13 @@ def test_surface_point_identity_and_invariants():
             assert abs(pfaffian(w) - 2.0 * np.cos(phi)) < 1e-12
 
 
+def _frame_residuals(report):
+    """Every residual of a ParallelFrameReport, over all five of its fields."""
+    fields = (report.tangential_residuals, report.derivative_match_residuals,
+              report.y_derivative_norms, report.x_null_defects, report.x_span_residuals)
+    return [value for field in fields for value in field.values()]
+
+
 @pytest.mark.parametrize("phi", [np.pi / 6, 1.2, 2.0, 2.9])
 @pytest.mark.parametrize("theta,t", [(0.0, 0.0), (0.8, -0.5), (2.4, 1.1)])
 def test_parallel_frame_check_neutral(phi, theta, t):
@@ -463,6 +470,7 @@ def test_parallel_frame_check_neutral(phi, theta, t):
     assert max(report.tangential_residuals.values()) <= 1e-4
     assert max(report.derivative_match_residuals.values()) <= 1e-4
     assert report.y_derivative_norms == {}
+    assert max(_frame_residuals(report)) <= 1e-13  # exact derivatives, no truncation error
 
 
 @pytest.mark.parametrize("theta,t", [(0.0, 0.0), (0.6, 0.9), (1.9, -1.3)])
@@ -474,6 +482,7 @@ def test_parallel_frame_check_degenerate(theta, t):
     assert max(report.x_null_defects.values()) <= 1e-6
     assert max(report.x_span_residuals.values()) <= 1e-4
     assert report.derivative_match_residuals == {}
+    assert max(_frame_residuals(report)) <= 1e-13  # exact derivatives, no truncation error
 
 
 def test_normal_form_bivector_validation():

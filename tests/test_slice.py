@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_degenerate_bivector, random_light_cone_bivector
 from lbo.errors import NotInLightConeError
-from lbo.minkowski import ToleranceConfig
+from lbo.minkowski import ToleranceConfig, boost_matrix, rotation_matrix
 from lbo.orbit import base_point, orbit_class
 from lbo.rslice import (
     SliceTopology,
@@ -13,7 +13,7 @@ from lbo.rslice import (
     min_slice_radius,
     slice_topology,
 )
-from lbo.wedge import in_light_cone, split_norms
+from lbo.wedge import PAIRS, _compound, in_light_cone, split_norms
 
 ATANH_TAN_PI6 = 0.6584789484624084
 
@@ -51,6 +51,72 @@ def test_critical_rapidity_certificate():
             condition = half_tan / ((1 - half_tan**2) * exact)
             ulps = abs(critical_rapidity(angle) - exact) / np.spacing(float(exact))
             assert ulps <= 1 + condition, (angle, float(ulps), float(condition))
+
+
+def test_sweep_minimum_certificate():
+    """Proved with sympy over symbols: the spatial split norm of
+    _compound(rotation_matrix(2, theta) @ boost_matrix(2, t)) @ base_point(phi)
+    is 2 cosh 2t - 2 sin(phi) sinh 2t, free of theta.  Its t-derivative is
+    4 cosh 2t (tanh 2t - sin phi), so it vanishes exactly where tanh 2t =
+    sin phi, which both branches of critical_rapidity meet: tanh t =
+    tan(phi/2) below pi/2 and cot(phi/2) above.  The value there is
+    2|cos phi|, and the second derivative is 4 times the value, so positive:
+    the point is the minimum.  min_slice_radius's closed form squares to
+    2|cos phi| in both branches.  Then min_slice_radius(phi)**2 is checked
+    against 2|cos phi| at 50 digits on 2000 angles off a 1e-3 band around pi/2."""
+    sp = pytest.importorskip("sympy")
+    mpmath = pytest.importorskip("mpmath")
+
+    def plane(c, s, i, j, boost):  # the rotation or boost of the i-j plane
+        m = sp.eye(4)
+        m[i, i] = m[j, j] = c
+        m[i, j], m[j, i] = (s, s) if boost else (-s, s)
+        return m
+
+    def compound(m):  # entry ((k,l),(i,j)) is the 2x2 minor of rows k, l and columns i, j
+        return sp.Matrix(6, 6, lambda a, b: m.extract(list(PAIRS[a]), list(PAIRS[b])).det())
+
+    theta, t, phi = sp.symbols("theta t phi", real=True)
+    sweep = plane(sp.cos(theta), sp.sin(theta), 0, 2, False) * plane(sp.cosh(t), sp.sinh(t), 1, 3, True)
+    w = compound(sweep) * sp.sqrt(2) * sp.Matrix([sp.cos(phi), 0, 0, sp.sin(phi), 0, 1])
+    # the symbols stand for the library's matrices, compound and base point
+    numeric = _compound(rotation_matrix(2, 0.4) @ boost_matrix(2, -0.9)) @ base_point(2.2)
+    at = {theta: 0.4, t: -0.9, phi: 2.2}
+    assert np.abs(np.array(w.subs(at).evalf(), dtype=float)[:, 0] - numeric).max() <= 1e-15
+
+    closed = 2 * sp.cosh(2 * t) - 2 * sp.sin(phi) * sp.sinh(2 * t)
+    assert theta not in closed.free_symbols
+    assert sp.simplify(w[0] ** 2 + w[1] ** 2 + w[3] ** 2 - closed) == 0  # c12, c13, c23
+    slope = sp.diff(closed, t)
+    assert sp.simplify(slope - 4 * sp.cosh(2 * t) * (sp.tanh(2 * t) - sp.sin(phi))) == 0
+    assert sp.cosh(2 * t).is_positive
+    x = sp.symbols("x", real=True)
+    g = 2 * x / (1 + x**2)  # tanh 2t = g(tanh t)
+    assert sp.simplify(sp.expand_trig(sp.tanh(2 * t)) - g.subs(x, sp.tanh(t))) == 0
+    for tanh_t in (sp.tan(phi / 2), sp.cot(phi / 2)):
+        assert sp.simplify(g.subs(x, tanh_t) - sp.sin(phi)) == 0
+    value = closed.subs(t, sp.atanh(sp.sin(phi)) / 2)
+    assert sp.simplify(value - 2 * sp.Abs(sp.cos(phi))) == 0
+    assert sp.simplify(sp.diff(closed, t, 2) - 4 * closed) == 0
+    # min_slice_radius is sqrt(2) cos(phi/2) / cosh t below pi/2 and
+    # sqrt(2) sin(phi/2) / cosh t above, with 1/cosh(t)**2 = 1 - tanh(t)**2
+    u = sp.symbols("u", positive=True)  # tan(phi/2); cos phi = (1 - u**2) / (1 + u**2)
+    cos_phi = (1 - u**2) / (1 + u**2)
+    assert sp.simplify(2 / (1 + u**2) * (1 - u**2) - 2 * cos_phi) == 0
+    assert sp.simplify(2 * u**2 / (1 + u**2) * (1 - 1 / u**2) + 2 * cos_phi) == 0
+
+    unit = np.spacing(1.0) / 2
+    angles = np.linspace(0.0, np.pi, 2004)[1:-1]
+    angles = angles[np.abs(angles - np.pi / 2) > 1e-3]
+    assert len(angles) == 2000
+    with mpmath.workdps(50):
+        for angle in angles:
+            exact = 2 * abs(mpmath.cos(mpmath.mpf(angle)))
+            error = abs(mpmath.mpf(min_slice_radius(angle)) ** 2 - exact) / exact
+            # a rounding of tan(phi/2) grows by about |tan phi| through atanh and
+            # cosh; the worst on this grid is 5.3 u (1 + |tan phi|), 113 u at the
+            # band's edge
+            assert error <= 8 * unit * (1 + abs(np.tan(angle))), (angle, float(error / unit))
 
 
 def test_critical_rapidity_errors():
@@ -122,6 +188,10 @@ def test_in_slice_is_false_where_the_radius_square_overflows():
     for r in (1.35e154, 1e200, 1.7e308):
         assert in_slice([1.0, 0, 0, 0, 0, 1.0], r) is False
         assert in_slice([1e150, 0, 0, 0, 0, 1e150], r) is False
+    # a numpy radius, whose verdict is a numpy bool, overflows without a warning
+    for r in (np.finfo(float).max, np.float64(1e200)):
+        assert not in_slice([1.0, 0, 0, 0, 0, 1.0], r)
+        assert not in_slice([1e150, 0, 0, 0, 0, 1e150], r)
     assert in_slice([1e150, 0, 0, 0, 0, 1e150], 1e150) is True
     assert in_slice([1e154, 0, 0, 0, 0, 1e154], 1e154) is True  # a square of 1e308 is finite
 
