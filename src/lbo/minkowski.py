@@ -9,10 +9,10 @@ The proper Lorentz group is generated by six one-parameter families: three
 plane rotations (axes 1..3 pick the plane) and three boosts (axes pick which
 space direction pairs with time).  Random group elements are products of
 generator words, reproducible from an explicit numpy Generator.  Words
-are drawn a stacked pass of samples at a time: on PCG64 the pass reads the
-state once and decodes its raw output as arrays, with the maps numpy's own
-integers and uniform apply to those bits; other bit generators go through
-those numpy calls.
+are drawn a stacked pass of samples at a time, with one rng.random call per
+pass that draws what the pass's samples drawn one at a time would, on any
+bit generator; a sampler that also needs normals draws them from a second
+generator of its own, as lbo.verify's suites do.
 """
 from __future__ import annotations
 
@@ -149,70 +149,29 @@ def lorentz_inverse(P) -> np.ndarray:
     return ETA @ P.swapaxes(-1, -2) @ ETA
 
 
-def _draw_pass(rng: np.random.Generator, count: int, lengths, normals: int = 0):
-    """count samples drawn in the order of a per-sample loop: (letters, vectors).
+def _draw_pass(rng: np.random.Generator, count: int, lengths) -> list[np.ndarray]:
+    """count samples of one word per entry of lengths, from one rng.random call.
 
-    Each sample draws one word per entry of lengths, then rng.normal(size=normals)
-    when normals is positive.  letters[j] is the (count, lengths[j], 3) array of
-    word j's (boost, axis, parameter) letters, vectors the (count, normals) array
-    of the normals.  Per letter: axis, family, then a rotation angle in
-    [-pi, pi] or a rapidity in [-1, 1], as rng.integers(1, 4), rng.integers(2)
-    and rng.uniform(low, high) draw them.
-
-    On a PCG64 with no buffered 32-bit half, which the pass reads from one
-    state snapshot, each sample's words come from one random_raw call (the
-    whole pass's from one call when it draws no normals) and are decoded as
-    uint64 arrays with the maps numpy's Generator applies to those bits.
-    Letter k of a sample uses first = raw[2k], second = raw[2k+1]: the axis is
-    Lemire's bounded map of first's low 32 bits (which numpy redraws only when
-    they are 0), the family is the top bit of its buffered high half, and the
-    parameter is low + (high - low) * (second >> 11) * 2**-53.  Other bit
-    generators, and a pass with a zero low word (restored to the snapshot
-    first), take numpy's own calls.
+    Entry j of the list is the (count, lengths[j], 3) array of word j's
+    (boost, axis, parameter) letters.  Each letter maps its three uniforms u in [0, 1) to
+    the axis 1 + floor(3 u0), a boost where u1 < 0.5, and the parameter
+    low + (high - low) u2, as rng.uniform computes it: a rapidity in [-1, 1)
+    or a rotation angle in [-pi, pi).  random fills its array in order, so a
+    pass draws what its samples drawn one at a time would, on any bit
+    generator.
     """
-    width, cuts = 2 * sum(lengths), np.cumsum(lengths)[:-1]
-    vectors = np.empty((count, normals))
-    bits = rng.bit_generator
-    if type(bits) is np.random.PCG64:
-        snapshot = bits.state
-        if not snapshot["has_uint32"]:
-            if normals:
-                raw = np.empty((count, width), dtype=np.uint64)
-                for i in range(count):
-                    raw[i] = bits.random_raw(width)
-                    vectors[i] = rng.normal(size=normals)
-            else:
-                raw = bits.random_raw(count * width).reshape(count, width)
-            first, second = raw[:, ::2], raw[:, 1::2]
-            # uint64 with Python-int operands only: older numpy turns uint64
-            # mixed with a signed integer array into float64
-            low32 = first & 0xFFFFFFFF
-            if low32.all():
-                boost = (first >> 63) == 1
-                letters = np.empty(first.shape + (3,))
-                letters[..., 0] = boost
-                letters[..., 1] = 1 + ((low32 * 3) >> 32)
-                low, span = np.where(boost, -1.0, -np.pi), np.where(boost, 2.0, 2.0 * np.pi)
-                letters[..., 2] = low + span * ((second >> 11) * 2.0**-53)
-                return np.split(letters, cuts, axis=1), vectors
-            bits.state = snapshot  # numpy redraws the axis: let it define the stream
-    letters = np.empty((count, width // 2, 3))
-    for i in range(count):
-        for k in range(width // 2):
-            axis = rng.integers(1, 4)
-            boost = rng.integers(2) != 0
-            p = rng.uniform(-1.0, 1.0) if boost else rng.uniform(-np.pi, np.pi)
-            letters[i, k] = boost, axis, p
-        if normals:
-            vectors[i] = rng.normal(size=normals)
-    return np.split(letters, cuts, axis=1), vectors
+    u = rng.random((count, sum(lengths), 3))
+    boost = u[..., 1] < 0.5
+    low, span = np.where(boost, -1.0, -np.pi), np.where(boost, 2.0, 2.0 * np.pi)
+    letters = np.stack([boost, 1.0 + np.floor(3.0 * u[..., 0]), low + span * u[..., 2]], axis=-1)
+    return np.split(letters, np.cumsum(lengths)[:-1], axis=1)
 
 
 def _draw_word(rng: np.random.Generator, word_length: int) -> list[tuple]:
     """One random word as (boost, axis, parameter) letters: a one-sample _draw_pass."""
     if word_length < 1:
         raise ValueError("word_length must be at least 1")
-    (letters,), _ = _draw_pass(rng, 1, (word_length,))
+    (letters,) = _draw_pass(rng, 1, (word_length,))
     return [(boost == 1.0, int(axis), p) for boost, axis, p in letters[0].tolist()]
 
 

@@ -64,7 +64,7 @@ def in_slice(w, r: float, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     _check_radius(r)
     spatial, temporal = _split_norms_rows(as_bivector(w)[None])
     on, _ = _cone_reason(spatial, temporal, tol)
-    return bool(on[0]) and _on_radius(float(spatial[0]), r, tol)
+    return bool(on[0]) and bool(_on_radius(float(spatial[0]), r, tol))
 
 
 def _on_radius(spatial, r: float, tol: ToleranceConfig):
@@ -116,7 +116,8 @@ def empirical_min_radius(
     sweep that chases the shrinking radius of degenerate orbits, and random
     generator-word pushforwards of w itself.  Each search runs as stacked
     passes of SAMPLE_BLOCK group elements (one _compound and one
-    _split_norms_rows per pass, and for the words one _draw_pass); every
+    _split_norms_rows per pass, and for the words one _draw_pass, whose one
+    rng.random call draws what its words drawn one at a time would); every
     point gets the bits of its own one-matrix pushforward, so the minimum
     does not depend on the blocks.
     """
@@ -148,6 +149,6 @@ def empirical_min_radius(
 
     rng = np.random.default_rng(seed)
     for lo in range(0, samples, SAMPLE_BLOCK):
-        (words,), _ = _draw_pass(rng, min(SAMPLE_BLOCK, samples - lo), (4,))
+        (words,) = _draw_pass(rng, min(SAMPLE_BLOCK, samples - lo), (4,))
         best = min(best, least_radius(_word_matrices(words), w))
     return best

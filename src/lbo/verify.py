@@ -3,9 +3,11 @@
 Each suite takes (samples, seed, tol) and returns its Check records, whose
 value is the worst defect seen (or 1.0 for a verdict that failed); run
 yields the checks of the named suites in order.  The isometry and pfaffian
-suites draw each sample's words and vectors in the order of a per-sample
-loop, then evaluate SAMPLE_BLOCK samples per stacked pass, each with the
-bits of its own one-sample evaluation.
+suites evaluate SAMPLE_BLOCK samples per stacked pass, each with the bits of
+its own one-sample evaluation.  A pass draws its words with one rng.random
+call and its normals with one standard_normal call on a second generator of
+the suite's own, so it draws what its samples drawn one at a time would, on
+any bit generator.
 """
 from __future__ import annotations
 
@@ -86,14 +88,15 @@ def _pushed(C, X) -> np.ndarray:
 
 
 def _suite_isometry(samples, seed, tol):
-    rng = np.random.default_rng([seed, 0])
+    rng, normals = np.random.default_rng([seed, 0]), np.random.default_rng([seed, 0, 1])
     worst_inner = worst_homo = worst_cone = 0.0
     for lo in range(0, samples, SAMPLE_BLOCK):
         m = min(SAMPLE_BLOCK, samples - lo)
-        (p_words, q_words), vectors = _draw_pass(rng, m, (4, 3), 18)
+        p_words, q_words = _draw_pass(rng, m, (4, 3))
         p, q = _word_matrices(p_words), _word_matrices(q_words)
         cp = _compound(p)
-        # u and v (6 each), then a and b (3 each): the draws of four normal(size=k) calls
+        # each sample's u and v (6 each), then its a and b (3 each)
+        vectors = normals.standard_normal((m, 18))
         u, v, a, b = map(np.ascontiguousarray, np.split(vectors, [6, 12, 15], axis=1))
         scale = 1.0 + _row_norms(u) * _row_norms(v)
         inner = np.sum(HAT_DIAG * _pushed(cp, u) * _pushed(cp, v), axis=1)
@@ -112,11 +115,12 @@ def _suite_isometry(samples, seed, tol):
 
 
 def _suite_pfaffian(samples, seed, tol):
-    rng = np.random.default_rng([seed, 1])
+    rng, normals = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1, 1])
     worst_inv = 0.0
     for lo in range(0, samples, SAMPLE_BLOCK):
         m = min(SAMPLE_BLOCK, samples - lo)
-        (words,), u = _draw_pass(rng, m, (4,), 6)
+        (words,) = _draw_pass(rng, m, (4,))
+        u = normals.standard_normal((m, 6))
         inv = np.abs(pfaffian(_pushed(_compound(_word_matrices(words)), u)) - pfaffian(u))
         worst_inv = max(worst_inv, float((inv / (1.0 + _rows_dot(u, u))).max()))
     phi = np.linspace(0.0, np.pi, 41)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_degenerate_bivector, random_light_cone_bivector
+from symbolic import compound, plane
 from lbo.errors import DegenerateOrbitError, NotInLightConeError
 from lbo.minkowski import ToleranceConfig, boost_matrix, is_proper_lorentz, rotation_matrix
 from lbo.orbit import (
@@ -28,7 +29,6 @@ from lbo.orbit import (
 from lbo.wedge import (
     HAT_DIAG,
     NULL_BASIS_MATRIX,
-    PAIRS,
     _compound,
     hat_inner,
     in_light_cone,
@@ -206,15 +206,6 @@ def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
 
-def _plane(c, s, i, j, boost):
-    """The symbolic rotation (boost false) or boost of the i-j plane with cos c and sin s (or cosh, sinh)."""
-    sp = pytest.importorskip("sympy")
-    m = sp.eye(4)
-    m[i, i] = m[j, j] = c
-    m[i, j], m[j, i] = (s, s) if boost else (-s, s)
-    return m
-
-
 def test_reduction_certificate():
     """Proved with sympy over symbols r > 0 and u = tan(phi/2) > 0: the
     second compound of rotation_matrix(2, theta) @ boost_matrix(2, t),
@@ -231,13 +222,10 @@ def test_reduction_certificate():
     sp = pytest.importorskip("sympy")
     mpmath = pytest.importorskip("mpmath")
 
-    def compound(m):  # entry ((k,l),(i,j)) is the 2x2 minor of rows k, l and columns i, j
-        return sp.Matrix(6, 6, lambda a, b: m.extract(list(PAIRS[a]), list(PAIRS[b])).det())
-
     x = sp.symbols("x", real=True)
     for value in (0.3, -1.7):
-        rotation = _plane(sp.cos(x), sp.sin(x), 0, 2, False).subs(x, value)
-        boost = _plane(sp.cosh(x), sp.sinh(x), 1, 3, True).subs(x, value)
+        rotation = plane(sp.cos(x), sp.sin(x), 0, 2, False).subs(x, value)
+        boost = plane(sp.cosh(x), sp.sinh(x), 1, 3, True).subs(x, value)
         assert np.abs(np.array(rotation.evalf(), dtype=float) - rotation_matrix(2, value)).max() <= 1e-16
         assert np.abs(np.array(boost.evalf(), dtype=float) - boost_matrix(2, value)).max() <= 4e-16
     P = np.random.default_rng(0).normal(size=(4, 4))
@@ -257,7 +245,7 @@ def test_reduction_certificate():
         (-u / half, 1 / half, 1 / u, -1, sp.sqrt(u**2 - 1)),
     ):
         cosh_t = 1 / sp.sqrt(1 - tanh_t**2)
-        witness = _plane(cos_theta, sin_theta, 0, 2, False) * _plane(cosh_t, tanh_t * cosh_t, 1, 3, True)
+        witness = plane(cos_theta, sin_theta, 0, 2, False) * plane(cosh_t, tanh_t * cosh_t, 1, 3, True)
         r0 = r * root / half  # positive, with the square of r sqrt|cos phi|
         assert sp.simplify(r0**2 - r**2 * eps * cos_phi) == 0
         residual = compound(witness) * w - r0 * sp.Matrix([1, 0, 0, 0, 0, eps])
@@ -280,6 +268,85 @@ def test_reduction_certificate():
                 error = max(abs(mpmath.mpf(float(e)) - x) for e, x in zip(element, exact))
                 # the worst on this grid is 4.3 u r m**2
                 assert error <= 8 * unit * scale * m * m, (angle, scale, float(error))
+
+
+def test_reduction_rapidity_landau_lifshitz_oracle():
+    """An oracle for the reduction rapidity that shares nothing with the
+    kernel's reduction: Landau and Lifshitz, The Classical Theory of Fields,
+    section 25, problem 1.  Proved with sympy over symbols: reading the time
+    planes as E = (c14, c24, c34) and the spatial planes as B = (c23, -c13,
+    c12), the b and a of to_vector_pair, the split norms are E**2 and B**2
+    and the pfaffian is E.B, so the light cone is E**2 = B**2.  For
+    base_point(phi), E**2 = B**2, E x B = 2 sin(phi) e2 and E**2 + B**2 = 4,
+    so the boost of boost_matrix(2, t) runs along E x B, and after it E' x B'
+    = 2 (sin phi cosh 2t - sinh 2t) e2 = 2 cosh 2t (sin phi - tanh 2t) e2,
+    which vanishes exactly where tanh 2t = sin phi: the frame where E is
+    parallel to B.  Landau and Lifshitz find its velocity v from v/(1 + v**2)
+    = |E x B|/(E**2 + B**2) = sin(phi)/2; the roots are tan(phi/2) and its
+    reciprocal, and the smaller, (1 - |cos phi|)/sin phi, is tan(phi/2) below
+    pi/2 and cot(phi/2) above, critical_rapidity's two branches.  Then
+    critical_rapidity(phi) is checked against atanh((1 - |cos phi|)/sin phi)
+    at 50 digits on 2000 angles on both sides of pi/2, off a 1e-3 band around
+    it, to within 1 + condition ulps."""
+    sp = pytest.importorskip("sympy")
+    mpmath = pytest.importorskip("mpmath")
+
+    def fields(w):  # (E, B) of a bivector (c12, c13, c14, c23, c24, c34)
+        return sp.Matrix([w[2], w[4], w[5]]), sp.Matrix([w[3], -w[1], w[0]])
+
+    c = sp.Matrix(sp.symbols("c12 c13 c14 c23 c24 c34", real=True))
+    E, B = fields(c)
+    assert sp.expand(B.dot(B) - (c[0] ** 2 + c[1] ** 2 + c[3] ** 2)) == 0  # spatial
+    assert sp.expand(E.dot(E) - (c[2] ** 2 + c[4] ** 2 + c[5] ** 2)) == 0  # temporal
+    assert sp.expand(E.dot(B) - (c[0] * c[5] - c[1] * c[4] + c[2] * c[3])) == 0
+    # the symbols stand for the library's split norms, pfaffian, vector pair and base point
+    row = np.random.default_rng(3).normal(size=6)
+    e, b = (np.array(v.subs(dict(zip(c, row))), dtype=float)[:, 0] for v in (E, B))
+    assert np.abs(np.array(split_norms(row)) - [b @ b, e @ e]).max() <= 1e-14
+    assert abs(pfaffian(row) - e @ b) <= 1e-14
+    axial, polar = to_vector_pair(row)
+    assert np.array_equal(axial, b) and np.array_equal(polar, e)
+
+    phi, t = sp.symbols("phi t", real=True)
+    w = sp.sqrt(2) * sp.Matrix([sp.cos(phi), 0, 0, sp.sin(phi), 0, 1])
+    moved = compound(plane(sp.cosh(t), sp.sinh(t), 1, 3, True)) * w
+    numeric = _compound(boost_matrix(2, -0.8)) @ base_point(2.2)
+    assert np.abs(np.array(moved.subs({t: -0.8, phi: 2.2}).evalf(), dtype=float)[:, 0] - numeric).max() <= 1e-15
+
+    E, B = fields(w)
+    assert sp.simplify(E.dot(E) - B.dot(B)) == 0
+    assert sp.simplify(E.dot(E) + B.dot(B)) == 4
+    assert E.cross(B).applyfunc(sp.simplify) == sp.Matrix([0, 2 * sp.sin(phi), 0])
+    E, B = fields(moved)
+    cross = E.cross(B).applyfunc(sp.simplify)
+    assert cross[0] == 0 and cross[2] == 0
+    assert sp.simplify(cross[1] - 2 * (sp.sin(phi) * sp.cosh(2 * t) - sp.sinh(2 * t))) == 0
+    assert sp.simplify(cross[1] - 2 * sp.cosh(2 * t) * (sp.sin(phi) - sp.tanh(2 * t))) == 0
+    assert sp.cosh(2 * t).is_positive
+
+    u, v = sp.symbols("u v", positive=True)  # u = tan(phi/2) on (0, pi)
+    cos_phi, sin_phi = (1 - u**2) / (1 + u**2), 2 * u / (1 + u**2)
+    assert sp.simplify(cos_phi.subs(u, sp.tan(phi / 2)) - sp.cos(phi)) == 0
+    assert sp.simplify(sin_phi.subs(u, sp.tan(phi / 2)) - sp.sin(phi)) == 0
+    assert set(sp.solve(v / (1 + v**2) - sin_phi / 2, v)) == {u, 1 / u}
+    # below pi/2, u < 1 and |cos phi| = cos phi; above it, u > 1 and |cos phi| = -cos phi
+    assert sp.simplify((1 - cos_phi) / sin_phi - u) == 0
+    assert sp.simplify((1 + cos_phi) / sin_phi - 1 / u) == 0
+    assert sp.simplify((2 * v / (1 + v**2)).subs(v, u) - sin_phi) == 0  # tanh 2t = sin phi
+
+    angles = np.linspace(0.0, np.pi, 2004)[1:-1]
+    angles = angles[np.abs(angles - np.pi / 2) > 1e-3]
+    assert len(angles) == 2000 and (angles > np.pi / 2).sum() == 1000
+    with mpmath.workdps(50):
+        for angle in angles:
+            x = mpmath.mpf(angle)
+            velocity = (1 - abs(mpmath.cos(x))) / mpmath.sin(x)
+            exact = mpmath.atanh(velocity)
+            # a rounding of the velocity grows by the condition number of atanh there;
+            # the worst on this grid is 0.82 (1 + condition)
+            condition = velocity / ((1 - velocity**2) * exact)
+            ulps = abs(critical_rapidity(angle) - exact) / np.spacing(float(exact))
+            assert ulps <= 1 + condition, (angle, float(ulps), float(condition))
 
 
 def test_reduce_orbits_split_norms_match_split_norms(rng):

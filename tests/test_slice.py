@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_degenerate_bivector, random_light_cone_bivector
+from symbolic import compound, plane
 from lbo.errors import NotInLightConeError
 from lbo.minkowski import ToleranceConfig, boost_matrix, rotation_matrix
 from lbo.orbit import base_point, orbit_class
@@ -13,7 +14,7 @@ from lbo.rslice import (
     min_slice_radius,
     slice_topology,
 )
-from lbo.wedge import PAIRS, _compound, in_light_cone, split_norms
+from lbo.wedge import _compound, in_light_cone, split_norms
 
 ATANH_TAN_PI6 = 0.6584789484624084
 
@@ -66,15 +67,6 @@ def test_sweep_minimum_certificate():
     against 2|cos phi| at 50 digits on 2000 angles off a 1e-3 band around pi/2."""
     sp = pytest.importorskip("sympy")
     mpmath = pytest.importorskip("mpmath")
-
-    def plane(c, s, i, j, boost):  # the rotation or boost of the i-j plane
-        m = sp.eye(4)
-        m[i, i] = m[j, j] = c
-        m[i, j], m[j, i] = (s, s) if boost else (-s, s)
-        return m
-
-    def compound(m):  # entry ((k,l),(i,j)) is the 2x2 minor of rows k, l and columns i, j
-        return sp.Matrix(6, 6, lambda a, b: m.extract(list(PAIRS[a]), list(PAIRS[b])).det())
 
     theta, t, phi = sp.symbols("theta t phi", real=True)
     sweep = plane(sp.cos(theta), sp.sin(theta), 0, 2, False) * plane(sp.cosh(t), sp.sinh(t), 1, 3, True)
@@ -167,6 +159,7 @@ def reference_in_slice(w, r, tol=ToleranceConfig()):
 def test_in_slice(rng):
     w = base_point(1.0)  # squared radius 2
     assert in_slice(w, np.sqrt(2.0))
+    assert type(in_slice(w, np.sqrt(2.0))) is bool  # a numpy radius too
     assert not in_slice(w, 1.4)
     assert not in_slice([1.0, 0, 0, 0, 0, 0], 1.0)  # off the cone
     for bad in (0.0, -2.0, np.nan, np.inf):
@@ -180,7 +173,7 @@ def test_in_slice(rng):
         radius = np.sqrt(split_norms(row)[0])
         for r in (1.0, np.sqrt(2.0), radius if 0 < radius < np.inf else 1.0, 1e-3):
             for tol in (ToleranceConfig(), ToleranceConfig(eps=1e-3)):
-                assert in_slice(row, r, tol) is reference_in_slice(row, r, tol)
+                assert in_slice(row, r, tol) is bool(reference_in_slice(row, r, tol))
 
 
 def test_in_slice_is_false_where_the_radius_square_overflows():
@@ -188,10 +181,10 @@ def test_in_slice_is_false_where_the_radius_square_overflows():
     for r in (1.35e154, 1e200, 1.7e308):
         assert in_slice([1.0, 0, 0, 0, 0, 1.0], r) is False
         assert in_slice([1e150, 0, 0, 0, 0, 1e150], r) is False
-    # a numpy radius, whose verdict is a numpy bool, overflows without a warning
+    # a numpy radius overflows without a warning
     for r in (np.finfo(float).max, np.float64(1e200)):
-        assert not in_slice([1.0, 0, 0, 0, 0, 1.0], r)
-        assert not in_slice([1e150, 0, 0, 0, 0, 1e150], r)
+        assert in_slice([1.0, 0, 0, 0, 0, 1.0], r) is False
+        assert in_slice([1e150, 0, 0, 0, 0, 1e150], r) is False
     assert in_slice([1e150, 0, 0, 0, 0, 1e150], 1e150) is True
     assert in_slice([1e154, 0, 0, 0, 0, 1e154], 1e154) is True  # a square of 1e308 is finite
 

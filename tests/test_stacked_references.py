@@ -1,17 +1,20 @@
 """The stacked group-element paths against scalar references, bit for bit.
 
 The references are the one-letter, one-sample and one-point loops the
-library ran before its stacked passes: a pass of samples drawn with three
-numpy calls per letter and one normal call per sample (where the library
-decodes a whole pass of raw PCG64 output as arrays), a generator matrix
-written from an identity per letter, a word product taken letter by letter,
-the isometry and pfaffian suites of `verify`, empirical_min_radius and its
-grid's repeated rotation and boost stacks, the closed-form cross product the
-adapted frames used before np.cross, and reduce_orbits' per-row light-cone
-test and critical rapidities.  Both sides run under the same numpy, so they
-must agree exactly (never allclose), including across the edges of the
-SAMPLE_BLOCK passes.
+library ran before its stacked passes: a pass of samples drawn with one
+rng.random(3) call per letter, mapped with Python floats (where the library
+makes one rng.random call per pass, on any bit generator), the normals of
+the sampling suites drawn sample by sample from each suite's second
+generator, a generator matrix written from an identity per letter, a word
+product taken letter by letter, the isometry and pfaffian suites of
+`verify`, empirical_min_radius and its grid's repeated rotation and boost
+stacks, the closed-form cross product the adapted frames used before
+np.cross, and reduce_orbits' per-row light-cone test and critical
+rapidities.  Both sides run under the same numpy, so they must agree exactly
+(never allclose), including across the edges of the SAMPLE_BLOCK passes.
 """
+import math
+
 import numpy as np
 import pytest
 
@@ -63,15 +66,15 @@ def reference_generator(kind):
 
 
 def reference_word(rng, word_length):
+    """Per letter, three uniforms: the axis, the family and the parameter."""
     word = []
     for _ in range(word_length):
-        axis = int(rng.integers(1, 4))
-        family = ROTATION if rng.integers(2) == 0 else BOOST
-        if family == ROTATION:
-            p = rng.uniform(-np.pi, np.pi)
+        u0, u1, u2 = rng.random(3).tolist()
+        if u1 < 0.5:
+            family, low, high = BOOST, -1.0, 1.0
         else:
-            p = rng.uniform(-1.0, 1.0)
-        word.append(GeneratorKind(axis, family, float(p)))
+            family, low, high = ROTATION, -math.pi, math.pi
+        word.append(GeneratorKind(1 + math.floor(3 * u0), family, low + (high - low) * u2))
     return word
 
 
@@ -79,15 +82,13 @@ def reference_letters(rng, word_length):
     return [(k.family == BOOST, k.axis, k.parameter) for k in reference_word(rng, word_length)]
 
 
-def reference_pass(rng, count, lengths, normals):
-    """Per sample: one word per entry of lengths, then normal(size=normals) if normals."""
-    words, vectors = [[] for _ in lengths], []
+def reference_pass(rng, count, lengths):
+    """Per sample: one word per entry of lengths."""
+    words = [[] for _ in lengths]
     for _ in range(count):
         for drawn, length in zip(words, lengths):
             drawn.append(reference_letters(rng, length))
-        if normals:
-            vectors.append(rng.normal(size=normals))
-    return [np.array(w, dtype=float) for w in words], np.array(vectors).reshape(count, normals)
+    return [np.array(w, dtype=float).reshape(count, length, 3) for w, length in zip(words, lengths)]
 
 
 def reference_word_matrix(word):
@@ -102,13 +103,13 @@ def reference_random_proper_lorentz(rng, word_length):
 
 
 def reference_isometry(samples, seed, tol):
-    rng = np.random.default_rng([seed, 0])
+    rng, normals = np.random.default_rng([seed, 0]), np.random.default_rng([seed, 0, 1])
     worst_inner = worst_homo = worst_cone = 0.0
     for _ in range(samples):
         p = reference_random_proper_lorentz(rng, 4)
         q = reference_random_proper_lorentz(rng, 3)
-        u = rng.normal(size=6)
-        v = rng.normal(size=6)
+        u = normals.standard_normal(6)
+        v = normals.standard_normal(6)
         scale = 1.0 + float(np.linalg.norm(u) * np.linalg.norm(v))
         worst_inner = max(
             worst_inner,
@@ -117,8 +118,8 @@ def reference_isometry(samples, seed, tol):
         worst_homo = max(
             worst_homo, float(np.max(np.abs(_compound(p) @ _compound(q) - _compound(p @ q))))
         )
-        a = rng.normal(size=3)
-        b = rng.normal(size=3)
+        a = normals.standard_normal(3)
+        b = normals.standard_normal(3)
         b *= np.linalg.norm(a) / np.linalg.norm(b)
         wl = np.array([a[2], -a[1], b[0], a[0], b[1], b[2]])
         if not in_light_cone(_compound(p) @ wl, tol):
@@ -127,11 +128,11 @@ def reference_isometry(samples, seed, tol):
 
 
 def reference_pfaffian(samples, seed):
-    rng = np.random.default_rng([seed, 1])
+    rng, normals = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1, 1])
     worst_inv = worst_angle = 0.0
     for _ in range(samples):
         p = reference_random_proper_lorentz(rng, 4)
-        u = rng.normal(size=6)
+        u = normals.standard_normal(6)
         worst_inv = max(worst_inv, abs(pfaffian(_compound(p) @ u) - pfaffian(u)) / (1.0 + u @ u))
     for phi in np.linspace(0.0, np.pi, 41):
         worst_angle = max(worst_angle, abs(pfaffian(base_point(phi)) - 2.0 * np.cos(phi)))
@@ -232,170 +233,64 @@ def pcg64_half_used(seed):
     return bits
 
 
-def pcg64_zero_at(seed, ahead):
-    """A PCG64 whose raw output number ahead (from 0) is 0."""
-    bits = np.random.PCG64(seed)
-    state = bits.state
-    k = seed + 1
-    state["state"]["state"] = (k << 64) | k  # the output of a state with equal halves is 0
-    bits.state = state
-    bits.advance(-1 - ahead)
-    check = np.random.PCG64(seed)
-    check.state = bits.state
-    assert check.random_raw(ahead + 1)[ahead] == 0
-    return bits
-
-
-def pcg64_zero_in_sample(seed, sample, lengths, normals):
-    """A PCG64 whose pass of reference_pass draws meets a zero low word in sample `sample`.
-
-    A normal takes a varying count of raw outputs, so the zero is placed
-    further ahead, one output at a time, until numpy's own calls meet it
-    under a letter of that sample.
-    """
-    width = 2 * sum(lengths)
-    start = sample * (width + normals)
-    for ahead in range(start, start + 1000):
-        bits = pcg64_zero_at(seed, ahead)
-        probe = np.random.Generator(np.random.PCG64())
-        probe.bit_generator.state = bits.state
-        reference_pass(probe, sample, lengths, normals)
-        if (probe.bit_generator.random_raw(width)[::2] == 0).any():
-            return bits
-    raise AssertionError("no zero low word found in the sample")
-
-
 BIT_GENERATORS = {
+    "pcg64": np.random.PCG64,
     "mt19937": np.random.MT19937,
     "philox": np.random.Philox,
     "sfc64": np.random.SFC64,
     "pcg64-half-used": pcg64_half_used,
-    # numpy redraws an axis whose low word is 0, so the word takes numpy's calls
-    "pcg64-zero-first-axis": lambda seed: pcg64_zero_at(seed, 0),
-    "pcg64-zero-third-axis": lambda seed: pcg64_zero_at(seed, 4),
-    "pcg64-zero-parameter": lambda seed: pcg64_zero_at(seed, 1),
 }
 
 
-def test_draw_word_matches_numpy_calls():
+def test_draw_word_matches_the_per_letter_draws():
     for seed in range(200):
         rng, want = np.random.default_rng(seed), np.random.default_rng(seed)
         for length in range(1, 10):
             assert _draw_word(rng, length) == reference_letters(want, length)
             # the next draw shows the streams are still aligned
-            assert rng.normal() == want.normal()
-            # an odd count of 32-bit draws leaves half a raw output buffered
-            k = (seed + length) % 3
-            assert rng.integers(7, size=k).tolist() == want.integers(7, size=k).tolist()
-            assert (rng.normal(size=k) == want.normal(size=k)).all()
-
-
-@pytest.mark.parametrize("name", BIT_GENERATORS)
-def test_draw_word_matches_numpy_calls_on_other_streams(name):
-    make = BIT_GENERATORS[name]
-    for seed in range(20):
-        for length in (1, 3, 4):
-            rng, want = np.random.Generator(make(seed)), np.random.Generator(make(seed))
-            assert _draw_word(rng, length) == reference_letters(want, length)
-            assert rng.normal() == want.normal()
-
-
-class RawBitsOnly:
-    """An rng with a bit generator and none of numpy's calls."""
-
-    def __init__(self, bit_generator):
-        self.bit_generator = bit_generator
-
-
-def test_draw_word_decodes_raw_pcg64_output():
-    for seed in range(20):
-        rng = RawBitsOnly(np.random.PCG64(seed))
-        want = np.random.default_rng(seed)
-        assert _draw_word(rng, 9) == reference_letters(want, 9)
-        assert np.random.Generator(rng.bit_generator).normal() == want.normal()
-
-
-def stream_state(bits):
-    """bits.state as plain values, without a spent 32-bit half: a bit generator keeps
-    the last one it buffered in "uinteger" after using it, and reads it again only
-    while "has_uint32" is set."""
-
-    def plain(x):
-        if isinstance(x, dict):
-            return {key: plain(value) for key, value in x.items()}
-        return x.tolist() if isinstance(x, np.ndarray) else x
-
-    state = plain(bits.state)
-    if not state.get("has_uint32", 1):
-        state["uinteger"] = None
-    return state
-
-
-def assert_same_pass(got, want):
-    (letters, vectors), (want_letters, want_vectors) = got, want
-    assert len(letters) == len(want_letters)
-    for drawn, expected in zip(letters, want_letters):
-        assert drawn.shape == expected.shape and same_bits(drawn, expected)
-    assert vectors.shape == want_vectors.shape and same_bits(vectors, want_vectors)
+            assert rng.random() == want.random()
 
 
 @pytest.mark.parametrize("count", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1])
-@pytest.mark.parametrize("lengths,normals", [((4,), 0), ((4, 3), 0), ((4,), 6), ((4, 3), 18)])
-@pytest.mark.parametrize("name", ["pcg64", *BIT_GENERATORS, "pcg64-zero-mid-pass"])
-def test_draw_pass_matches_numpy_calls(name, lengths, normals, count):
+@pytest.mark.parametrize("lengths", [(1,), (4,), (4, 3)])
+@pytest.mark.parametrize("name", BIT_GENERATORS)
+def test_draw_pass_matches_the_per_letter_draws(name, lengths, count):
+    make = BIT_GENERATORS[name]
     for seed in range(2):
-        if name == "pcg64":
-            bits = np.random.PCG64(seed)
-        elif name == "pcg64-zero-mid-pass":
-            bits = pcg64_zero_in_sample(seed, min(37, count - 1), lengths, normals)
-        else:
-            bits = BIT_GENERATORS[name](seed)
-        want = np.random.Generator(type(bits)())
-        want.bit_generator.state = bits.state
-        rng = np.random.Generator(bits)
-        assert_same_pass(
-            _draw_pass(rng, count, lengths, normals), reference_pass(want, count, lengths, normals)
-        )
-        # the stream is where numpy's calls leave it
-        assert stream_state(rng.bit_generator) == stream_state(want.bit_generator)
-        assert rng.normal() == want.normal()
+        rng, want = np.random.Generator(make(seed)), np.random.Generator(make(seed))
+        letters, want_letters = _draw_pass(rng, count, lengths), reference_pass(want, count, lengths)
+        assert len(letters) == len(want_letters)
+        for drawn, expected in zip(letters, want_letters):
+            assert drawn.shape == expected.shape and same_bits(drawn, expected)
+        # the stream is where the per-letter draws leave it
+        np.testing.assert_equal(rng.bit_generator.state, want.bit_generator.state)
 
 
-class RawBitsAndNormals(RawBitsOnly):
-    """An rng with a bit generator and normal, but no integers or uniform."""
+class Uniforms:
+    """An rng whose random fills its array with one value."""
 
-    def __init__(self, bit_generator):
-        super().__init__(bit_generator)
-        self.normal = np.random.Generator(bit_generator).normal
+    def __init__(self, value):
+        self.value = value
 
-
-@pytest.mark.parametrize("normals", [0, 6, 18])
-def test_draw_pass_decodes_raw_pcg64_output(normals):
-    # numpy's per-letter calls give the same letters; without them, only the decode can
-    for seed in range(5):
-        rng, want = RawBitsAndNormals(np.random.PCG64(seed)), np.random.default_rng(seed)
-        for count in (1, SAMPLE_BLOCK + 1):
-            got = _draw_pass(rng, count, (4, 3), normals)
-            assert_same_pass(got, reference_pass(want, count, (4, 3), normals))
-        assert rng.normal() == want.normal()
+    def random(self, shape):
+        return np.full(shape, self.value)
 
 
-def test_sampling_suites_decode_raw_pcg64_output(monkeypatch):
-    samples = SAMPLE_BLOCK + 1
-    want = (
-        _suite_isometry(samples, 3, DEFAULT_TOL),
-        _suite_pfaffian(samples, 3, DEFAULT_TOL),
-        empirical_min_radius(base_point(1.0), samples, 3),
-    )
-    monkeypatch.setattr(
-        np.random, "default_rng", lambda seed: RawBitsAndNormals(np.random.PCG64(seed))
-    )
-    got = (
-        _suite_isometry(samples, 3, DEFAULT_TOL),
-        _suite_pfaffian(samples, 3, DEFAULT_TOL),
-        empirical_min_radius(base_point(1.0), samples, 3),
-    )
-    assert got == want
+def test_draw_pass_keeps_its_ranges():
+    (letters,) = _draw_pass(np.random.default_rng(8), 2000, (3,))
+    boost, axis, p = letters[..., 0] == 1.0, letters[..., 1], letters[..., 2]
+    assert set(axis.ravel().tolist()) == {1.0, 2.0, 3.0}
+    assert boost.any() and not boost.all()
+    assert ((-1.0 < p[boost]) & (p[boost] < 1.0)).all()
+    assert ((-np.pi < p[~boost]) & (p[~boost] < np.pi)).all()
+    # the ends of [0, 1): the largest uniform, 1 - 2**-53, keeps the axis at 3
+    # and the angle below pi
+    for u, want_axis in ((0.0, 1.0), (1.0 - 2.0**-53, 3.0)):
+        (ends,) = _draw_pass(Uniforms(u), 1, (1,))
+        boosted = u < 0.5
+        low, high = (-1.0, 1.0) if boosted else (-np.pi, np.pi)
+        assert ends[0, 0, 0] == boosted and ends[0, 0, 1] == want_axis
+        assert low <= ends[0, 0, 2] < high
 
 
 def test_words_match_the_reference():
