@@ -233,13 +233,48 @@ def pcg64_half_used(seed):
     return bits
 
 
+def pcg64_zero_at(seed, ahead):
+    """A PCG64 whose raw output number ahead (from 0) is 0, so that uniform is 0.0."""
+    bits = np.random.PCG64(seed)
+    state = bits.state
+    k = seed + 1
+    state["state"]["state"] = (k << 64) | k  # the output of a state with equal halves is 0
+    bits.state = state
+    bits.advance(-1 - ahead)
+    check = np.random.PCG64(seed)
+    check.state = bits.state
+    assert check.random_raw(ahead + 1)[ahead] == 0
+    return bits
+
+
+# the uniform that each stream draws as 0.0: (u0, u1, u2) of a letter are its
+# axis, family and parameter
+ZERO_AT = {
+    "pcg64-zero-first-axis": 0,
+    "pcg64-zero-family": 1,
+    "pcg64-zero-parameter": 2,
+    "pcg64-zero-third-axis": 6,
+}
+
 BIT_GENERATORS = {
     "pcg64": np.random.PCG64,
     "mt19937": np.random.MT19937,
     "philox": np.random.Philox,
     "sfc64": np.random.SFC64,
     "pcg64-half-used": pcg64_half_used,
+    **{name: lambda seed, ahead=ahead: pcg64_zero_at(seed, ahead) for name, ahead in ZERO_AT.items()},
 }
+
+
+def assert_low_end(letter, uniform):
+    """A letter whose uniform number `uniform` (0 axis, 1 family, 2 parameter) was 0.0."""
+    boost, axis, parameter = letter
+    if uniform == 0:
+        assert axis == 1.0
+    elif uniform == 1:
+        assert boost
+    else:
+        assert parameter == (-1.0 if boost else -np.pi)
 
 
 def test_draw_word_matches_the_per_letter_draws():
@@ -251,17 +286,41 @@ def test_draw_word_matches_the_per_letter_draws():
             assert rng.random() == want.random()
 
 
+@pytest.mark.parametrize("name", BIT_GENERATORS)
+def test_draw_word_matches_the_per_letter_draws_on_other_streams(name):
+    make = BIT_GENERATORS[name]
+    for seed in range(20):
+        for length in (1, 3, 4):
+            rng, want = np.random.Generator(make(seed)), np.random.Generator(make(seed))
+            word = _draw_word(rng, length)
+            assert word == reference_letters(want, length)
+            assert rng.random() == want.random()
+            if ZERO_AT.get(name, 3 * length) < 3 * length:
+                letter, uniform = divmod(ZERO_AT[name], 3)
+                assert_low_end(word[letter], uniform)
+
+
 @pytest.mark.parametrize("count", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1])
 @pytest.mark.parametrize("lengths", [(1,), (4,), (4, 3)])
-@pytest.mark.parametrize("name", BIT_GENERATORS)
+@pytest.mark.parametrize("name", [*BIT_GENERATORS, "pcg64-zero-mid-pass"])
 def test_draw_pass_matches_the_per_letter_draws(name, lengths, count):
-    make = BIT_GENERATORS[name]
+    # pcg64-zero-mid-pass draws 0.0 as the parameter of the last letter of
+    # sample 37, or of the last sample of a shorter pass
+    sample, width = min(37, count - 1), 3 * sum(lengths)
     for seed in range(2):
-        rng, want = np.random.Generator(make(seed)), np.random.Generator(make(seed))
+        if name == "pcg64-zero-mid-pass":
+            bits = pcg64_zero_at(seed, width * (sample + 1) - 1)
+        else:
+            bits = BIT_GENERATORS[name](seed)
+        want = np.random.Generator(type(bits)())
+        want.bit_generator.state = bits.state
+        rng = np.random.Generator(bits)
         letters, want_letters = _draw_pass(rng, count, lengths), reference_pass(want, count, lengths)
         assert len(letters) == len(want_letters)
         for drawn, expected in zip(letters, want_letters):
             assert drawn.shape == expected.shape and same_bits(drawn, expected)
+        if name == "pcg64-zero-mid-pass":
+            assert_low_end(letters[-1][sample, -1].tolist(), 2)
         # the stream is where the per-letter draws leave it
         np.testing.assert_equal(rng.bit_generator.state, want.bit_generator.state)
 
@@ -316,6 +375,22 @@ def test_stacked_suites_match_the_per_sample_loops(seed, samples):
     assert pfaff == reference_pfaffian(samples, seed)
 
 
+def other_streams(monkeypatch, name):
+    """Every default_rng, the suites' and the references', on the bit generator `name`."""
+    make = BIT_GENERATORS[name]
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: np.random.Generator(make(seed)))
+
+
+@pytest.mark.parametrize("samples", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 300])
+@pytest.mark.parametrize("name", ["mt19937", "philox", "sfc64", "pcg64-half-used"])
+def test_stacked_suites_match_the_per_sample_loops_on_other_streams(monkeypatch, name, samples):
+    other_streams(monkeypatch, name)
+    isometry = [check.value for check in _suite_isometry(samples, 3, DEFAULT_TOL)]
+    assert isometry == reference_isometry(samples, 3, DEFAULT_TOL)
+    pfaff = [check.value for check in _suite_pfaffian(samples, 3, DEFAULT_TOL)]
+    assert pfaff == reference_pfaffian(samples, 3)
+
+
 @pytest.mark.parametrize("pushed", [False, True])
 @pytest.mark.parametrize("phi,seed", [(0.0, 0), (np.pi / 3, 1), (np.pi / 2, 2), (2.5, 3)])
 def test_empirical_min_radius_matches_the_per_point_loops(phi, seed, pushed):
@@ -329,7 +404,7 @@ def test_empirical_min_radius_matches_the_per_point_loops(phi, seed, pushed):
     assert empirical_min_radius(w, samples, seed) == want
 
 
-def test_empirical_min_radius_pushes_w_through_each_word(monkeypatch):
+def assert_pushes_w_through_each_word(monkeypatch, seed):
     # the grid or the sweep always gives the minimum, so compare the word pass's rows
     passes = []
 
@@ -339,7 +414,7 @@ def test_empirical_min_radius_pushes_w_through_each_word(monkeypatch):
 
     monkeypatch.setattr(lbo.rslice, "_split_norms_rows", spy)
     w = _compound(reference_random_proper_lorentz(np.random.default_rng(9), 3)) @ base_point(1.0)
-    samples, seed = 2 * SAMPLE_BLOCK + 44, 5
+    samples = 2 * SAMPLE_BLOCK + 44
     empirical_min_radius(w, samples, seed)
     # the 41 x 41 grid's and the 1001-point sweep's passes come first
     grid_and_sweep = -(-41 * 41 // SAMPLE_BLOCK) - (-1001 // SAMPLE_BLOCK)
@@ -347,6 +422,16 @@ def test_empirical_min_radius_pushes_w_through_each_word(monkeypatch):
     rng = np.random.default_rng(seed)
     want = [_compound(reference_random_proper_lorentz(rng, 4)) @ w for _ in range(samples)]
     assert same_bits(np.concatenate(passes[grid_and_sweep:]), want)
+
+
+def test_empirical_min_radius_pushes_w_through_each_word(monkeypatch):
+    assert_pushes_w_through_each_word(monkeypatch, 5)
+
+
+@pytest.mark.parametrize("name", ["mt19937", "philox", "sfc64", "pcg64-half-used"])
+def test_empirical_min_radius_pushes_w_through_each_word_on_other_streams(monkeypatch, name):
+    other_streams(monkeypatch, name)
+    assert_pushes_w_through_each_word(monkeypatch, 5)
 
 
 def test_empirical_min_radius_grid_gathers_the_repeated_stacks(monkeypatch):

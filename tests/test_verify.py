@@ -3,6 +3,8 @@ import contextlib
 import io
 from pathlib import Path
 
+import pytest
+
 import lbo.cli as cli
 from lbo import verify
 from lbo.minkowski import ToleranceConfig
@@ -54,10 +56,10 @@ def test_a_failing_check_prints_fail_and_exits_4(monkeypatch):
     assert err.getvalue() == "invariant violation: verification suite failed\n"
 
 
-def test_every_check_passes_on_every_seed():
-    for seed in range(6):
-        for samples in (1, 50, 129, 300, 2500):
-            checks = list(verify.run(verify.SUITES, samples, seed, ToleranceConfig(eps=1e-9)))
-            assert [(check.suite, check.name) for check in checks] == CHECKS
-            failed = [check for check in checks if not check.passed]
-            assert not failed, (seed, samples, failed)
+@pytest.mark.parametrize("seed", range(6))
+def test_every_check_passes_on_every_seed(seed):
+    for samples in (1, 50, 129, 300, 2500):
+        checks = list(verify.run(verify.SUITES, samples, seed, ToleranceConfig(eps=1e-9)))
+        assert [(check.suite, check.name) for check in checks] == CHECKS
+        failed = [check for check in checks if not check.passed]
+        assert not failed, (seed, samples, failed)
