@@ -103,8 +103,10 @@ def _plane_matrices(boost, axis, parameter) -> np.ndarray:
     c[boost], s[boost] = np.cosh(p[boost]), np.sinh(p[boost])
     m = np.zeros(p.shape + (16,))
     m[..., ::5] = 1.0
+    # flat offsets into m: each matrix's entries, past the 16 of each matrix before it
     entries = _PLANE_ENTRIES[boost.astype(int), axis.astype(int) - 1]
-    np.put_along_axis(m, entries, np.stack([c, c, np.where(boost, s, -s), s], axis=-1), axis=-1)
+    entries += 16 * np.arange(p.size).reshape(p.shape + (1,))
+    np.put(m, entries, np.stack([c, c, np.where(boost, s, -s), s], axis=-1))
     return m.reshape(p.shape + (4, 4))
 
 

@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import DegenerateOrbitError, NotInLightConeError
 from .minkowski import (
-    BOOST, DEFAULT_TOL, ROTATION, GeneratorKind, ToleranceConfig, boost_matrix, lie_generator,
-    lorentz_inverse, rotation_matrix,
+    BOOST, DEFAULT_TOL, ROTATION, GeneratorKind, ToleranceConfig, _plane_matrices, boost_matrix,
+    lie_generator, lorentz_inverse, rotation_matrix,
 )
 from .wedge import (
     HAT_DIAG,
@@ -79,15 +79,15 @@ def from_vector_pair(a, b) -> np.ndarray:
     return np.stack([a[..., 2], -a[..., 1], b[..., 0], a[..., 0], b[..., 1], b[..., 2]], axis=-1)
 
 
+# The coordinate planes of the normal forms.
+_E12, _E23, _E34 = basis_bivector(1, 2), basis_bivector(2, 3), basis_bivector(3, 4)
+
+
 def canonical_bivector(r, phi) -> np.ndarray:
     """r * (cos(phi) e1^e2 + sin(phi) e2^e3 + e3^e4); arrays of r and phi give one row each."""
     r = np.asarray(r, dtype=float)[..., None]
     phi = np.asarray(phi, dtype=float)[..., None]
-    return r * (
-        np.cos(phi) * basis_bivector(1, 2)
-        + np.sin(phi) * basis_bivector(2, 3)
-        + basis_bivector(3, 4)
-    )
+    return r * (np.cos(phi) * _E12 + np.sin(phi) * _E23 + _E34)
 
 
 def base_point(phi: float) -> np.ndarray:
@@ -104,7 +104,7 @@ def normal_form_bivector(r0, epsilon) -> np.ndarray:
     if not np.all((epsilon == 1) | (epsilon == -1)):
         raise ValueError("epsilon must be +1 or -1")
     r0 = np.asarray(r0, dtype=float)[..., None]
-    return r0 * (basis_bivector(1, 2) + epsilon[..., None] * basis_bivector(3, 4))
+    return r0 * (_E12 + epsilon[..., None] * _E34)
 
 
 @dataclass(frozen=True)
@@ -177,6 +177,16 @@ class OrbitBatch(NamedTuple):
         return OrbitClass(self.kind[i], float(self.r0[i]), int(self.epsilon[i]) or None)
 
 
+# Cyclic successors of the three axes, for cross products of stacks.
+_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.cross of two (m, 3) stacks, bit for bit (entry i is x_j y_k - x_k y_j
+    for the cyclic successors j, k of i), without its per-call axis handling."""
+    return x[:, _NEXT] * y[:, _AFTER] - x[:, _AFTER] * y[:, _NEXT]
+
+
 def _adapted_frames(w: np.ndarray, tol: ToleranceConfig):
     """r, phi and adapted basis of (m, 6) light-cone rows; see canonical_form."""
     a, b = to_vector_pair(w)
@@ -185,7 +195,7 @@ def _adapted_frames(w: np.ndarray, tol: ToleranceConfig):
     phi = np.arccos(np.clip(_rows_dot(a, b) / spatial, -1.0, 1.0))
 
     u3 = b / _row_norms(b)[:, None]
-    cross = np.cross(b, a)
+    cross = _cross(b, a)
     cross_norm = _row_norms(cross)
     generic = cross_norm > tol.eps * spatial
     u2 = np.empty_like(u3)
@@ -198,7 +208,7 @@ def _adapted_frames(w: np.ndarray, tol: ToleranceConfig):
         axis = np.eye(3)[np.where(fits.any(axis=1), fits.argmax(axis=1), 2)]
         v = axis - _rows_dot(axis, u3p)[:, None] * u3p
         u2[~generic] = v / _row_norms(v)[:, None]
-    u1 = np.cross(u2, u3)
+    u1 = _cross(u2, u3)
 
     basis = np.zeros((len(w), 4, 4))
     basis[:, :3, :3] = np.stack([u1, u2, u3], axis=2)
@@ -242,8 +252,9 @@ def reduce_orbits(W, tol: ToleranceConfig = DEFAULT_TOL, *, frames: bool = True)
         # the reduction of canonical_representative, row by row
         p = phi[witnessed]
         theta = np.where(p < _HALF_PI, 0.5 * p, 0.5 * p + _HALF_PI)
-        rotation_boost = rotation_matrix(2, theta) @ boost_matrix(2, _critical_rapidities(p))
-        witness[witnessed] = rotation_boost @ lorentz_inverse(basis[witnessed])
+        # the rotation and the boost in one stack, so one call writes both
+        rotation, boost = _plane_matrices([[False], [True]], 2, [theta, _critical_rapidities(p)])
+        witness[witnessed] = rotation @ boost @ lorentz_inverse(basis[witnessed])
         reduced[witnessed] = (_compound(witness[witnessed]) @ W[witnessed][:, :, None])[:, :, 0]
     return OrbitBatch(
         spatial, temporal, pf, reason, on, r, phi, basis, kind, r0, epsilon,

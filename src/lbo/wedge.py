@@ -183,8 +183,11 @@ _MINOR_FACTORS = np.stack(
 def _compound(P) -> np.ndarray:
     """Second compound of a (..., 4, 4) stack: entry ((k,l),(i,j)) is P[k,i]P[l,j] - P[k,j]P[l,i].
 
-    One gather of the four minor factors; the result is C-contiguous so that
-    stacked products with it take the same BLAS path as single matrices.
+    The minor factors are gathered a pair at a time and multiplied in place,
+    so a stack holds at most three (..., 6, 6) arrays at once; each entry
+    still takes two rounded products and their rounded difference.  The
+    result is C-contiguous so that stacked products with it take the same
+    BLAS path as single matrices.
     The library pushes its own matrices forward as _compound(P) @ w: they are
     Lorentz by construction, and the check in pushforward costs more than the
     product (and, being absolute, rejects exact boosts at large rapidity).
@@ -192,9 +195,13 @@ def _compound(P) -> np.ndarray:
     matrices from outside.
     """
     P = np.asarray(P, dtype=float)
-    f = P.reshape(P.shape[:-2] + (16,))[..., _MINOR_FACTORS]
-    minors = f[..., 0, :, :] * f[..., 1, :, :] - f[..., 2, :, :] * f[..., 3, :, :]
-    return np.ascontiguousarray(minors)
+    f = P.reshape(P.shape[:-2] + (16,))
+    minors = f[..., _MINOR_FACTORS[0]]
+    minors *= f[..., _MINOR_FACTORS[1]]
+    crossed = f[..., _MINOR_FACTORS[2]]
+    crossed *= f[..., _MINOR_FACTORS[3]]
+    minors -= crossed
+    return np.ascontiguousarray(minors)  # a gather along the last axis is not C-contiguous
 
 
 def pushforward_matrix(P, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -2,6 +2,7 @@ import contextlib
 import errno
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -252,14 +253,52 @@ def _main_in_process(args, text):
 CHUNK_ARGS = [["classify", "--r", "1"], ["canonical"], ["slice", "--r", "1"], ["stabilizer"]]
 
 
-@pytest.mark.parametrize("args", CHUNK_ARGS)
-def test_output_does_not_depend_on_the_chunk(args, monkeypatch):
+def _chunk_sizes(count) -> list:
+    """The chunk sizes of a count-record batch: CHUNK, then each chunk twice
+    the one before, up to CHUNK_CAP; the last holds what is left."""
     import lbo.cli as cli
 
+    sizes, size = [], cli.CHUNK
+    while count > 0:
+        sizes.append(min(size, count))
+        count -= size
+        size = min(2 * size, cli.CHUNK_CAP)
+    return sizes
+
+
+# Small chunks for the chunk-boundary tests: 4, 8, 16, 16, ... records.  A
+# 57-record batch crosses the first boundary (4), the end of a grown chunk
+# (12), of the first chunk at the cap (28) and of a chunk held at it (44).
+SMALL_CHUNK, SMALL_CAP, BOUNDARY_COUNT = 4, 16, 57
+# A bad JSON line, an off-cone row and an invariant violation (exit 4; slice
+# answers that row from its invariants)
+EDGE_ROWS = [
+    "{not json\n",
+    '{"id":"off","c":[0.5,-0.25,0.75,0.125,0.6,0.3]}\n',
+    '{"id":"bug","c":[7e-5,0,0,0,0,6.3e-5]}\n',
+]
+
+
+def _boundary_test_lines(monkeypatch) -> list:
+    """_chunk_test_lines at the small schedule, with EDGE_ROWS on either side
+    of each chunk boundary."""
+    import lbo.cli as cli
+
+    monkeypatch.setattr(cli, "CHUNK", SMALL_CHUNK)
+    monkeypatch.setattr(cli, "CHUNK_CAP", SMALL_CAP)
+    sizes = _chunk_sizes(BOUNDARY_COUNT)
+    assert sizes == [4, 8, 16, 16, 13]
+    lines = _chunk_test_lines(BOUNDARY_COUNT)
+    for boundary in itertools.accumulate(sizes[:-1]):
+        lines[boundary - 3 : boundary + 3] = [*EDGE_ROWS, *reversed(EDGE_ROWS)]
+    return lines
+
+
+@pytest.mark.parametrize("args", CHUNK_ARGS)
+def test_output_does_not_depend_on_the_chunk(args, monkeypatch):
     for name in ("LBO_FORMAT", "LBO_R", "LBO_TOL"):
         monkeypatch.delenv(name, raising=False)
-    count = cli.CHUNK + 45  # more than one chunk, not a multiple of it
-    lines = _chunk_test_lines(count)
+    lines = _boundary_test_lines(monkeypatch)
     code, batch = _main_in_process(args, "".join(lines))
     # each record alone, bad JSON lines included
     codes, parts = [], []
@@ -279,11 +318,12 @@ def test_formatted_output_does_not_depend_on_the_chunk(args, fmt, monkeypatch):
     for name in ("LBO_FORMAT", "LBO_R", "LBO_TOL"):
         monkeypatch.delenv(name, raising=False)
     args = [*args, "--format", fmt]
-    text = "".join(_chunk_test_lines(cli.CHUNK + 45))
+    text = "".join(_boundary_test_lines(monkeypatch))
     code, batch = _main_in_process(args, text)
     assert code == (2 if args[0] == "slice" else 4)
     # one record per chunk
     monkeypatch.setattr(cli, "CHUNK", 1)
+    monkeypatch.setattr(cli, "CHUNK_CAP", 1)
     assert _main_in_process(args, text) == (code, batch)
 
 
@@ -962,23 +1002,28 @@ def test_a_chunk_decodes_in_one_pass(monkeypatch):
     good = [k for k in range(cli.CHUNK) if k not in (40, 90)]
     assert [ids[k] for k in good] == [clean_ids[k] for k in good]
     assert np.array_equal(W[good].view(np.int64), clean_W[good].view(np.int64))
-    # a whole run over three such chunks
+    # a whole run over three such runs of records, in the chunks of the
+    # schedule: one stacked wedge of each chunk's pair rows
     text = "".join(json.dumps(doc) + "\n" for doc in docs * 3)
     code, out = _main_in_process(["slice", "--r", "1"], text)
     assert code == 2 and out.count("\n") == 3 * cli.CHUNK
-    assert wedged == [cli.CHUNK - 2] * 4 and decoded == []
+    sizes = _chunk_sizes(3 * cli.CHUNK)
+    assert len(sizes) > 1 and all(size % cli.CHUNK == 0 for size in sizes)
+    assert wedged == [cli.CHUNK - 2] + [size // cli.CHUNK * (cli.CHUNK - 2) for size in sizes]
+    assert decoded == []
 
 
 class _WatchedStdin(io.StringIO):
-    """Input that notes how many lines were written by the time it gives the line after."""
+    """Input that notes how many lines were written by the time it gives the
+    line after each count of lines in after."""
 
     def __init__(self, text, out, after):
         super().__init__(text)
-        self.out, self.after, self.lines, self.written = out, after, 0, None
+        self.out, self.after, self.lines, self.written = out, after, 0, {}
 
     def __next__(self):
-        if self.lines == self.after:
-            self.written = self.out.getvalue().count("\n")
+        if self.lines in self.after:
+            self.written[self.lines] = self.out.getvalue().count("\n")
         self.lines += 1
         return super().__next__()
 
@@ -988,13 +1033,15 @@ def test_a_chunk_is_written_before_the_next_line_is_read(monkeypatch):
 
     for name in ("LBO_FORMAT", "LBO_R", "LBO_TOL"):
         monkeypatch.delenv(name, raising=False)
+    first, second = _chunk_sizes(10 * cli.CHUNK)[:2]
+    ends = (first, first + second)
     out = io.StringIO()
     stdin = sys.stdin
     try:
-        sys.stdin = _WatchedStdin(batch_lines(cli.CHUNK + 5).decode(), out, cli.CHUNK)
+        sys.stdin = _WatchedStdin(batch_lines(ends[1] + 5).decode(), out, ends)
         with contextlib.redirect_stdout(out):
             assert cli.main(["slice", "--r", "1.0"]) == 0
-        assert sys.stdin.written == cli.CHUNK
+        assert sys.stdin.written == {end: end for end in ends}
     finally:
         sys.stdin = stdin
 
@@ -1009,7 +1056,27 @@ class _CountingStdout(io.StringIO):
         return super().write(text)
 
 
-@pytest.mark.parametrize("count", [1, 127, 128, 129, 300])
+CHUNK_COUNTS = [1, 127, 128, 129, 384, 385, 2000]
+
+
+@pytest.mark.parametrize("count", CHUNK_COUNTS)
+def test_chunks_follow_the_schedule(count, monkeypatch):
+    # the first chunk holds CHUNK records, and each later one twice the one
+    # before, up to CHUNK_CAP
+    import lbo.cli as cli
+
+    for name in ("LBO_FORMAT", "LBO_R", "LBO_TOL"):
+        monkeypatch.delenv(name, raising=False)
+    sizes = []
+    decode = cli._decode_chunk
+    monkeypatch.setattr(cli, "_decode_chunk", lambda docs: sizes.append(len(docs)) or decode(docs))
+    code, out = _main_in_process(["slice", "--r", "1.0"], batch_lines(count).decode())
+    assert code == 0 and out.count("\n") == count
+    assert sizes == _chunk_sizes(count)
+    assert sizes[0] == min(count, cli.CHUNK) and max(sizes) <= cli.CHUNK_CAP
+
+
+@pytest.mark.parametrize("count", CHUNK_COUNTS)
 def test_one_write_per_chunk(count, monkeypatch):
     import lbo.cli as cli
 
@@ -1024,7 +1091,7 @@ def test_one_write_per_chunk(count, monkeypatch):
     finally:
         sys.stdin = stdin
     assert len(out.getvalue().splitlines()) == count
-    assert out.writes <= -(-count // cli.CHUNK)
+    assert out.writes == len(_chunk_sizes(count))
 
 
 def test_unbuffered_stdout_gives_the_same_bytes():
