@@ -24,15 +24,15 @@ record-by-record run:
   status: on the cone; off it, with its reason; an input error (refused by
   the decode, split norms or pfaffian past the double range, or a neutral
   row at the right angle); or an invariant violation, a residual past its
-  ceiling.
-  classify, canonical and stabilizer check the reconstruction and
+  ceiling.  classify, canonical and stabilizer check the reconstruction and
   representative residuals, and stabilizer its fixing residuals too; slice
   has no frames and answers from the invariants.  Every output record has
-  one of a few shapes, each compiled once to a %-template with typed slots:
-  reals are formatted by the template, every other value arrives as JSON
-  text rendered once per column, and the rows' values are zipped from the
-  columns.  An off-cone record has the keys of its on-cone record, null
-  where a value is not defined off the cone, and then its reason.
+  one of a few shapes, each compiled once to a %-template with typed slots
+  (the run's radius is fixed text): reals are formatted by the template,
+  every other value arrives as JSON text, a column of codes read from a
+  table of texts, and the rows' values are zipped from the columns.  An
+  off-cone record has the keys of its on-cone record, null where a value is
+  not defined off the cone, and its reason.
 - write: the chunk's records render to its NDJSON lines, which go to stdout
   as one string, so an unbuffered stdout (PYTHONUNBUFFERED) costs one write
   call per chunk, not one per record.  On a slow stream the first output
@@ -74,8 +74,10 @@ import numpy as np
 
 from .errors import DegenerateOrbitError, InvariantViolationError, NotInLightConeError
 from .minkowski import ToleranceConfig
-from .orbit import RIGHT_ANGLE, OrbitKind, normal_form_bivector, reconstruct, reduce_orbits
-from .rslice import SliceTopology, _check_radius as _check_slice_radius, _on_radius, slice_topology
+from .orbit import _KIND_BY_CODE, RIGHT_ANGLE, OrbitKind, normal_form_bivector, reconstruct
+from .orbit import reduce_orbits
+from .rslice import _TOPOLOGIES, SliceTopology, _check_radius as _check_slice_radius, _on_radius
+from .rslice import _topology_codes
 from .wedge import _row_norms, wedge
 
 # Records in a batch's first chunk.  Each chunk is decoded into one array and
@@ -113,7 +115,7 @@ class _Parser(argparse.ArgumentParser):
 # value per slot in the order the skeleton lists them.  A slot is typed: a
 # real that is never null is formatted by the template itself, and every
 # other value (ids, messages, enum names, bools and nullable values) arrives
-# as its JSON text, rendered once per column.
+# as its JSON text, rendered once per column or read from a table of texts.
 
 
 class _Slot:
@@ -129,7 +131,6 @@ _REAL = _Slot("%.17g")  # a float, never null, fed through _json_reals so never 
 _TEXT = _Slot("%s")  # JSON text: ids, messages, enum names, bools and nullable values
 # What json.dumps returns for a str, without its dispatch on the argument's type.
 _json_string = json.encoder.encode_basestring_ascii
-_BOOL_TEXT = ("false", "true")  # indexed by a bool
 
 
 def _scalar(v) -> str:
@@ -141,10 +142,8 @@ def _scalar(v) -> str:
         return _json_string(v)
     if v is None:
         return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
+    if t is bool:
+        return "true" if v else "false"
     if t is int:
         return repr(v)
     raise TypeError(f"cannot serialise {t!r}")
@@ -203,14 +202,12 @@ _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 def _escaped_byte(text: str):
-    """The first byte of text that did not decode as UTF-8, or None; an ASCII
-    text, every benchmark corpus's, is cleared by one str.isascii()."""
-    if text.isascii():
-        return None
+    """The first byte of text that did not decode as UTF-8, or None."""
     escaped = _ESCAPED_BYTE.search(text)
     return None if escaped is None else ord(escaped[0]) - 0xDC00
 
 
+_JSON_SPACE = " \t\n\r"  # white space, as JSON has it
 # The scanner of a decoder whose integers parse as floats, built once:
 # json.loads builds a decoder and its scanner on every call that passes a keyword.
 _scan = json.JSONDecoder(parse_int=float).scan_once
@@ -225,12 +222,11 @@ def _parse_json(text: str):
     space follows it, that is json.loads's document.  Any other text (leading
     white space, a bad or a second document) goes to json.loads, which parses
     it or words its refusal."""
-    byte = _escaped_byte(text)
-    if byte is not None:
+    if not text.isascii() and (byte := _escaped_byte(text)) is not None:
         return _InputError(f"line is not UTF-8: byte 0x{byte:02x}")
     try:
         doc, end = _scan(text, 0)
-        if not text[end:].strip(" \t\n\r"):
+        if not text[end:].strip(_JSON_SPACE):
             return doc
     except (StopIteration, ValueError, RecursionError):
         pass
@@ -246,20 +242,20 @@ def _iter_docs(stream):
     """Yield parsed JSON documents, or an _InputError per line that does not parse:
     NDJSON line mode, each line parsed alone, with a whole-document fallback
     for a first line that ends before its document does (the rest of the
-    input is read only then)."""
-    lines = (line for line in stream if line.strip())
+    input is read only then).  A line of _JSON_SPACE alone is blank."""
+    lines = (line for line in stream if line.strip(_JSON_SPACE))
     first = next(lines, None)
     if first is None:
         return
     doc = _parse_json(first)
     cause = doc.__cause__ if isinstance(doc, _InputError) else None
-    if isinstance(cause, json.JSONDecodeError) and not first[cause.pos :].strip():
+    if isinstance(cause, json.JSONDecodeError) and not first[cause.pos :].strip(_JSON_SPACE):
         rest = stream.read()
         whole = _parse_json(first + rest)  # one pretty-printed object or array
         if not isinstance(whole, _InputError):
             yield whole
             return
-        lines = (line for line in io.StringIO(rest) if line.strip())
+        lines = (line for line in io.StringIO(rest) if line.strip(_JSON_SPACE))
     yield doc
     yield from map(_parse_json, lines)
 
@@ -333,7 +329,7 @@ def _decode_chunk(docs: list):
             for k in {j // width for j, v in enumerate(entries) if type(v) is not float}:
                 entries[k * width : (k + 1) * width] = [0.0] * width
                 refused.append((rows[k], f"{what} entries must be numbers"))
-        A = np.array(entries).reshape(-1, width)
+        A = np.array(entries, dtype=float).reshape(-1, width)
         # a slice, not an index per row, where one layout fills the chunk
         at = rows if len(rows) < len(docs) else slice(None)
         W[at] = A if width == 6 else wedge(A[:, :4], A[:, 4:])
@@ -362,16 +358,19 @@ def _decode_record(doc) -> tuple:
 
 _OVERFLOW = "bivector overflows the double range: its split norms or pfaffian are not finite"
 
-_CLASSIFY_ON, _CLASSIFY_ON_SLICE = (
-    _Shape(
+_CLASS = {"kind": _TEXT, "r0": _REAL, "epsilon": _TEXT}
+
+
+@functools.lru_cache(16)
+def _classify_on(r) -> _Shape:
+    """The on-cone classify shape, with a radius-r slice block unless r is None."""
+    block = {} if r is None else {"slice": {"r_queried": r, "topology": _TEXT, "boundary": _TEXT}}
+    return _Shape(
         {"id": _TEXT, "in_light_cone": True, "A": _REAL, "B": _REAL, "pfaffian": _REAL,
-         "canonical": {"r": _REAL, "phi": _REAL},
-         "class": {"kind": _TEXT, "r0": _REAL, "epsilon": _TEXT},
-         **slice_block,
+         "canonical": {"r": _REAL, "phi": _REAL}, "class": _CLASS, **block,
          "diagnostics": {"reconstruction_residual": _REAL, "representative_residual": _TEXT}}
     )
-    for slice_block in ({}, {"slice": {"r_queried": _REAL, "topology": _TEXT, "boundary": _TEXT}})
-)
+
 
 _CANONICAL_NEUTRAL = _Shape(
     {"id": _TEXT, "in_light_cone": True, "r": _REAL, "phi": _REAL, "basis": [_REAL] * 16,
@@ -383,11 +382,12 @@ _CANONICAL_DEGENERATE = _Shape(
      "note": "degenerate orbit: no element of the form r0*(e12 + eps*e34) exists"}
 )
 
-_SLICE_ON = _Shape(
-    {"id": _TEXT, "in_light_cone": True, "r_queried": _REAL,
-     "class": {"kind": _TEXT, "r0": _REAL, "epsilon": _TEXT},
-     "topology": _TEXT, "boundary": _TEXT, "in_slice": _TEXT}
-)
+
+@functools.lru_cache(16)
+def _slice_on(r: float) -> _Shape:
+    """The on-cone slice shape of radius r: r_queried is fixed text."""
+    return _Shape({"id": _TEXT, "in_light_cone": True, "r_queried": r, "class": _CLASS,
+                   "topology": _TEXT, "boundary": _TEXT, "in_slice": _TEXT})
 
 
 @functools.cache
@@ -405,38 +405,33 @@ def _stabilizer_on(kind: str) -> _Shape:
     )
 
 
-# The leaves an off-cone record keeps of its on-cone record: the top-level
-# keys whose values are defined off the cone.  Every other key is null.
-_OFF_CONE = {"id": _TEXT, "in_light_cone": False, "A": _REAL, "B": _REAL, "pfaffian": _REAL,
-             "r_queried": _REAL, "in_slice": False}
+# The keys an off-cone record keeps from its on-cone record, and the values it
+# fixes.  Every other key is null.
+_OFF_CONE_KEPT = {"id", "A", "B", "pfaffian", "r_queried"}
+_OFF_CONE = {"in_light_cone": False, "in_slice": False}
 
 
-@functools.cache
+@functools.lru_cache(64)
 def _off_cone(on: _Shape) -> tuple:
     """(shape, kept) of the off-cone record of a row whose on-cone shape is on:
-    every top-level key of on, in its order, with its _OFF_CONE leaf or null,
-    then reason; kept indexes the on-cone values that fill its slots."""
+    every top-level key of on, in its order, with on's leaf if kept, else its
+    _OFF_CONE leaf or null, then reason; kept indexes the values of its slots."""
     skeleton, kept, at = {}, [], 0
     for key, node in on.skeleton.items():
-        skeleton[key] = _OFF_CONE.get(key)
+        skeleton[key] = node if key in _OFF_CONE_KEPT else _OFF_CONE.get(key)
         if type(skeleton[key]) is _Slot:
             kept.append(at)
         at += sum(type(leaf) is _Slot for _, leaf in _leaves(node))
     return _Shape({**skeleton, "reason": _TEXT}), kept
 
 
-# The _TEXT values of an orbit kind, and of a slice topology with its boundary
-# flag ((None, None) off the cone).
-_KIND_TEXT = {
-    kind: _json_string(kind)
-    for kind in (OrbitKind.NEUTRAL_PLUS, OrbitKind.NEUTRAL_MINUS, OrbitKind.DEGENERATE)
-}
-_TOPOLOGY_TEXT = {
-    None: (None, None),
-    **{t: (_json_string(t.value), _BOOL_TEXT[t is SliceTopology.SPHERE_2]) for t in SliceTopology},
-}
-# The _TEXT value of a class's epsilon, indexed by it: null for degenerate rows.
-_EPSILON_TEXT = ("null", "1", "-1")
+# JSON texts by code: kind by epsilon + 2 on the cone and 0 (null) off it, epsilon
+# by itself, topology and boundary by rslice._topology_codes, a bool by itself.
+_KIND_TEXT, _EPSILON_TEXT, _TOPOLOGY_TEXT, _BOUNDARY_TEXT, _BOOL_TEXT = (
+    np.array(list(map(_scalar, values)), dtype=object)
+    for values in (_KIND_BY_CODE, (None, 1, -1), [None] + [t.value for t in _TOPOLOGIES[1:]],
+                   [None] + [t is SliceTopology.SPHERE_2 for t in _TOPOLOGIES[1:]], (False, True))
+)
 
 
 def _row_status(b, W=None, fixing=None) -> tuple:
@@ -512,14 +507,15 @@ def _settled(records: list, status: tuple, refused: list) -> tuple:
 
 
 def _class_columns(b) -> list:
-    """The kind, r0 and epsilon columns of each row's class (kind None off the cone)."""
-    kinds = list(map(_KIND_TEXT.get, b.kind))
-    return [kinds, _json_reals(b.r0), list(map(_EPSILON_TEXT.__getitem__, b.epsilon.tolist()))]
+    """The kind, r0 and epsilon columns of each row's class."""
+    kind = _KIND_TEXT[(b.epsilon + 2) * b.on_cone]
+    return [kind.tolist(), _json_reals(b.r0), _EPSILON_TEXT[b.epsilon].tolist()]
 
 
 def _topology_columns(b, r: float, tol: ToleranceConfig) -> list:
-    """The topology and boundary columns of each row's radius-r slice (None off the cone)."""
-    return list(zip(*map(_TOPOLOGY_TEXT.__getitem__, slice_topology(b, r, tol))))
+    """The topology and boundary columns of each row's radius-r slice."""
+    code = _topology_codes(b.on_cone, b.epsilon, b.r0, r, tol)
+    return [_TOPOLOGY_TEXT[code].tolist(), _BOUNDARY_TEXT[code].tolist()]
 
 
 def _records(shape: _Shape, columns: list) -> list:
@@ -536,9 +532,8 @@ def _classify_chunk(ids, W, tol: ToleranceConfig, r_query):
     rep = ["%.17g" % x if w else "null" for x, w in zip(rep, b.witnessed.tolist())]
     columns = [ids, A, B, pf, r, phi, *_class_columns(b)]
     if r_query is not None:
-        columns += [itertools.repeat(r_query), *_topology_columns(b, r_query, tol)]
-    shape = _CLASSIFY_ON if r_query is None else _CLASSIFY_ON_SLICE
-    return _records(shape, [*columns, recon, rep]), status
+        columns += _topology_columns(b, r_query, tol)
+    return _records(_classify_on(r_query), [*columns, recon, rep]), status
 
 
 def _canonical_chunk(ids, W, tol: ToleranceConfig):
@@ -554,9 +549,9 @@ def _canonical_chunk(ids, W, tol: ToleranceConfig):
 def _slice_chunk(ids, W, tol: ToleranceConfig, r: float):
     # answered from the invariants: no frames, so no right angle or residual to check
     b = reduce_orbits(W, tol, frames=False)
-    member = map(_BOOL_TEXT.__getitem__, _on_radius(b.spatial, r, tol).tolist())
-    columns = [ids, itertools.repeat(r), *_class_columns(b), *_topology_columns(b, r, tol), member]
-    return _records(_SLICE_ON, columns), _row_status(b)
+    member = _BOOL_TEXT[_on_radius(b.spatial, r, tol).view(np.int8)].tolist()
+    columns = [ids, *_class_columns(b), *_topology_columns(b, r, tol), member]
+    return _records(_slice_on(r), columns), _row_status(b)
 
 
 def _stabilizer_chunk(ids, W, tol: ToleranceConfig):

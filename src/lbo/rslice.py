@@ -27,7 +27,6 @@ from .orbit import (
     _HALF_PI,
     OrbitBatch,
     OrbitClass,
-    OrbitKind,
     _reduce_one,
     base_point,
     critical_rapidity,
@@ -75,8 +74,19 @@ def _on_radius(spatial, r: float, tol: ToleranceConfig):
         return (abs(spatial - square) <= tol.eps * r * r) & (square < np.inf)
 
 
-# Topologies by the code slice_topology computes for a neutral row.
-_NEUTRAL_TOPOLOGY = (SliceTopology.EMPTY, SliceTopology.SPHERE_2, SliceTopology.RP3)
+# Topologies by the code _topology_codes gives a row: None off the cone.
+_TOPOLOGIES = (None, SliceTopology.EMPTY, SliceTopology.SPHERE_2, SliceTopology.RP3)
+
+
+def _topology_codes(on_cone, epsilon, r0, r: float, tol: ToleranceConfig) -> np.ndarray:
+    """The index in _TOPOLOGIES of each row's radius-r slice topology, from
+    the rows' on_cone mask, epsilon (0 off the cone and on degenerate rows)
+    and r0 arrays, as reduce_orbits gives them: 0 off the cone, 3 (RP3) on
+    degenerate rows, and on neutral rows 2 (Sphere2) inside the band
+    |r - r0| <= eps * max(r0, 1), 1 (Empty) below it and 3 above it."""
+    band = tol.eps * np.maximum(r0, 1.0)
+    neutral = np.where(np.abs(r - r0) <= band, 2, np.where(r < r0, 1, 3))
+    return np.where(epsilon != 0, neutral, 3 * on_cone)
 
 
 def slice_topology(
@@ -91,18 +101,11 @@ def slice_topology(
     (None for rows off the cone), each row compared as one alone.
     """
     _check_radius(r)
-    one = isinstance(klass, OrbitClass)
-    kinds = (klass.kind,) if one else klass.kind
-    r0 = np.array([klass.r0]) if one else klass.r0
-    band = tol.eps * np.maximum(r0, 1.0)
-    code = np.where(np.abs(r - r0) <= band, 1, np.where(r < r0, 0, 2)).tolist()
-    topologies = [
-        None if kind is None
-        else SliceTopology.RP3 if kind == OrbitKind.DEGENERATE
-        else _NEUTRAL_TOPOLOGY[c]
-        for kind, c in zip(kinds, code)
-    ]
-    return topologies[0] if one else topologies
+    if isinstance(klass, OrbitClass):
+        epsilon, r0 = np.array([klass.epsilon or 0]), np.array([klass.r0])
+        return _TOPOLOGIES[_topology_codes(True, epsilon, r0, r, tol)[0]]
+    codes = _topology_codes(klass.on_cone, klass.epsilon, klass.r0, r, tol)
+    return list(map(_TOPOLOGIES.__getitem__, codes.tolist()))
 
 
 def empirical_min_radius(

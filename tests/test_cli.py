@@ -10,9 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import faults
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 GOLD_OFF_CONE = (
@@ -113,14 +114,14 @@ GOLD_PARALLEL = (
 )
 
 
-def run_cli(args, stdin=b"", env_extra=None):
+def run_cli(args, stdin=b"", env_extra=None, entry=("-m", "lbo.cli")):
     env = os.environ.copy()
     env.pop("LBO_FORMAT", None)
     env.pop("LBO_R", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "lbo.cli", *args],
+        [sys.executable, *entry, *args],
         input=stdin,
         capture_output=True,
         env=env,
@@ -228,8 +229,8 @@ def _chunk_test_lines(count):
             rec = {"id": rid, "c": [1, 2]}
         elif kind == 9:
             rec = {"id": rid, "c": [1, 0, 0, 0, 0, "x" if k % 2 else 10**400]}
-        else:
-            rec = {"id": rid, "c": [7e-5, 0, 0, 0, 0, 6.3e-5]}  # a violation, but in slice
+        else:  # a violation where faults.broken is in place, but not in slice
+            rec = {"id": rid, "c": [faults.BUG_ENTRY, 0, 0, 0, 0, faults.BUG_ENTRY]}
         lines.append(json.dumps(rec))
     lines[count // 2] = "{not json"
     lines[count // 3] = "[" * 100000 + "]" * 100000  # nested past the recursion limit
@@ -270,20 +271,17 @@ def _chunk_sizes(count) -> list:
 # 57-record batch crosses the first boundary (4), the end of a grown chunk
 # (12), of the first chunk at the cap (28) and of a chunk held at it (44).
 SMALL_CHUNK, SMALL_CAP, BOUNDARY_COUNT = 4, 16, 57
-# A bad JSON line, an off-cone row and an invariant violation (exit 4; slice
-# answers that row from its invariants)
-EDGE_ROWS = [
-    "{not json\n",
-    '{"id":"off","c":[0.5,-0.25,0.75,0.125,0.6,0.3]}\n',
-    '{"id":"bug","c":[7e-5,0,0,0,0,6.3e-5]}\n',
-]
+# A bad JSON line, an off-cone row and an invariant violation (exit 4 with
+# faults.broken in place; slice answers that row from its invariants)
+EDGE_ROWS = ["{not json\n", '{"id":"off","c":[0.5,-0.25,0.75,0.125,0.6,0.3]}\n', faults.BUG_LINE]
 
 
 def _boundary_test_lines(monkeypatch) -> list:
     """_chunk_test_lines at the small schedule, with EDGE_ROWS on either side
-    of each chunk boundary."""
+    of each chunk boundary, and faults.broken in place."""
     import lbo.cli as cli
 
+    monkeypatch.setattr(cli, "reduce_orbits", faults.broken(cli.reduce_orbits))
     monkeypatch.setattr(cli, "CHUNK", SMALL_CHUNK)
     monkeypatch.setattr(cli, "CHUNK_CAP", SMALL_CAP)
     sizes = _chunk_sizes(BOUNDARY_COUNT)
@@ -741,6 +739,33 @@ def test_only_json_white_space_may_follow_a_document():
     assert _parsed_together(lines) == _parsed_alone(lines)
 
 
+# What json.loads says of a line that holds no JSON value.
+NO_VALUE = b'{"id":null,"error":"bad JSON line: Expecting value: line 1 column 1 (char 0)"}\n'
+
+
+def test_a_line_of_white_space_json_does_not_allow_is_a_bad_line():
+    # a form feed, a no-break space or U+2028 alone on a line is no JSON
+    # document: a bad line, as it is after a document; JSON's own white
+    # space alone makes a blank line, which is skipped
+    good = '{"id":"a","c":[1,0,0,0,0,1]}\n'
+    answer = run_cli(["slice", "--r", "1.0"], good.encode()).stdout
+    p = run_cli(["slice", "--r", "1.0"], b"\x0c\n" + good.encode() + b"\xc2\xa0\n \t\r\n\n")
+    assert (p.returncode, p.stderr) == (2, b"")
+    assert p.stdout == NO_VALUE + answer + NO_VALUE
+    for space in ("\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u3000", " \x0c\t"):
+        with pytest.raises(json.JSONDecodeError) as refusal:
+            json.loads(space)
+        error = b'{"id":null,"error":"bad JSON line: %s"}\n' % str(refusal.value).encode()
+        for lines in ([space + "\n", good], [good, space + "\n"]):
+            code, out = _main_in_process(["slice", "--r", "1", "--format", "ndjson"], "".join(lines))
+            assert code == 2
+            assert out.encode() == b"".join(answer if line == good else error for line in lines)
+    # a first line that ends before its document does, and then such white
+    # space: that line is not the start of a whole document either
+    code, out = _main_in_process(["slice", "--r", "1.0", "--format", "ndjson"], '{"id":"a",\x0c\n')
+    assert code == 2 and out.count("\n") == 1 and "bad JSON line" in out
+
+
 _FRAGMENTS = st.sampled_from(
     ["{", "}", "[", "]", ",", ":", " ", "1", "null", '"a"', '"]"', '"{"', '"\\""', '"\\\\"',
      '{"id":"x","c":[1,2]}', "[1,[2]]"]
@@ -1126,6 +1151,7 @@ def _check_real_slots(v: float) -> None:
 
     shapes = [x for x in vars(cli).values() if isinstance(x, cli._Shape)]
     shapes += [cli._stabilizer_on(k) for k in (OrbitKind.NEUTRAL_PLUS, OrbitKind.DEGENERATE)]
+    shapes += [cli._classify_on(None), cli._classify_on(0.1), cli._slice_on(0.1)]
     shapes += [cli._off_cone(shape)[0] for shape in shapes if "in_light_cone" in shape.skeleton]
     (fed,) = cli._json_reals(np.array([v]))
     for shape in shapes:
@@ -1150,18 +1176,121 @@ def test_real_slots_print_like_scalar_on_any_float(v):
 
 
 def test_text_slots_hold_the_json_of_their_values():
+    # each table of texts holds, at each code, the JSON of the value it stands for
     import lbo.cli as cli
-    from lbo.rslice import SliceTopology
+    from lbo.orbit import _KIND_BY_CODE, OrbitKind
+    from lbo.rslice import _TOPOLOGIES, SliceTopology
 
-    for kind, text in cli._KIND_TEXT.items():
-        assert text == cli._scalar(kind)
-    for t, (topology, boundary) in cli._TOPOLOGY_TEXT.items():
-        if t is None:  # off the cone
-            assert topology is boundary is None
+    tables = (cli._KIND_TEXT, cli._EPSILON_TEXT, cli._TOPOLOGY_TEXT, cli._BOUNDARY_TEXT)
+    assert all(table.dtype == object for table in (*tables, cli._BOOL_TEXT))
+    # kind by epsilon + 2 on the cone, 0 off it
+    assert cli._KIND_TEXT.tolist() == [cli._scalar(kind) for kind in _KIND_BY_CODE]
+    kinds = (OrbitKind.NEUTRAL_MINUS, OrbitKind.DEGENERATE, OrbitKind.NEUTRAL_PLUS)
+    assert [cli._KIND_TEXT[e + 2] for e in (-1, 0, 1)] == [cli._scalar(k) for k in kinds]
+    # epsilon by itself: null on degenerate rows
+    assert [cli._EPSILON_TEXT[e] for e in (-1, 0, 1)] == ["-1", "null", "1"]
+    assert _TOPOLOGIES[0] is None and set(_TOPOLOGIES[1:]) == set(SliceTopology)
+    for code, t in enumerate(_TOPOLOGIES):
+        if t is None:  # off the cone, where no record prints these slots
+            assert cli._TOPOLOGY_TEXT[code] == cli._BOUNDARY_TEXT[code] == "null"
             continue
-        assert topology == cli._scalar(t.value)
-        assert boundary == cli._scalar(t is SliceTopology.SPHERE_2)
-    assert [cli._BOOL_TEXT[b] for b in (False, True)] == [cli._scalar(False), cli._scalar(True)]
+        assert cli._TOPOLOGY_TEXT[code] == cli._scalar(t.value)
+        assert cli._BOUNDARY_TEXT[code] == cli._scalar(t is SliceTopology.SPHERE_2)
+    # a bool by itself, as an int: a bool index into an array is a mask
+    assert cli._BOOL_TEXT.tolist() == [cli._scalar(False), cli._scalar(True)]
+
+
+# The keys of the text columns that code tables fill, and of the run's radius.
+_TABLE_KEYS = ("r_queried", "kind", "epsilon", "topology", "boundary", "in_slice")
+
+
+def _leaf_texts(line: str) -> dict:
+    """The JSON text of each key of _TABLE_KEYS that an output line holds."""
+    return {k: m[1] for k in _TABLE_KEYS if (m := re.search(f'"{k}":([^,}}]*)', line))}
+
+
+@st.composite
+def _rows_at_table_edges(draw):
+    """(tol, coefficients, radius): a row off the cone, the zero row, or an
+    on-cone row a = (s, 0, 0), b = s (p, q, 0) with a pfaffian s*s*p of either
+    sign on either side of the degenerate band, well inside it or well past
+    it; and a radius well below or above its r0 (or its split radius s, for
+    in_slice), on either side of either end of their bands, or at them."""
+    from lbo import NotInLightConeError, ToleranceConfig, from_vector_pair, orbit_class
+
+    tol = draw(st.sampled_from(["1e-9", "1e-3"]))
+    eps, s = float(tol), draw(st.sampled_from([0.1, 1.0, 30.0]))
+    form = draw(st.sampled_from(["cone", "cone", "cone", "off", "zero"]))
+    p = draw(st.sampled_from([0.0, 0.5, 1 - 1e-3, 1 + 1e-3, 2.0, 1e3])) * eps * max(s * s, 1.0)
+    p = min(1.0, p / (s * s)) * draw(st.sampled_from([1.0, -1.0]))
+    f = 1.0 if form == "cone" else draw(st.sampled_from([0.5, 2.0]))  # |b| / |a|
+    c = from_vector_pair([s, 0.0, 0.0], [s * p * f, s * np.sqrt(1.0 - p * p) * f, 0.0])
+    c = [0.0] * 6 if form == "zero" else c.tolist()
+    try:
+        r0 = orbit_class(c, ToleranceConfig(eps=eps)).r0
+    except NotInLightConeError:
+        r0 = 1.0
+    base = draw(st.sampled_from([r0, s]))
+    at = draw(st.sampled_from([-2.0, -1.001, -1.0, -0.999, 0.0, 0.999, 1.0, 1.001, 2.0, 0.5, 2]))
+    if type(at) is int:  # well below or above
+        r = base * draw(st.sampled_from([0.5, 2.0]))
+    else:  # the band of r0, and a band at least as wide as in_slice's around s
+        r = base + at * eps * max(base, 1.0)
+    assume(r > 0)
+    return tol, c, r
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rows_at_table_edges())
+# a = (1, 0, 0), b = (2e-3, q, 0): neutral with r0 = sqrt(2e-3) = 0.0447..., whose
+# slice is Empty at 0.04, Sphere2 at 0.045 and RP3 at 0.05 when eps is 1e-3
+@example(("1e-3", [0.0, -0.0, 2e-3, 1.0, float(np.sqrt(1 - 4e-6)), 0.0], 0.04))
+@example(("1e-3", [0.0, -0.0, -2e-3, 1.0, float(np.sqrt(1 - 4e-6)), 0.0], 0.045))
+@example(("1e-3", [0.0, -0.0, 2e-3, 1.0, float(np.sqrt(1 - 4e-6)), 0.0], 0.05))
+@example(("1e-9", [0.0, -0.0, 0.0, 1.0, 1.0, 0.0], 2.0))  # degenerate, RP3
+def test_text_columns_are_the_one_row_library_answers(row):
+    # the text columns come from code tables; each row's texts must be the
+    # JSON of orbit_class, slice_topology and in_slice called on it alone
+    import lbo.cli as cli
+    from lbo import NotInLightConeError, SliceTopology, ToleranceConfig
+    from lbo import in_slice, orbit_class, slice_topology
+
+    tol, c, r = row
+    eps = ToleranceConfig(eps=float(tol))
+    want = {"r_queried": cli._scalar(r)}
+    try:
+        klass = orbit_class(c, eps)
+    except NotInLightConeError:  # the class and the topology are null off the cone
+        want_classify = {}
+        want.update(topology="null", boundary="null")
+    else:
+        t = slice_topology(klass, r, eps)
+        want.update(kind=cli._scalar(klass.kind), epsilon=cli._scalar(klass.epsilon),
+                    topology=cli._scalar(t.value),
+                    boundary=cli._scalar(t is SliceTopology.SPHERE_2))
+        want_classify = dict(want)
+    want["in_slice"] = cli._scalar(in_slice(c, r, eps))
+    line = json.dumps({"c": c}) + "\n"
+    for command, texts in (("slice", want), ("classify", want_classify)):
+        args = [command, "--r", repr(r), "--tol", tol, "--format", "ndjson"]
+        code, out = _main_in_process(args, line)
+        assert code == 0 and out.count("\n") == 1
+        assert _leaf_texts(out) == texts
+
+
+@pytest.mark.parametrize("fmt", ["ndjson", "json", "table"])
+def test_an_off_cone_slice_row_prints_its_own_radius(fmt):
+    # the radius is a fixed leaf of the run's shapes, the off-cone one too
+    line = '{"id":"off","c":[0.5,-0.25,0.75,0.125,0.6,0.3]}\n'
+    for r in ("0.25", "3.5"):
+        code, out = _main_in_process(["slice", "--r", r, "--format", fmt], line)
+        assert code == 0
+        if fmt == "table":
+            header, cells = out.splitlines()
+            record = dict(zip(header.split(), cells.split()))
+            assert (record["r_queried"], record["in_light_cone"]) == (r, "false")
+        else:
+            assert f'"id":"off","in_light_cone":false,"r_queried":{r},"class":null,' in out
 
 
 # Rows whose split norms or pfaffian overflow, given as coefficients and as a
@@ -1190,28 +1319,29 @@ def test_overflowing_pfaffian_is_quiet(command):
 
 @pytest.mark.parametrize("command", ["classify", "canonical", "stabilizer"])
 def test_invariant_violation_is_an_error_record_and_batch_goes_on(command):
-    # split norms 19% apart pass the cone test's floor at 1; their reduced
-    # element is off its normal form (ROADMAP item 1)
-    stdin = (
-        b'{"id":"a","c":[1,0,0,0,0,1]}\n'
-        b'{"id":"bad","c":[7e-5,0,0,0,0,6.3e-5]}\n'
-        b'{"id":"c","c":[1,0,0,0,0,1]}\n'
-    )
-    p = run_cli([command], stdin)
+    # the process entry with faults.broken in place: the bug row's reduced
+    # element is off its normal form
+    good = b'{"id":"a","c":[1,0,0,0,0,1]}\n'
+    stdin = good + faults.BUG_LINE.encode() + good.replace(b'"a"', b'"c"')
+    broken = ("-c", faults.BROKEN_CONSOLE)
+    p = run_cli([command], stdin, entry=broken)
     assert p.returncode == 4
     lines = p.stdout.splitlines()
-    assert [json.loads(line)["id"] for line in lines] == ["a", "bad", "c"]
+    assert [json.loads(line)["id"] for line in lines] == ["a", "bug", "c"]
     assert lines[2] == lines[0].replace(b'"id":"a"', b'"id":"c"')
     bad = json.loads(lines[1])
     assert list(bad) == ["id", "error"]
-    assert bad["error"].startswith("invariant violation: ")
+    assert bad["error"].startswith("invariant violation: reduced element off its normal form")
     assert p.stderr.decode().splitlines() == [bad["error"]]
     # exit 4 takes precedence over an input error's 2, in either order
-    p = run_cli([command], stdin + b'{"id":"short","c":[1,2]}\n')
+    p = run_cli([command], stdin + b'{"id":"short","c":[1,2]}\n', entry=broken)
     assert p.returncode == 4
     assert len(p.stdout.splitlines()) == 4
-    p = run_cli([command], b'{"id":"short","c":[1,2]}\n' + stdin)
+    p = run_cli([command], b'{"id":"short","c":[1,2]}\n' + stdin, entry=broken)
     assert p.returncode == 4
+    # without the fault the bug row is a good one
+    p = run_cli([command], stdin)
+    assert (p.returncode, p.stderr, len(p.stdout.splitlines())) == (0, b"", 3)
 
 
 @pytest.mark.parametrize("offset,code", [(5e-7, 0), (1e-3, 4)])
