@@ -129,8 +129,10 @@ class OrbitKind:
     DEGENERATE = "Degenerate"
 
 
-# Kinds by epsilon + 2 on the cone, and 0 off it.
-_KIND_BY_CODE = (None, OrbitKind.NEUTRAL_MINUS, OrbitKind.DEGENERATE, OrbitKind.NEUTRAL_PLUS)
+# Kinds by epsilon + 2 on the cone, and 0 off it; one index reads a whole column.
+_KIND_BY_CODE = np.array(
+    [None, OrbitKind.NEUTRAL_MINUS, OrbitKind.DEGENERATE, OrbitKind.NEUTRAL_PLUS], dtype=object
+)
 
 
 @dataclass(frozen=True)
@@ -187,33 +189,30 @@ def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x[:, _NEXT] * y[:, _AFTER] - x[:, _AFTER] * y[:, _NEXT]
 
 
-def _adapted_frames(w: np.ndarray, tol: ToleranceConfig):
+def _adapted_frames(w: np.ndarray):
     """r, phi and adapted basis of (m, 6) light-cone rows; see canonical_form."""
     a, b = to_vector_pair(w)
-    spatial = _rows_dot(a, a)
-    r = np.sqrt(spatial)
-    phi = np.arccos(np.clip(_rows_dot(a, b) / spatial, -1.0, 1.0))
-
     u3 = b / _row_norms(b)[:, None]
-    cross = _cross(b, a)
-    cross_norm = _row_norms(cross)
-    generic = cross_norm > tol.eps * spatial
-    u2 = np.empty_like(u3)
-    u2[generic] = cross[generic] / cross_norm[generic, None]
-    if not generic.all():
-        # parallel rows: the first coordinate axis not parallel to u3 (else the
-        # last), orthogonalised against it
-        u3p = u3[~generic]
-        fits = np.abs(u3p) < 1.0 - 1e-9
-        axis = np.eye(3)[np.where(fits.any(axis=1), fits.argmax(axis=1), 2)]
-        v = axis - _rows_dot(axis, u3p)[:, None] * u3p
-        u2[~generic] = v / _row_norms(v)[:, None]
-    u1 = _cross(u2, u3)
-
+    along = _rows_dot(a, u3)
+    perp = a - along[:, None] * u3
+    # scaled exactly, by a power of two, so that no square of a tiny perp underflows
+    q = np.abs(perp)  # the max column by column, which is faster than over axis 1
+    e = np.frexp(np.maximum(np.maximum(q[:, 0], q[:, 1]), q[:, 2]))[1]
+    perp = np.ldexp(perp, -e[:, None])
+    first = _row_norms(perp)
+    perp -= _rows_dot(perp, u3)[:, None] * u3
+    size = _row_norms(perp)
+    parallel = ~(size > 0.5 * first)
+    if parallel.any():
+        u3p = u3[parallel]
+        axis = np.eye(3)[np.abs(u3p).argmin(axis=1)]
+        perp[parallel] = axis - _rows_dot(axis, u3p)[:, None] * u3p
+        size[parallel] = 0.0
+    u1 = perp / _row_norms(perp)[:, None]
     basis = np.zeros((len(w), 4, 4))
-    basis[:, :3, :3] = np.stack([u1, u2, u3], axis=2)
+    basis[:, :3, :3] = np.stack([u1, _cross(u3, u1), u3], axis=2)
     basis[:, 3, 3] = 1.0
-    return r, phi, basis
+    return _row_norms(a), np.arctan2(np.ldexp(size, e), along), basis
 
 
 def reduce_orbits(W, tol: ToleranceConfig = DEFAULT_TOL, *, frames: bool = True) -> OrbitBatch:
@@ -240,14 +239,14 @@ def reduce_orbits(W, tol: ToleranceConfig = DEFAULT_TOL, *, frames: bool = True)
     epsilon[on & ~degenerate] = np.where(pf[on & ~degenerate] > 0, 1, -1)
     r0 = np.full(n, np.nan)
     r0[on] = np.where(degenerate[on], 0.0, np.sqrt(np.abs(pf[on])))
-    kind = tuple(map(_KIND_BY_CODE.__getitem__, np.where(on, epsilon + 2, 0).tolist()))
+    kind = tuple(_KIND_BY_CODE[np.where(on, epsilon + 2, 0)].tolist())
 
     r, phi = np.full(n, np.nan), np.full(n, np.nan)
     basis, witness = np.full((n, 4, 4), np.nan), np.full((n, 4, 4), np.nan)
     reduced = np.full((n, 6), np.nan)
     witnessed = np.zeros(n, dtype=bool)
     if frames:
-        r[on], phi[on], basis[on] = _adapted_frames(W[on], tol)
+        r[on], phi[on], basis[on] = _adapted_frames(W[on])
         witnessed = (epsilon != 0) & (phi != _HALF_PI)
         # the reduction of canonical_representative, row by row
         p = phi[witnessed]
@@ -272,13 +271,13 @@ def _reduce_one(w, tol: ToleranceConfig, caller: str, frames: bool = True) -> Or
 def canonical_form(w, tol: ToleranceConfig = DEFAULT_TOL) -> CanonicalForm:
     """Reduce a light-cone bivector to the one-angle normal form.
 
-    The angle is the angle between the axial and polar vectors, fixed to
-    [0, pi] by demanding a nonnegative sine.  The adapted spatial frame is
-    (u1, u2, u3) with u3 the polar direction, u2 the normalised cross product
-    of polar with axial (so the sine comes out nonnegative), and u1 = u2 x u3.
-    When the two vectors are parallel the cross product degenerates and u2
-    falls back to the smallest-index coordinate axis not parallel to u3,
-    orthogonalised against it; any such choice yields the same normal form.
+    The adapted spatial frame is (u1, u2 = u3 x u1, u3): u3 is the polar
+    direction, and u1 that of the part of the axial vector a perpendicular
+    to it, orthogonalised against u3 twice (Gram-Schmidt); phi =
+    arctan2(|that part|, a . u3) lies in [0, pi].  A row whose second pass
+    keeps at most half of the first is parallel (phi 0 or pi), and its u1 is
+    the coordinate axis least along u3, orthogonalised against it; any such
+    choice yields the same normal form.  No step reads the tolerance.
     """
     return _reduce_one(w, tol, "canonical_form").canonical_form(0)
 

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from lbo import from_vector_pair
+from lbo.minkowski import rotation_matrix
+from lbo.orbit import canonical_bivector
+from lbo.wedge import _compound
 
 
 def random_light_cone_bivector(rng, scale=1.0):
@@ -18,6 +22,23 @@ def random_degenerate_bivector(rng, scale=1.0):
     b = np.cross(a, rng.normal(size=3))
     b *= np.linalg.norm(a) / np.linalg.norm(b)
     return scale * from_vector_pair(a, b)
+
+
+@st.composite
+def rotated_normal_forms(draw, k_min=-14):
+    """(phi, w): w = Λ(R) canonical_bivector(2**k, phi), R a product of three
+    rotation_matrix rotations, k in [k_min, 500] and phi log-uniform in
+    [1e-300, pi) or within 1 of pi."""
+    R = np.eye(4)
+    for _ in range(3):
+        R = R @ rotation_matrix(draw(st.integers(1, 3)), draw(st.floats(-np.pi, np.pi)))
+    k = draw(st.integers(k_min, 500))
+    phi = draw(st.one_of(
+        st.floats(np.log(1e-300), np.log(np.pi)).map(np.exp),
+        st.floats(np.log(1e-17), 0.0).map(lambda x: np.pi - np.exp(x)),
+    ))
+    phi = min(max(phi, 1e-300), np.nextafter(np.pi, 0.0))
+    return phi, _compound(R) @ canonical_bivector(2.0**k, phi)
 
 
 @pytest.fixture

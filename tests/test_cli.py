@@ -16,6 +16,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import rotated_normal_forms
+
 GOLD_OFF_CONE = (
     b'{"id":"gold","in_light_cone":false,"A":0.328125,"B":1.0125,'
     b'"pfaffian":0.39374999999999999,"canonical":null,"class":null,"diagnostics":null,'
@@ -28,30 +30,30 @@ GOLD_NEUTRAL = (
 )
 
 # A generic neutral record and a generic degenerate one (axial (1, 2, 2),
-# polar (3, 0, 0) and (2, 1, -2)).  GOLD_CANONICAL is frozen from the
-# thread-pool implementation; GOLD_STABILIZER from the residuals carried
-# through each row's reduced element.
+# polar (3, 0, 0) and (2, 1, -2)).  GOLD_CANONICAL and GOLD_STABILIZER (the
+# residuals carried through each row's reduced element) are frozen from the
+# Gram-Schmidt frames.
 GOLD_PAIR = b'{"id":"n","c":[2,-2,3,1,0,0]}\n{"id":"d","c":[2,-2,2,1,1,-2]}\n'
 GOLD_STABILIZER = (
     b'{"id":"n","in_light_cone":true,"kind":"NeutralPlus","families":[{"family":"rotation12",'
-    b'"parameter":-0.90000000000000002,"fixing_residual":1.6257199769860883e-16},'
+    b'"parameter":-0.90000000000000002,"fixing_residual":1.6036003071516098e-16},'
     b'{"family":"boost34","parameter":-0.90000000000000002,'
-    b'"fixing_residual":2.0237321307822327e-16},{"family":"reflected_boost34",'
-    b'"parameter":-0.90000000000000002,"fixing_residual":2.0237321307822327e-16},'
+    b'"fixing_residual":1.9961970772674713e-16},{"family":"reflected_boost34",'
+    b'"parameter":-0.90000000000000002,"fixing_residual":1.9961970772674713e-16},'
     b'{"family":"rotation12","parameter":-0.29999999999999999,'
-    b'"fixing_residual":4.8624425061441905e-17},{"family":"boost34",'
-    b'"parameter":-0.29999999999999999,"fixing_residual":5.0057777280374086e-17},'
+    b'"fixing_residual":4.7962837430437704e-17},{"family":"boost34",'
+    b'"parameter":-0.29999999999999999,"fixing_residual":4.9376687349903712e-17},'
     b'{"family":"reflected_boost34","parameter":-0.29999999999999999,'
-    b'"fixing_residual":5.0057777280374086e-17},{"family":"rotation12",'
-    b'"parameter":0.29999999999999999,"fixing_residual":4.8624425061441905e-17},'
+    b'"fixing_residual":4.9376687349903712e-17},{"family":"rotation12",'
+    b'"parameter":0.29999999999999999,"fixing_residual":4.7962837430437704e-17},'
     b'{"family":"boost34","parameter":0.29999999999999999,'
-    b'"fixing_residual":5.0057777280374086e-17},{"family":"reflected_boost34",'
-    b'"parameter":0.29999999999999999,"fixing_residual":5.0057777280374086e-17},'
+    b'"fixing_residual":4.9376687349903718e-17},{"family":"reflected_boost34",'
+    b'"parameter":0.29999999999999999,"fixing_residual":4.9376687349903718e-17},'
     b'{"family":"rotation12","parameter":0.90000000000000002,'
-    b'"fixing_residual":1.6257199769860883e-16},{"family":"boost34",'
-    b'"parameter":0.90000000000000002,"fixing_residual":2.0237321307822327e-16},'
+    b'"fixing_residual":1.6036003071516098e-16},{"family":"boost34",'
+    b'"parameter":0.90000000000000002,"fixing_residual":1.9961970772674713e-16},'
     b'{"family":"reflected_boost34","parameter":0.90000000000000002,'
-    b'"fixing_residual":2.0237321307822327e-16}],"max_residual":2.0237321307822327e-16}\n'
+    b'"fixing_residual":1.9961970772674713e-16}],"max_residual":1.9961970772674713e-16}\n'
     b'{"id":"d","in_light_cone":true,"kind":"Degenerate",'
     b'"families":[{"family":"null_rotation_a","parameter":-0.90000000000000002,'
     b'"fixing_residual":2.1857113945566185e-16},{"family":"null_rotation_b",'
@@ -69,12 +71,12 @@ GOLD_STABILIZER = (
 )
 GOLD_CANONICAL = (
     b'{"id":"n","in_light_cone":true,"r":3,"phi":1.2309594173407747,"basis":[0,0,1,0,'
-    b'0.70710678118654757,-0.70710678118654757,0,0,0.70710678118654757,0.70710678118654757,0,0,'
-    b'0,0,0,1],"representative":[1.7320508075688779,0,6.6613381477509392e-16,'
-    b'-1.1102230246251565e-16,0,1.7320508075688781],"witness":[-0.57735026918962584,'
-    b'0.57735026918962584,0.57735026918962584,0,0,-1.0000000000000002,1.0000000000000002,'
-    b'1.0000000000000002,0.81649658092772603,0.40824829046386307,0.40824829046386307,0,0,'
-    b'-0.70710678118654768,0.70710678118654768,1.4142135623730951]}\n'
+    b'0.70710678118654746,-0.70710678118654746,0,0,0.70710678118654746,0.70710678118654746,0,0,'
+    b'0,0,0,1],"representative":[1.7320508075688767,0,0,'
+    b'-6.6613381477509392e-16,0,1.7320508075688781],"witness":[-0.57735026918962584,'
+    b'0.57735026918962573,0.57735026918962573,0,0,-1,1,'
+    b'1.0000000000000002,0.81649658092772603,0.40824829046386302,0.40824829046386302,0,0,'
+    b'-0.70710678118654757,0.70710678118654757,1.4142135623730951]}\n'
     b'{"id":"d","in_light_cone":true,"r":3,"phi":1.5707963267948966,'
     b'"basis":[0.33333333333333331,0.66666666666666663,0.66666666666666663,0,'
     b'0.66666666666666663,-0.66666666666666663,0.33333333333333331,0,0.66666666666666663,'
@@ -82,14 +84,14 @@ GOLD_CANONICAL = (
     b'"note":"degenerate orbit: no element of the form r0*(e12 + eps*e34) exists"}\n'
 )
 
-# classify --r 1.0 on GOLD_PAIR, frozen from the record-by-record implementation.
+# classify --r 1.0 on GOLD_PAIR, frozen from the Gram-Schmidt frames.
 GOLD_CLASSIFY = (
     b'{"id":"n","in_light_cone":true,"A":9,"B":9,"pfaffian":3,'
     b'"canonical":{"r":3,"phi":1.2309594173407747},'
     b'"class":{"kind":"NeutralPlus","r0":1.7320508075688772,"epsilon":1},'
     b'"slice":{"r_queried":1,"topology":"Empty","boundary":false},'
-    b'"diagnostics":{"reconstruction_residual":0,'
-    b'"representative_residual":7.5025670612102912e-16}}\n'
+    b'"diagnostics":{"reconstruction_residual":1.8129866073473578e-16,'
+    b'"representative_residual":6.903647322763729e-16}}\n'
     b'{"id":"d","in_light_cone":true,"A":9,"B":9,"pfaffian":0,'
     b'"canonical":{"r":3,"phi":1.5707963267948966},'
     b'"class":{"kind":"Degenerate","r0":0,"epsilon":null},'
@@ -99,18 +101,18 @@ GOLD_CLASSIFY = (
 )
 
 # canonical on parallel and anti-parallel pairs with the polar vector on the
-# first axis, where the adapted frame falls back to the second axis; frozen
-# from the record-by-record implementation.
+# first axis, where u1 falls back to the second axis, the first of the axes
+# least along u3; frozen from the Gram-Schmidt frames.
 PARALLEL_PAIR = b'{"id":"p","c":[0,0,1.5,1.5,0,0]}\n{"id":"q","c":[0,0,-2,2,0,0]}\n'
 GOLD_PARALLEL = (
     b'{"id":"p","in_light_cone":true,"r":1.5,"phi":0,'
-    b'"basis":[0,0,1,0,0,1,0,0,-1,0,0,0,0,0,0,1],"representative":[1.5,0,0,0,0,1.5],'
-    b'"witness":[0,0,-1,0,0,1,0,0,1,0,0,0,0,0,0,1]}\n'
+    b'"basis":[0,0,1,0,1,0,0,0,0,1,0,0,0,0,0,1],"representative":[1.5,0,0,0,0,1.5],'
+    b'"witness":[0,1,0,0,0,0,1,0,1,0,0,0,0,0,0,1]}\n'
     b'{"id":"q","in_light_cone":true,"r":2,"phi":3.1415926535897931,'
-    b'"basis":[0,0,-1,0,0,1,0,0,1,0,0,0,0,0,0,1],'
+    b'"basis":[0,0,-1,0,1,0,0,0,0,-1,0,0,0,0,0,1],'
     b'"representative":[2,0,-1.2246467991473532e-16,3.6739403974420594e-16,0,-2],'
-    b'"witness":[1.2246467991473532e-16,0,-1,0,0,1,0,6.123233995736766e-17,1,0,'
-    b'1.2246467991473532e-16,0,0,6.123233995736766e-17,0,1]}\n'
+    b'"witness":[1.2246467991473532e-16,-1,0,0,0,0,-1,6.123233995736766e-17,1,'
+    b'1.2246467991473532e-16,0,0,0,0,-6.123233995736766e-17,1]}\n'
 )
 
 
@@ -662,10 +664,10 @@ GOLD_EDGE_SLICE = (
 # The edge lines six times among 300 records, around the first chunk boundary
 # and inside chunks: sha256 of stdout per command, exit code 2 for each.
 GOLD_EDGE_DIGESTS = {
-    "classify": "60e94ced871a9393579401c12e1ebd9a0dd62b8722d175ba2d60bf648f207282",
-    "canonical": "d6638806cb7887e21c6c3d8e0e9f2d838996602160d7f8d15b0c2cb49c7ffb5d",
+    "classify": "ec15375ed0acb237bc1a77e932ac7aa7b2f79b0382bdb351a2f2bb4b7905d688",
+    "canonical": "4d9f4133afe9bc4ce528ebb2e60ec3500951a25818c795ac84e6ccb0ad07b071",
     "slice": "a0d19badc6ba416046fc427a2cf891e9764295fe92b83b6136722914a82f7203",
-    "stabilizer": "424ce43f2351de14dd3a6bb63440938747f56664465f41e74bcf76028f7c5d96",
+    "stabilizer": "e99aaa9bea658da5825d72936bd2c0e4fb4371b000cb18329b1c3d6221c4832c",
 }
 COMMAND_ARGS = {
     "classify": ["classify", "--r", "1.0"],
@@ -1291,6 +1293,53 @@ def test_an_off_cone_slice_row_prints_its_own_radius(fmt):
             assert (record["r_queried"], record["in_light_cone"]) == (r, "false")
         else:
             assert f'"id":"off","in_light_cone":false,"r_queried":{r},"class":null,' in out
+
+
+@st.composite
+def _rows_with_split_norms_apart(draw):
+    """A rotated normal form of spatial norm at least 1 whose polar vector is
+    scaled so that its split norms lie up to eps/2 apart, eps = 1e-9."""
+    _, w = draw(rotated_normal_forms(k_min=0))
+    w[[2, 4, 5]] *= np.sqrt(1.0 + draw(st.floats(-0.5e-9, 0.5e-9)))
+    return w
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_rows_with_split_norms_apart(), min_size=1, max_size=6))
+# phi = 2e-6 with split norms 8e-10 apart, which the old clip took to phi = 0
+@example([np.array([0.999999999998, -0.0, 0.0, 1.9999999999986667e-06, 0.0, 1.0000000004])])
+def test_split_norms_up_to_eps_apart_are_no_invariant_violation(rows):
+    import lbo.cli as cli
+    from lbo.minkowski import ToleranceConfig
+
+    W, tol = np.array(rows), ToleranceConfig(eps=1e-9)
+    ids = [f"r{i}" for i in range(len(W))]
+    for chunk in (
+        cli._classify_chunk(ids, W, tol, 1.0),
+        cli._canonical_chunk(ids, W, tol),
+        cli._stabilizer_chunk(ids, W, tol),
+    ):
+        status, message = chunk[1][:2]
+        assert (status == cli._ON).all(), message
+
+
+# Valid rows that once exited 4: an angle of 2e-6 with split norms 8e-10
+# apart, which the angle's old clip took to 0, and magnitudes from 1e77,
+# where the old frame's cross product squared entries past the double range.
+FORMER_EXIT_4 = (
+    b'{"c":[0.999999999998,-0.0,0.0,1.9999999999986667e-06,0.0,1.0000000004]}\n'
+    b'{"c":[1e78,0,6e77,0,0,8e77]}\n{"c":[1e150,0,0.6e150,0,0,0.8e150]}\n'
+    b'{"c":[2e77,-2e77,3e77,1e77,0,0]}\n'
+)
+
+
+@pytest.mark.parametrize("command", ["classify", "canonical", "stabilizer"])
+def test_rows_that_once_exited_4_are_answered(command):
+    p = run_cli(COMMAND_ARGS[command], FORMER_EXIT_4)
+    assert (p.returncode, p.stderr) == (0, b"")
+    records = [_strict_json(line) for line in p.stdout.splitlines()]
+    assert len(records) == 4
+    assert all(record["in_light_cone"] is True for record in records)
 
 
 # Rows whose split norms or pfaffian overflow, given as coefficients and as a

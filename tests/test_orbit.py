@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import random_degenerate_bivector, random_light_cone_bivector
+from conftest import random_degenerate_bivector, random_light_cone_bivector, rotated_normal_forms
+from hypothesis import example, given, settings
 from symbolic import compound, plane
 from lbo.errors import DegenerateOrbitError, NotInLightConeError
 from lbo.minkowski import ToleranceConfig, boost_matrix, is_proper_lorentz, rotation_matrix
@@ -117,6 +118,23 @@ def test_canonical_form_scale_equivariance(rng):
     assert abs(f2.phi - f1.phi) < 1e-12
 
 
+UNIT = np.spacing(1.0) / 2
+
+
+@settings(max_examples=400, deadline=None)
+@given(rotated_normal_forms())
+# unrotated: a's part off b is about 1.8e-162, whose square underflows to the
+# smallest subnormal
+@example((5e-269, canonical_bivector(2.0**354, 5e-269)))
+@example((np.nextafter(np.pi, 0.0), canonical_bivector(2.0**-14, np.nextafter(np.pi, 0.0))))
+def test_canonical_form_of_rotated_normal_forms_to_a_few_ulps(case):
+    # over 60,000 random draws the worst were 4.8 u |w| and 4 u
+    phi, w = case
+    form = canonical_form(w)
+    assert np.linalg.norm(reconstruct(form) - w) <= 16 * UNIT * np.linalg.norm(w)
+    assert abs(form.phi - phi) <= 8 * UNIT
+
+
 @pytest.mark.parametrize(
     "w",
     [
@@ -218,7 +236,9 @@ def test_reduction_certificate():
     against the library's.  Then the kernel's rule, its theta and
     critical_rapidity(phi) in floating point, is checked at 50 digits on
     2000 angles off a 1e-3 band around pi/2: each entry of the element lies
-    within 8 u r m**2 of the exact one, m the witness's largest |entry|."""
+    within 8 u r m**2 of the exact one, m the witness's largest |entry|.  So
+    does each entry of reduce_orbits' reduced element on the same rows, with
+    the angle, frame and witness the kernel finds itself."""
     sp = pytest.importorskip("sympy")
     mpmath = pytest.importorskip("mpmath")
 
@@ -251,23 +271,28 @@ def test_reduction_certificate():
         residual = compound(witness) * w - r0 * sp.Matrix([1, 0, 0, 0, 0, eps])
         assert residual.applyfunc(sp.simplify) == sp.zeros(6, 1)
 
-    unit = np.spacing(1.0) / 2
     angles = np.linspace(0.0, np.pi, 2004)[1:-1]
     angles = angles[np.abs(angles - np.pi / 2) > 1e-3]
     assert len(angles) == 2000
+    scales = (0.02, 1.0, 3.7)
+    # the kernel on the same grid, with the angle and frame it finds itself
+    kernel = [reduce_orbits(canonical_bivector(scale, angles)) for scale in scales]
     with mpmath.workdps(50):
-        for angle in angles:
+        for i, angle in enumerate(angles):
             theta = 0.5 * angle if angle < np.pi / 2 else 0.5 * angle + np.pi / 2
             witness = rotation_matrix(2, theta) @ boost_matrix(2, critical_rapidity(angle))
-            m = np.abs(witness).max()
             cos_angle = mpmath.cos(mpmath.mpf(angle))
-            for scale in (0.02, 1.0, 3.7):
-                element = _compound(witness) @ canonical_bivector(scale, angle)
+            for scale, b in zip(scales, kernel):
                 r0 = scale * mpmath.sqrt(abs(cos_angle))
                 exact = [r0, 0, 0, 0, 0, r0 if cos_angle > 0 else -r0]
-                error = max(abs(mpmath.mpf(float(e)) - x) for e, x in zip(element, exact))
-                # the worst on this grid is 4.3 u r m**2
-                assert error <= 8 * unit * scale * m * m, (angle, scale, float(error))
+                # the worst on this grid is 4.3 u r m**2 for the rule and 4.27
+                # for the kernel
+                for element, m in (
+                    (_compound(witness) @ canonical_bivector(scale, angle), np.abs(witness).max()),
+                    (b.reduced[i], np.abs(b.witness[i]).max()),
+                ):
+                    error = max(abs(mpmath.mpf(float(e)) - x) for e, x in zip(element, exact))
+                    assert error <= 8 * UNIT * scale * m * m, (angle, scale, float(error))
 
 
 def test_reduction_rapidity_landau_lifshitz_oracle():
@@ -365,8 +390,10 @@ def test_reduce_orbits_rows_match_one_row_calls(rng):
     rows += [random_degenerate_bivector(rng, 10.0 ** rng.uniform(-2, 2)) for _ in range(20)]
     rows += [
         [1.0, 0.0, 0.0, 0.0, 0.0, 1.0],  # parallel pair
-        [0.0, 0.0, -1.5, 0.0, 0.0, 0.0],  # anti-parallel pair along the first axis
+        [0.0, 0.0, -1.5, 1.5, 0.0, 0.0],  # anti-parallel pair along the first axis
         [0.0, 0.0, 0.0, 1.0, 0.0, 1.0],  # degenerate at exactly pi/2
+        canonical_bivector(2.0**354, 5e-269),  # a's part off b squares to a subnormal
+        [0.999999999998, -0.0, 0.0, 1.9999999999986667e-06, 0.0, 1.0000000004],  # |b| > |a|
         [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],  # off the cone
         [0.0] * 6,
         [1e200, 0.0, 0.0, 0.0, 0.0, 1e200],  # squares past the largest double
@@ -388,7 +415,14 @@ def test_reduce_orbits_rows_match_one_row_calls(rng):
             continue
         a, b = to_vector_pair(w)  # the kernel's dots are x @ y row by row
         assert batch.r[i] == np.sqrt(a @ a)
-        assert batch.phi[i] == np.arccos(np.clip((a @ b) / (a @ a), -1.0, 1.0))
+        # Gram-Schmidt twice on a's part off b, scaled by a power of two
+        u3 = b / np.sqrt(b @ b)
+        e = np.frexp(np.abs(a - (a @ u3) * u3).max())[1]
+        perp = np.ldexp(a - (a @ u3) * u3, -e)
+        twice = perp - (perp @ u3) * u3
+        first, size = np.sqrt(perp @ perp), np.sqrt(twice @ twice)
+        size = size if size > 0.5 * first else 0.0  # parallel
+        assert batch.phi[i] == np.arctan2(np.ldexp(size, e), a @ u3)
         form = canonical_form(w)
         assert (form.r, form.phi) == (batch.r[i], batch.phi[i])
         assert np.array_equal(form.basis, batch.basis[i])

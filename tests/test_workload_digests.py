@@ -17,12 +17,12 @@ _WORKLOADS_PY = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.
 
 # (workload, seed, argv or None for the workload's own) -> sha256 prefix of stdout
 DIGESTS = {
-    ("classify-mixed", 1, None): "051a479033af7e88",
-    ("classify-mixed", 2, None): "13152e8bbd9a9823",
-    ("stabilizer-mixed", 1, None): "79ff8ca2392fa0cc",
-    ("stabilizer-mixed", 2, None): "cc584d6413efa37b",
+    ("classify-mixed", 1, None): "b34ba32429dc88be",
+    ("classify-mixed", 2, None): "9b5c3e1bc72430d2",
+    ("stabilizer-mixed", 1, None): "b1feb59ac12aec1c",
+    ("stabilizer-mixed", 2, None): "8634183fcf13185c",
     ("slice-pairs", 1, None): "92cc00584d947998",
-    ("classify-mixed", 1, ("canonical",)): "55cd10789096c3bd",
+    ("classify-mixed", 1, ("canonical",)): "d67c7238b15d5140",
 }
 
 
