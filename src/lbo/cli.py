@@ -22,8 +22,8 @@ record-by-record run:
 - report: one reduce_orbits call, and for stabilizer one stabilizer_residuals
   call.  One function, _row_status, gives every row of every report its
   status: on the cone; off it, with its reason; an input error (refused by
-  the decode, split norms or pfaffian past the double range, or a neutral
-  row at the right angle); or an invariant violation, a residual past its
+  the decode, split norms outside the double range, a pfaffian past it, or
+  a right-angle neutral row); or an invariant violation, a residual past its
   ceiling.  classify, canonical and stabilizer check the reconstruction and
   representative residuals, and stabilizer its fixing residuals too; slice
   has no frames and answers from the invariants.  Every output record has
@@ -78,7 +78,7 @@ from .orbit import _KIND_BY_CODE, RIGHT_ANGLE, OrbitKind, normal_form_bivector, 
 from .orbit import reduce_orbits
 from .rslice import _TOPOLOGIES, SliceTopology, _check_radius as _check_slice_radius, _on_radius
 from .rslice import _topology_codes
-from .wedge import _row_norms, wedge
+from .wedge import _UNDERFLOW, _row_norms, wedge
 
 # Records in a batch's first chunk.  Each chunk is decoded into one array and
 # reduced by one reduce_orbits call, so it pays a fixed cost whatever its
@@ -89,8 +89,8 @@ from .wedge import _row_norms, wedge
 CHUNK = 128
 CHUNK_CAP = 256
 
-# Residuals past this ceiling (scaled by witness conditioning) indicate a bug,
-# not an input problem, and map to exit code 4.
+# Residuals past max(this, eps) (scaled by witness conditioning) indicate a
+# bug, not an input problem, and map to exit code 4.
 _BUG_CEILING = 1e-6
 
 
@@ -434,22 +434,22 @@ _KIND_TEXT, _EPSILON_TEXT, _TOPOLOGY_TEXT, _BOUNDARY_TEXT, _BOOL_TEXT = (
 )
 
 
-def _row_status(b, W=None, fixing=None) -> tuple:
+def _row_status(b, tol: ToleranceConfig, W=None, fixing=None) -> tuple:
     """(status, message, reconstruction, representative) of each row of a
-    chunk, from b = reduce_orbits(W): its status, its message (the reason off
-    the cone, the error text of an error, None on the cone) and classify's two
-    residuals.
+    chunk, from b = reduce_orbits(W, tol): its status, its message (the reason
+    off the cone, the error text of an error, None on the cone) and classify's
+    two residuals.
 
-    A row whose split norms or pfaffian are not finite is an input error, and
-    a row off the cone is off, with b's reason.  Given W, b has frames: a
-    neutral row at the right angle is an input error, and a row is an
-    invariant violation when its representative residual, or the max fixing
-    residual of its stabilizer given in fixing, lies past _BUG_CEILING times
-    max(1, witness max**2) (the bound grows with the witness's conditioning),
-    or its reconstruction residual past _BUG_CEILING.  A row takes the first
-    of these that it meets.  The reconstruction residual is 0 off the cone
-    and the representative's 0 on rows without a witness; both are None
-    without W.
+    A row whose split norms or pfaffian are not finite, or whose split norms
+    underflow, is an input error, and a row off the cone is off, with b's
+    reason.  Given W, b has frames: a neutral row at the right angle is an
+    input error, and a row is an invariant violation when its representative
+    residual (relative to r0), or the max fixing residual of its stabilizer
+    given in fixing, lies past c = max(_BUG_CEILING, eps) times max(1,
+    witness max**2), or its reconstruction residual past c (split norms eps
+    apart reconstruct to about eps / 2.8).  A row takes the first of these
+    that it meets.  The reconstruction residual is 0 off the cone and the
+    representative's 0 on rows without a witness; both are None without W.
     """
     status = np.where(b.on_cone, _ON, _OFF)
     message = list(b.reason)
@@ -461,20 +461,24 @@ def _row_status(b, W=None, fixing=None) -> tuple:
 
     finite = np.isfinite(b.spatial) & np.isfinite(b.temporal) & np.isfinite(b.pfaffian)
     error(~finite, _INPUT_ERROR, _OVERFLOW)
+    for i in np.flatnonzero(~b.on_cone).tolist():
+        if message[i].startswith(_UNDERFLOW):  # refused, with its reason as the message
+            status[i] = _INPUT_ERROR
     if W is None:
         return status, message, None, None
     on, ok = b.on_cone, b.witnessed
     recon, rep, witness_max = np.zeros(len(W)), np.zeros(len(W)), np.zeros(len(W))
     recon[on] = _row_norms(reconstruct(b)[on] - W[on]) / _row_norms(W[on])
     expected = normal_form_bivector(b.r0[ok], b.epsilon[ok])
-    rep[ok] = _row_norms(b.reduced[ok] - expected) / np.maximum(b.r0[ok], 1.0)
+    rep[ok] = _row_norms(b.reduced[ok] - expected) / b.r0[ok]
     witness_max[ok] = np.abs(b.witness[ok]).max(axis=(1, 2))
-    ceiling = _BUG_CEILING * np.maximum(1.0, witness_max * witness_max)
+    bug_ceiling = max(_BUG_CEILING, tol.eps)
+    ceiling = bug_ceiling * np.maximum(1.0, witness_max * witness_max)
     error(on & (b.epsilon != 0) & ~ok, _INPUT_ERROR, f"neutral bivector: {RIGHT_ANGLE}")
     # a NaN residual fails its bound too
     for residual, bound, what in (
         (rep, ceiling, "reduced element off its normal form"),
-        (recon, _BUG_CEILING, "canonical form fails to reconstruct"),
+        (recon, bug_ceiling, "canonical form fails to reconstruct"),
         (fixing, ceiling, "stabilizer generator fails to fix its element"),
     ):
         if residual is not None:
@@ -525,7 +529,7 @@ def _records(shape: _Shape, columns: list) -> list:
 
 def _classify_chunk(ids, W, tol: ToleranceConfig, r_query):
     b = reduce_orbits(W, tol)
-    status = _row_status(b, W)
+    status = _row_status(b, tol, W)
     A, B, pf, r, phi, recon, rep = map(
         _json_reals, (b.spatial, b.temporal, b.pfaffian, b.r, b.phi, *status[2:])
     )
@@ -543,7 +547,7 @@ def _canonical_chunk(ids, W, tol: ToleranceConfig):
     records = [(_CANONICAL_NEUTRAL, (rid, *f, *e)) for rid, f, e in zip(ids, frame, element)]
     for i in np.flatnonzero(b.on_cone & (b.epsilon == 0)).tolist():
         records[i] = _CANONICAL_DEGENERATE, (ids[i], *frame[i])
-    return records, _row_status(b, W)
+    return records, _row_status(b, tol, W)
 
 
 def _slice_chunk(ids, W, tol: ToleranceConfig, r: float):
@@ -551,7 +555,7 @@ def _slice_chunk(ids, W, tol: ToleranceConfig, r: float):
     b = reduce_orbits(W, tol, frames=False)
     member = _BOOL_TEXT[_on_radius(b.spatial, r, tol).view(np.int8)].tolist()
     columns = [ids, *_class_columns(b), *_topology_columns(b, r, tol), member]
-    return _records(_slice_on(r), columns), _row_status(b)
+    return _records(_slice_on(r), columns), _row_status(b, tol)
 
 
 def _stabilizer_chunk(ids, W, tol: ToleranceConfig):
@@ -565,7 +569,7 @@ def _stabilizer_chunk(ids, W, tol: ToleranceConfig):
         fixing[rows] = residuals.max(axis=1)
         for i, res in zip(rows.tolist(), _json_reals(residuals)):
             records[i] = _stabilizer_on(b.kind[i]), (ids[i], *res, max(0.0, *res))
-    return records, _row_status(b, W, fixing)
+    return records, _row_status(b, tol, W, fixing)
 
 
 # --- output formatting ----------------------------------------------------

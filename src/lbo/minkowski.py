@@ -43,8 +43,9 @@ SAMPLE_BLOCK = 128
 class ToleranceConfig:
     """Numerical comparison tolerance used across the package.
 
-    eps: the comparison tolerance, used both as an absolute floor and as a
-    relative bound; positive and finite.
+    eps: the comparison tolerance, positive and finite.  Quantities x, y >= 0
+    that scale with the input agree when |x - y| <= eps * max(x, y), with no
+    floor; dimensionless ones (a cosine, a Gram defect) are compared with eps.
     """
 
     eps: float = 1e-9

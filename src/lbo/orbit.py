@@ -36,7 +36,6 @@ from .wedge import (
     _cone_reason,
     _row_norms,
     _rows_dot,
-    _split_norms_rows,
     as_bivector,
     basis_bivector,
     from_null_basis,
@@ -230,11 +229,9 @@ def reduce_orbits(W, tol: ToleranceConfig = DEFAULT_TOL, *, frames: bool = True)
     if W.ndim != 2 or W.shape[1] != 6:
         raise ValueError(f"expected an (n, 6) array of bivectors, got shape {W.shape}")
     n = len(W)
-    spatial, temporal = _split_norms_rows(W)
+    spatial, temporal, on, reason = _cone_reason(W, tol)
     pf = pfaffian(W)
-    on, reason = _cone_reason(spatial, temporal, tol)
-
-    degenerate = np.abs(pf) <= tol.eps * np.maximum(spatial, 1.0)
+    degenerate = np.abs(pf) <= tol.eps * spatial
     epsilon = np.zeros(n, dtype=int)
     epsilon[on & ~degenerate] = np.where(pf[on & ~degenerate] > 0, 1, -1)
     r0 = np.full(n, np.nan)
@@ -294,8 +291,9 @@ def reconstruct(form) -> np.ndarray:
 def orbit_class(w, tol: ToleranceConfig = DEFAULT_TOL) -> OrbitClass:
     """Classify by the pfaffian: sign picks the neutral family, zero is degenerate.
 
-    The degenerate band is |pfaffian| <= eps * max(spatial_norm, 1); for
-    neutral orbits r0 = sqrt(|pfaffian|) is the scale of the reduced element.
+    The degenerate band is |pfaffian| <= eps * spatial_norm, relative as
+    both scale with the square of the input; for neutral orbits
+    r0 = sqrt(|pfaffian|) is the scale of the reduced element.
     """
     return _reduce_one(w, tol, "orbit_class", frames=False).orbit_class(0)
 

@@ -61,8 +61,7 @@ def _check_radius(r) -> None:
 def in_slice(w, r: float, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff w is a light-cone bivector whose split norm matches r*r relatively."""
     _check_radius(r)
-    spatial, temporal = _split_norms_rows(as_bivector(w)[None])
-    on, _ = _cone_reason(spatial, temporal, tol)
+    spatial, _, on, _ = _cone_reason(as_bivector(w)[None], tol)
     return bool(on[0]) and bool(_on_radius(float(spatial[0]), r, tol))
 
 
@@ -82,9 +81,9 @@ def _topology_codes(on_cone, epsilon, r0, r: float, tol: ToleranceConfig) -> np.
     """The index in _TOPOLOGIES of each row's radius-r slice topology, from
     the rows' on_cone mask, epsilon (0 off the cone and on degenerate rows)
     and r0 arrays, as reduce_orbits gives them: 0 off the cone, 3 (RP3) on
-    degenerate rows, and on neutral rows 2 (Sphere2) inside the band
-    |r - r0| <= eps * max(r0, 1), 1 (Empty) below it and 3 above it."""
-    band = tol.eps * np.maximum(r0, 1.0)
+    degenerate rows, and on neutral rows 2 (Sphere2) inside the relative band
+    |r - r0| <= eps * max(r0, r), 1 (Empty) below it and 3 above it."""
+    band = tol.eps * np.maximum(r0, r)
     neutral = np.where(np.abs(r - r0) <= band, 2, np.where(r < r0, 1, 3))
     return np.where(epsilon != 0, neutral, 3 * on_cone)
 
@@ -94,8 +93,8 @@ def slice_topology(
 ) -> SliceTopology | list:
     """Topology certificate of the radius-r slice of an orbit.
 
-    Neutral orbits: empty below r0, a two-sphere inside the band
-    |r - r0| <= eps * max(r0, 1), projective 3-space above.  Degenerate
+    Neutral orbits: empty below r0, a two-sphere inside the relative band
+    |r - r0| <= eps * max(r0, r), projective 3-space above.  Degenerate
     orbits meet every positive radius in projective 3-space.  klass is an
     OrbitClass, or an OrbitBatch for a list with the topology of each row
     (None for rows off the cone), each row compared as one alone.

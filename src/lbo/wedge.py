@@ -101,43 +101,46 @@ def _split_norms_rows(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return sq[:, 0] + sq[:, 1] + sq[:, 3], sq[:, 2] + sq[:, 4] + sq[:, 5]
 
 
-def _cone_reason(spatial: np.ndarray, temporal: np.ndarray, tol: ToleranceConfig) -> tuple:
-    """Light-cone verdicts from arrays of split norms: (on, reason), the mask of
-    rows on the cone and a tuple of why each row is off it (None on it).
+_UNDERFLOW = "split norms underflow the double range"  # no bits left to compare
 
-    On the cone the two norms are finite, agree relatively (to eps times the
-    larger, or times 1 below it) and the spatial one lies above eps.  The
+
+def _cone_reason(W: np.ndarray, tol: ToleranceConfig) -> tuple:
+    """Light-cone verdicts of an (n, 6) array: (spatial, temporal, on, reason),
+    the split norms, the mask of rows on the cone and why each is off it.
+
+    On the cone the two norms are finite and agree to eps times the larger,
+    a normal double.  Only six zero entries are the zero bivector.  The
     verdicts are array comparisons; only rows off the cone get a text.
     """
+    spatial, temporal = _split_norms_rows(W)
+    larger = np.maximum(spatial, temporal)
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, and eps times a huge norm
-        zero = (spatial == 0.0) & (temporal == 0.0)
-        bound = tol.eps * np.maximum(np.maximum(spatial, temporal), 1.0)
-        apart = ~(np.abs(spatial - temporal) <= bound)
-        low = spatial <= tol.eps
+        apart = ~(np.abs(spatial - temporal) <= tol.eps * larger)
     unbounded = ~(np.isfinite(spatial) & np.isfinite(temporal))
-    off = zero | unbounded | apart | low
+    underflow = larger < np.finfo(float).tiny  # the zero rows among them
+    off = unbounded | underflow | apart
     reason = [None] * len(off)
     for i in np.flatnonzero(off).tolist():
         norms = f"spatial {float(spatial[i]):.6g} vs temporal {float(temporal[i]):.6g}"
         reason[i] = (
-            "zero bivector" if zero[i]
+            "zero bivector" if not W[i].any()
             else f"split norms are not finite: {norms}" if unbounded[i]
-            else f"split norms differ: {norms}" if apart[i]
-            else f"split norms at or below the tolerance {tol.eps:.6g}: {norms}"
+            else f"{_UNDERFLOW}: {norms}" if underflow[i]
+            else f"split norms differ: {norms}"
         )
-    return ~off, tuple(reason)
+    return spatial, temporal, ~off, tuple(reason)
 
 
 def light_cone_reason(w, tol: ToleranceConfig = DEFAULT_TOL) -> str | None:
     """Why w is off the light cone, or None when it is on it.
 
-    On the cone the two split norms are finite and agree, and the spatial one lies above eps.
+    On the cone the split norms are finite and normal, and agree relatively.
     """
-    return _cone_reason(*_split_norms_rows(as_bivector(w)[None]), tol)[1][0]
+    return _cone_reason(as_bivector(w)[None], tol)[3][0]
 
 
 def in_light_cone(w, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True iff w is isotropic and nonzero: its split norms are finite, agree and do not vanish."""
+    """True iff w is isotropic and nonzero: its split norms are finite, agree and are normal."""
     return light_cone_reason(w, tol) is None
 
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_degenerate_bivector, random_light_cone_bivector, rotated_normal_forms
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from symbolic import compound, plane
 from lbo.errors import DegenerateOrbitError, NotInLightConeError
 from lbo.minkowski import ToleranceConfig, boost_matrix, is_proper_lorentz, rotation_matrix
@@ -41,6 +42,7 @@ from lbo.wedge import (
     to_null_basis,
 )
 from lbo.minkowski import BOOST, ROTATION, GeneratorKind, lie_generator
+from lbo.rslice import in_slice
 
 SQRT_HALF = 0.7071067811865476
 
@@ -394,8 +396,12 @@ def test_reduce_orbits_rows_match_one_row_calls(rng):
         [0.0, 0.0, 0.0, 1.0, 0.0, 1.0],  # degenerate at exactly pi/2
         canonical_bivector(2.0**354, 5e-269),  # a's part off b squares to a subnormal
         [0.999999999998, -0.0, 0.0, 1.9999999999986667e-06, 0.0, 1.0000000004],  # |b| > |a|
+        [1e-6, 0.0, 0.0, 0.0, 0.0, 1e-6],  # small rows: on the cone, the band is relative
+        [1e-150, 0.0, 0.0, 0.0, 0.0, 1e-150],
         [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],  # off the cone
+        [7e-5, 0.0, 0.0, 0.0, 0.0, 6.3e-5],  # split norms 19% apart, at a magnitude of 1e-4
         [0.0] * 6,
+        [1e-160, 0.0, 0.0, 0.0, 0.0, 1e-160],  # squares below the smallest normal double
         [1e200, 0.0, 0.0, 0.0, 0.0, 1e200],  # squares past the largest double
     ]
     W = np.array(rows)
@@ -410,6 +416,9 @@ def test_reduce_orbits_rows_match_one_row_calls(rng):
             assert np.array_equal(_bits(getattr(batch, name)[i]), _bits(getattr(one, name)[0]))
         assert batch.reason[i] == one.reason[0]
         assert batch.on_cone[i] == (batch.reason[i] is None)
+        radius = np.sqrt(batch.spatial[i])
+        if 0 < radius < np.inf:  # a row on the cone lies on the slice through itself
+            assert in_slice(w, radius) == batch.on_cone[i]
         if not batch.on_cone[i]:
             assert batch.kind[i] is None and not batch.witnessed[i]
             continue
@@ -432,6 +441,45 @@ def test_reduce_orbits_rows_match_one_row_calls(rng):
             rep, witness = canonical_representative(w)
             assert np.array_equal(rep, batch.reduced[i])
             assert np.array_equal(witness, batch.witness[i])
+
+
+# Rows for the scaling property: rotated normal forms, degenerate rows and
+# rows of small integers, which are mostly off the cone (the zero row among them).
+_SCALED_ROWS = st.one_of(
+    rotated_normal_forms().map(lambda pair: pair[1]),
+    st.integers(0, 2**32 - 1).map(lambda s: random_degenerate_bivector(np.random.default_rng(s))),
+    st.lists(st.integers(-3, 3), min_size=6, max_size=6).map(lambda c: np.array(c, dtype=float)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SCALED_ROWS, min_size=1, max_size=8), st.integers(-1100, 1100),
+       st.integers(-1100, 1100))
+@example([np.array([7e-5, 0, 0, 0, 0, 6.3e-5]), np.array([1e-6, 0, 0, 0, 0, 1e-6])], -20, 20)
+def test_reduce_orbits_scales_exactly_by_powers_of_two(rows, j, k):
+    """2**j W and 2**k W get one verdict, kind, angle, basis and witness, and
+    outputs 2**(k - j) or 4**(k - j) times apart, wherever every square of a
+    nonzero entry, and every product the reduction forms, is a normal double:
+    the tolerances are relative."""
+    W = np.array(rows)
+    assume(W.any())
+    e = np.frexp(np.abs(W[W != 0.0]))[1]
+    # 2**(e - 1) <= |entry| < 2**e.  The scaled entries stay in [2**-511, 2**510],
+    # and the smallest times six factors of u / spread stays normal: the witness
+    # multiplies three matrices, whose nonzero entries are no smaller than
+    # that, and the compound multiplies two of its entries.
+    margin = 6 * (e.max() - e.min() + 54)
+    lo, hi = max(-510, margin - 1021) - e.min(), 510 - e.max()
+    assume(lo <= hi)
+    j, k = (min(max(x, lo), hi) for x in (j, k))
+    small, large = reduce_orbits(np.ldexp(W, j)), reduce_orbits(np.ldexp(W, k))
+    assert np.array_equal(small.on_cone, large.on_cone) and small.kind == large.kind
+    for name in ("epsilon", "phi", "basis", "witnessed", "witness"):
+        assert np.array_equal(getattr(small, name), getattr(large, name), equal_nan=True), name
+    for name, power in (("r", 1), ("r0", 1), ("reduced", 1),
+                        ("spatial", 2), ("temporal", 2), ("pfaffian", 2)):
+        scaled = np.ldexp(getattr(small, name), power * (k - j))
+        assert np.array_equal(scaled, getattr(large, name), equal_nan=True), name
 
 
 def test_reduce_orbits_right_angle_row_has_no_witness():

@@ -136,7 +136,8 @@ def test_min_radius_matches_orbit_invariant(rng):
 
 
 # Rows off the light cone: zero, NaN, infinite, overflowing squares, split
-# norms that differ, and split norms at or below the tolerance.
+# norms that differ (relatively, at a magnitude of 1e-4 too), and split norms
+# that underflow the double range.
 OFF_CONE = [
     [0.0] * 6,
     [-0.0, 0.0, -0.0, 0.0, -0.0, 0.0],
@@ -146,8 +147,8 @@ OFF_CONE = [
     [np.inf, 0, 0, 0, 0, np.inf],
     [1.0, 0, 0, 0, 0, 0],
     [1.0, 0, 0, 0, 0, 1.0 + 1e-6],
-    [1e-6, 0, 0, 0, 0, 1e-6],
-    [3e-5, 0, 0, 0, 0, 3e-5],
+    [7e-5, 0, 0, 0, 0, 6.3e-5],
+    [1e-160, 0, 0, 0, 0, 1e-160],
 ]
 
 

@@ -464,19 +464,18 @@ def test_empirical_min_radius_grid_gathers_the_repeated_stacks(monkeypatch):
             assert surfaces[k].shape == want.shape and same_bits(surfaces[k], want)
 
 
-def reference_cone_reason(spatial, temporal, tol):
-    """The light-cone test reduce_orbits ran on each row before its array verdicts."""
-    if spatial == 0.0 and temporal == 0.0:
+def reference_cone_reason(w, spatial, temporal, tol):
+    """The light-cone test of one row w with split norms spatial and temporal:
+    relative, with no floor, down to the smallest normal double."""
+    norms = f"spatial {spatial:.6g} vs temporal {temporal:.6g}"
+    if not any(w):
         return "zero bivector"
     if not (np.isfinite(spatial) and np.isfinite(temporal)):
-        return f"split norms are not finite: spatial {spatial:.6g} vs temporal {temporal:.6g}"
-    if not abs(spatial - temporal) <= tol.eps * max(spatial, temporal, 1.0):
-        return f"split norms differ: spatial {spatial:.6g} vs temporal {temporal:.6g}"
-    if spatial <= tol.eps:
-        return (
-            f"split norms at or below the tolerance {tol.eps:.6g}: "
-            f"spatial {spatial:.6g} vs temporal {temporal:.6g}"
-        )
+        return f"split norms are not finite: {norms}"
+    if max(spatial, temporal) < np.finfo(float).tiny:
+        return f"split norms underflow the double range: {norms}"
+    if not abs(spatial - temporal) <= tol.eps * max(spatial, temporal):
+        return f"split norms differ: {norms}"
     return None
 
 
@@ -494,11 +493,12 @@ def reference_verdicts(W, tol):
     per-row loops gave them; the frames come from reduce_orbits itself."""
     spatial, temporal = _split_norms_rows(W)
     reason = tuple(
-        reference_cone_reason(s, t, tol) for s, t in zip(spatial.tolist(), temporal.tolist())
+        reference_cone_reason(w, s, t, tol)
+        for w, s, t in zip(W.tolist(), spatial.tolist(), temporal.tolist())
     )
     on = np.array([x is None for x in reason], dtype=bool)
     pf = pfaffian(W)
-    degenerate = np.abs(pf) <= tol.eps * np.maximum(spatial, 1.0)
+    degenerate = np.abs(pf) <= tol.eps * spatial
     epsilon = np.zeros(len(W), dtype=int)
     epsilon[on & ~degenerate] = np.where(pf[on & ~degenerate] > 0, 1, -1)
     kind = tuple(_KIND_BY_SIGN[e] if o else None for e, o in zip(epsilon.tolist(), on.tolist()))
@@ -531,8 +531,8 @@ def verdict_rows(rng, eps):
         # temporal norm around the relative bound, by a few ulps at the tiny eps
         stretch = 1.0 + k * max(eps, 2.0 ** -52) / 2.0
         rows.append(np.array([w[0], w[1], w[2] * stretch, w[3], w[4] * stretch, w[5] * stretch]))
-        # spatial norm around eps
-        rows.append(w * np.sqrt(eps * (1.0 + k * 1e-6) / spatial))
+        # larger split norm around the smallest normal double
+        rows.append(w * np.sqrt(np.finfo(float).tiny * (1.0 + k * 1e-6) / spatial))
         # pfaffian around the degenerate band
         rows.append(base_point(_HALF_PI - k * eps))
     return np.array(rows)
@@ -555,6 +555,6 @@ def test_reduce_orbits_verdicts_match_the_per_row_loops(eps):
     kinds = {None, OrbitKind.NEUTRAL_PLUS, OrbitKind.NEUTRAL_MINUS, OrbitKind.DEGENERATE}
     assert set(kind) == kinds
     assert {r.split(":")[0][:22] for r in reason if r} == {
-        "zero bivector", "split norms are not fi", "split norms differ", "split norms at or belo"
+        "zero bivector", "split norms are not fi", "split norms differ", "split norms underflow "
     }
     assert batch.witnessed.sum() >= 10

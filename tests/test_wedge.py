@@ -167,9 +167,13 @@ def test_in_light_cone_band():
     outside = base.copy()
     outside[5] = np.sqrt(1.0 + 4e-9)
     assert not in_light_cone(outside)
-    # scale-free: tiny light-cone bivectors below eps count as zero
-    assert not in_light_cone(1e-6 * base)
-    assert light_cone_reason(1e-6 * base).startswith("split norms at or below the tolerance")
+    # scale-free: the band is relative, so a small light-cone bivector is on the cone
+    assert in_light_cone(1e-6 * base)
+    assert light_cone_reason(1e-6 * base) is None
+    # until its squares leave the normal range, where no relative comparison is left
+    assert light_cone_reason(1e-160 * base) == (
+        "split norms underflow the double range: spatial 9.99989e-321 vs temporal 9.99989e-321"
+    )
     assert light_cone_reason(np.zeros(6)) == "zero bivector"
     assert light_cone_reason(outside).startswith("split norms differ")
     assert light_cone_reason(inside) is None

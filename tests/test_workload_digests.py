@@ -17,8 +17,8 @@ _WORKLOADS_PY = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.
 
 # (workload, seed, argv or None for the workload's own) -> sha256 prefix of stdout
 DIGESTS = {
-    ("classify-mixed", 1, None): "b34ba32429dc88be",
-    ("classify-mixed", 2, None): "9b5c3e1bc72430d2",
+    ("classify-mixed", 1, None): "46807d81e84ef7f7",
+    ("classify-mixed", 2, None): "2529296ba725013f",
     ("stabilizer-mixed", 1, None): "b1feb59ac12aec1c",
     ("stabilizer-mixed", 2, None): "8634183fcf13185c",
     ("slice-pairs", 1, None): "92cc00584d947998",
