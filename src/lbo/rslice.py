@@ -116,12 +116,13 @@ def empirical_min_radius(
     two-parameter reduction surface through w (grid density grows with
     samples and always contains the identity), a deep one-sided rapidity
     sweep that chases the shrinking radius of degenerate orbits, and random
-    generator-word pushforwards of w itself.  Each search runs as stacked
-    passes of SAMPLE_BLOCK group elements (one _compound and one
-    _split_norms_rows per pass, and for the words one _draw_pass, whose one
-    rng.random call draws what its words drawn one at a time would); every
-    point gets the bits of its own one-matrix pushforward, so the minimum
-    does not depend on the blocks.
+    generator-word pushforwards of w itself, drawn from default_rng([seed, 2]),
+    a stream of its own beside the verify suites' [seed, 0] and [seed, 1].
+    Each search runs as stacked passes of SAMPLE_BLOCK group elements (one
+    _compound and one _split_norms_rows per pass, and for the words one
+    _draw_pass, whose one rng.random call draws what its words drawn one at
+    a time would); every point gets the bits of its own one-matrix
+    pushforward, so the minimum does not depend on the blocks.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -149,7 +150,7 @@ def empirical_min_radius(
     for lo in range(0, len(sweep), SAMPLE_BLOCK):
         best = min(best, least_radius(boost_matrix(2, sweep[lo : lo + SAMPLE_BLOCK]), scaled))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng([seed, 2])
     for lo in range(0, samples, SAMPLE_BLOCK):
         (words,) = _draw_pass(rng, min(SAMPLE_BLOCK, samples - lo), (4,))
         best = min(best, least_radius(_word_matrices(words), w))

@@ -1,6 +1,5 @@
 import contextlib
 import errno
-import hashlib
 import io
 import itertools
 import json
@@ -8,7 +7,6 @@ import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import faults
 import numpy as np
@@ -17,103 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rotated_normal_forms
-
-GOLD_OFF_CONE = (
-    b'{"id":"gold","in_light_cone":false,"A":0.328125,"B":1.0125,'
-    b'"pfaffian":0.39374999999999999,"canonical":null,"class":null,"diagnostics":null,'
-    b'"reason":"split norms differ: spatial 0.328125 vs temporal 1.0125"}\n'
-)
-GOLD_NEUTRAL = (
-    b'{"id":"e","in_light_cone":true,"A":1,"B":1,"pfaffian":1,'
-    b'"canonical":{"r":1,"phi":0},"class":{"kind":"NeutralPlus","r0":1,"epsilon":1},'
-    b'"diagnostics":{"reconstruction_residual":0,"representative_residual":0}}\n'
-)
-
-# A generic neutral record and a generic degenerate one (axial (1, 2, 2),
-# polar (3, 0, 0) and (2, 1, -2)).  GOLD_CANONICAL and GOLD_STABILIZER (the
-# residuals carried through each row's reduced element) are frozen from the
-# Gram-Schmidt frames.
-GOLD_PAIR = b'{"id":"n","c":[2,-2,3,1,0,0]}\n{"id":"d","c":[2,-2,2,1,1,-2]}\n'
-GOLD_STABILIZER = (
-    b'{"id":"n","in_light_cone":true,"kind":"NeutralPlus","families":[{"family":"rotation12",'
-    b'"parameter":-0.90000000000000002,"fixing_residual":1.6036003071516098e-16},'
-    b'{"family":"boost34","parameter":-0.90000000000000002,'
-    b'"fixing_residual":1.9961970772674713e-16},{"family":"reflected_boost34",'
-    b'"parameter":-0.90000000000000002,"fixing_residual":1.9961970772674713e-16},'
-    b'{"family":"rotation12","parameter":-0.29999999999999999,'
-    b'"fixing_residual":4.7962837430437704e-17},{"family":"boost34",'
-    b'"parameter":-0.29999999999999999,"fixing_residual":4.9376687349903712e-17},'
-    b'{"family":"reflected_boost34","parameter":-0.29999999999999999,'
-    b'"fixing_residual":4.9376687349903712e-17},{"family":"rotation12",'
-    b'"parameter":0.29999999999999999,"fixing_residual":4.7962837430437704e-17},'
-    b'{"family":"boost34","parameter":0.29999999999999999,'
-    b'"fixing_residual":4.9376687349903718e-17},{"family":"reflected_boost34",'
-    b'"parameter":0.29999999999999999,"fixing_residual":4.9376687349903718e-17},'
-    b'{"family":"rotation12","parameter":0.90000000000000002,'
-    b'"fixing_residual":1.6036003071516098e-16},{"family":"boost34",'
-    b'"parameter":0.90000000000000002,"fixing_residual":1.9961970772674713e-16},'
-    b'{"family":"reflected_boost34","parameter":0.90000000000000002,'
-    b'"fixing_residual":1.9961970772674713e-16}],"max_residual":1.9961970772674713e-16}\n'
-    b'{"id":"d","in_light_cone":true,"kind":"Degenerate",'
-    b'"families":[{"family":"null_rotation_a","parameter":-0.90000000000000002,'
-    b'"fixing_residual":2.1857113945566185e-16},{"family":"null_rotation_b",'
-    b'"parameter":-0.90000000000000002,"fixing_residual":3.6800075365978525e-16},'
-    b'{"family":"null_rotation_a","parameter":-0.29999999999999999,'
-    b'"fixing_residual":7.2812474516374935e-17},{"family":"null_rotation_b",'
-    b'"parameter":-0.29999999999999999,"fixing_residual":1.4226142528809761e-16},'
-    b'{"family":"null_rotation_a","parameter":0.29999999999999999,'
-    b'"fixing_residual":7.2812474516374923e-17},{"family":"null_rotation_b",'
-    b'"parameter":0.29999999999999999,"fixing_residual":1.4226142528809761e-16},'
-    b'{"family":"null_rotation_a","parameter":0.90000000000000002,'
-    b'"fixing_residual":2.1857113945566185e-16},{"family":"null_rotation_b",'
-    b'"parameter":0.90000000000000002,"fixing_residual":3.680007536597853e-16}],'
-    b'"max_residual":3.680007536597853e-16}\n'
-)
-GOLD_CANONICAL = (
-    b'{"id":"n","in_light_cone":true,"r":3,"phi":1.2309594173407747,"basis":[0,0,1,0,'
-    b'0.70710678118654746,-0.70710678118654746,0,0,0.70710678118654746,0.70710678118654746,0,0,'
-    b'0,0,0,1],"representative":[1.7320508075688767,0,0,'
-    b'-6.6613381477509392e-16,0,1.7320508075688781],"witness":[-0.57735026918962584,'
-    b'0.57735026918962573,0.57735026918962573,0,0,-1,1,'
-    b'1.0000000000000002,0.81649658092772603,0.40824829046386302,0.40824829046386302,0,0,'
-    b'-0.70710678118654757,0.70710678118654757,1.4142135623730951]}\n'
-    b'{"id":"d","in_light_cone":true,"r":3,"phi":1.5707963267948966,'
-    b'"basis":[0.33333333333333331,0.66666666666666663,0.66666666666666663,0,'
-    b'0.66666666666666663,-0.66666666666666663,0.33333333333333331,0,0.66666666666666663,'
-    b'0.33333333333333331,-0.66666666666666663,0,0,0,0,1],"representative":null,"witness":null,'
-    b'"note":"degenerate orbit: no element of the form r0*(e12 + eps*e34) exists"}\n'
-)
-
-# classify --r 1.0 on GOLD_PAIR, frozen from the Gram-Schmidt frames.
-GOLD_CLASSIFY = (
-    b'{"id":"n","in_light_cone":true,"A":9,"B":9,"pfaffian":3,'
-    b'"canonical":{"r":3,"phi":1.2309594173407747},'
-    b'"class":{"kind":"NeutralPlus","r0":1.7320508075688772,"epsilon":1},'
-    b'"slice":{"r_queried":1,"topology":"Empty","boundary":false},'
-    b'"diagnostics":{"reconstruction_residual":1.8129866073473578e-16,'
-    b'"representative_residual":6.903647322763729e-16}}\n'
-    b'{"id":"d","in_light_cone":true,"A":9,"B":9,"pfaffian":0,'
-    b'"canonical":{"r":3,"phi":1.5707963267948966},'
-    b'"class":{"kind":"Degenerate","r0":0,"epsilon":null},'
-    b'"slice":{"r_queried":1,"topology":"RP3","boundary":false},'
-    b'"diagnostics":{"reconstruction_residual":7.4014868308343778e-17,'
-    b'"representative_residual":null}}\n'
-)
-
-# canonical on parallel and anti-parallel pairs with the polar vector on the
-# first axis, where u1 falls back to the second axis, the first of the axes
-# least along u3; frozen from the Gram-Schmidt frames.
-PARALLEL_PAIR = b'{"id":"p","c":[0,0,1.5,1.5,0,0]}\n{"id":"q","c":[0,0,-2,2,0,0]}\n'
-GOLD_PARALLEL = (
-    b'{"id":"p","in_light_cone":true,"r":1.5,"phi":0,'
-    b'"basis":[0,0,1,0,1,0,0,0,0,1,0,0,0,0,0,1],"representative":[1.5,0,0,0,0,1.5],'
-    b'"witness":[0,1,0,0,0,0,1,0,1,0,0,0,0,0,0,1]}\n'
-    b'{"id":"q","in_light_cone":true,"r":2,"phi":3.1415926535897931,'
-    b'"basis":[0,0,-1,0,1,0,0,0,0,-1,0,0,0,0,0,1],'
-    b'"representative":[2,0,-1.2246467991473532e-16,3.6739403974420594e-16,0,-2],'
-    b'"witness":[1.2246467991473532e-16,-1,0,0,0,0,-1,6.123233995736766e-17,1,'
-    b'1.2246467991473532e-16,0,0,0,0,-6.123233995736766e-17,1]}\n'
-)
+from pins import COMMANDS, GOLDEN, PINS
 
 
 def run_cli(args, stdin=b"", env_extra=None, entry=("-m", "lbo.cli")):
@@ -147,37 +49,6 @@ def batch_lines(count=24, seed=7):
         else:
             lines.append(json.dumps({"id": f"g{k}", "c": [float(v) for v in rng.normal(size=6)]}))
     return ("\n".join(lines) + "\n").encode()
-
-
-def test_classify_golden_bytes():
-    p = run_cli(["classify"], b'{"id":"gold","c":[0.5,-0.25,0.75,0.125,0.6,0.3]}\n')
-    assert p.returncode == 0
-    assert p.stdout == GOLD_OFF_CONE
-    p = run_cli(["classify"], b'{"id":"e","c":[1,0,0,0,0,1]}\n')
-    assert p.returncode == 0
-    assert p.stdout == GOLD_NEUTRAL
-
-
-@pytest.mark.parametrize(
-    "command,gold", [("stabilizer", GOLD_STABILIZER), ("canonical", GOLD_CANONICAL)]
-)
-def test_stabilizer_and_canonical_golden_bytes(command, gold):
-    for threads in ("1", "4"):
-        p = run_cli([command, "--threads", threads], GOLD_PAIR)
-        assert p.returncode == 0
-        assert p.stdout == gold
-
-def test_classify_generic_golden_bytes():
-    for threads in ("1", "4"):
-        p = run_cli(["classify", "--r", "1.0", "--threads", threads], GOLD_PAIR)
-        assert p.returncode == 0
-        assert p.stdout == GOLD_CLASSIFY
-
-
-def test_canonical_parallel_golden_bytes():
-    p = run_cli(["canonical"], PARALLEL_PAIR)
-    assert p.returncode == 0
-    assert p.stdout == GOLD_PARALLEL
 
 
 @pytest.mark.parametrize("command", ["classify", "canonical", "stabilizer"])
@@ -374,46 +245,6 @@ def test_stacked_stabilizer_residuals_are_bit_identical():
     assert seen == {None, OrbitKind.NEUTRAL_PLUS, OrbitKind.NEUTRAL_MINUS, OrbitKind.DEGENERATE}
 
 
-# Golden outputs frozen from the dict-building serialiser that the column
-# templates replaced, and the *.table files from the flat table of the same
-# records: (output file, input file, arguments, exit code).
-# mixed.ndjson holds ids with escapes and non-ASCII characters, a missing id,
-# negative-zero coefficients, a right-angle neutral record (an error with
-# --tol 1e-300), a decode error, a bad JSON line after a valid first line, a
-# non-string id, integral float outputs, off-cone records (among them one
-# whose split norms differ by 19% at a magnitude of 1e-4), zero, vector-pair
-# and array records, and split norms that overflow (an input error).  It
-# holds no exit-4 record: the tests of that exit take theirs from
-# tests/faults.py.  slice.ndjson meets the radius 1 in every topology.
-GOLDEN = Path(__file__).parent / "golden"
-CLASSIFY, SLICE = ["classify", "--r", "1.0"], ["slice", "--r", "1.0"]
-JSON, TABLE, TINY_TOL = ["--format", "json"], ["--format", "table"], ["--tol", "1e-300"]
-GOLDEN_CASES = [
-    ("classify.json", "mixed.ndjson", [*CLASSIFY, *JSON], 2),
-    ("canonical.json", "mixed.ndjson", ["canonical", *JSON], 2),
-    ("slice.json", "mixed.ndjson", [*SLICE, *JSON], 2),
-    ("stabilizer.json", "mixed.ndjson", ["stabilizer", *JSON], 2),
-    ("classify.table", "mixed.ndjson", [*CLASSIFY, *TABLE], 2),
-    ("canonical.table", "mixed.ndjson", ["canonical", *TABLE], 2),
-    ("slice.table", "mixed.ndjson", [*SLICE, *TABLE], 2),
-    ("stabilizer.table", "mixed.ndjson", ["stabilizer", *TABLE], 2),
-    ("classify.tol300.json", "mixed.ndjson", [*CLASSIFY, *JSON, *TINY_TOL], 2),
-    ("canonical.tol300.json", "mixed.ndjson", ["canonical", *JSON, *TINY_TOL], 2),
-    ("slice.tol300.json", "mixed.ndjson", [*SLICE, *JSON, *TINY_TOL], 2),
-    ("stabilizer.tol300.json", "mixed.ndjson", ["stabilizer", *JSON, *TINY_TOL], 2),
-    ("slice-topologies.ndjson", "slice.ndjson", SLICE, 0),
-    ("slice-topologies.table", "slice.ndjson", [*SLICE, *TABLE], 0),
-]
-
-@pytest.mark.parametrize(
-    "output,source,args,code", GOLDEN_CASES, ids=[case[0] for case in GOLDEN_CASES]
-)
-def test_golden_formats(output, source, args, code):
-    p = run_cli(args, (GOLDEN / source).read_bytes())
-    assert p.returncode == code
-    assert p.stdout == (GOLDEN / output).read_bytes()
-
-
 def _no_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -424,28 +255,12 @@ def _strict_json(text):
 
 
 @pytest.mark.parametrize(
-    "output", sorted({case[0] for case in GOLDEN_CASES if not case[0].endswith(".table")})
+    "output", sorted({pin.out for pin in PINS if pin.out and pin.out.endswith((".json", ".ndjson"))})
 )
 def test_golden_outputs_are_strict_json(output):
     text = (GOLDEN / output).read_text(encoding="utf-8")
     for doc in text.splitlines() if output.endswith(".ndjson") else [text]:
         _strict_json(doc)
-
-
-VERIFY_GOLDEN_CASES = [
-    ("verify.samples2500.seed1.txt", ["--samples", "2500", "--seed", "1"]),
-    ("verify.samples300.seed2.txt", ["--samples", "300", "--seed", "2"]),
-]
-
-
-@pytest.mark.parametrize(
-    "output,args", VERIFY_GOLDEN_CASES, ids=[case[0] for case in VERIFY_GOLDEN_CASES]
-)
-def test_verify_golden_bytes(output, args):
-    # the drawn words and vectors feed every figure, so a changed draw shows here
-    p = run_cli(["verify", "--suite", "all", "--tol", "1e-9", *args])
-    assert p.returncode == 0
-    assert p.stdout == (GOLDEN / output).read_bytes()
 
 
 @pytest.mark.parametrize("command", ["classify", "canonical", "slice", "stabilizer", "verify"])
@@ -626,72 +441,6 @@ def test_bad_first_line_keeps_the_input_streaming():
         with pytest.raises(AssertionError, match="the whole input was read"):
             list(cli._iter_docs(_UnreadableStream(text)))
 
-
-# Lines that each fail alone or decode to something unusual, frozen with the
-# outputs below from the line-by-line parser: two bad lines that joined by a
-# comma would read as one array, a bad line, a line holding an array of
-# records, blank lines, and "c" entries given as a string and a bool, which
-# are refused, and a number past the largest double, whose split norms
-# overflow.
-EDGE_LINES = (
-    b"1,[2\n3]\n"
-    b'{"id":"mid" "c":[1,0,0,0,0,1]}\n'
-    b'[{"id":"arr1","c":[1,0,0,0,0,1]},{"id":"arr2","x":[1,0,0,1],"y":[0,0,1,0]}]\n'
-    b"\n   \n"
-    b'{"id":"s1","c":["1",0,0,0,0,1]}\n'
-    b'{"id":"t1","c":[true,0,0,0,0,1]}\n'
-    b'{"id":"big","c":[1e400,0,0,0,0,1]}\n'
-)
-EDGE_BATCH = (
-    b'{"id":"a","x":[1,0,0,1],"y":[0,1,0,0]}\n' + EDGE_LINES + b'{"id":"z","c":[1,0,0,0,0,1]}\n'
-)
-GOLD_EDGE_SLICE = (
-    b'{"id":"a","in_light_cone":true,"r_queried":1,"class":{"kind":"Degenerate","r0":0,'
-    b'"epsilon":null},"topology":"RP3","boundary":false,"in_slice":true}\n'
-    b'{"id":null,"error":"bad JSON line: Extra data: line 1 column 2 (char 1)"}\n'
-    b'{"id":null,"error":"bad JSON line: Extra data: line 1 column 2 (char 1)"}\n'
-    b'{"id":null,"error":"bad JSON line: Expecting \',\' delimiter: line 1 column 13 (char 12)"}\n'
-    b'{"id":"arr1","in_light_cone":true,"r_queried":1,"class":{"kind":"NeutralPlus","r0":1,'
-    b'"epsilon":1},"topology":"Sphere2","boundary":true,"in_slice":true}\n'
-    b'{"id":"arr2","in_light_cone":true,"r_queried":1,"class":{"kind":"Degenerate","r0":0,'
-    b'"epsilon":null},"topology":"RP3","boundary":false,"in_slice":true}\n'
-    b'{"id":"s1","error":"\\"c\\" entries must be numbers"}\n'
-    b'{"id":"t1","error":"\\"c\\" entries must be numbers"}\n'
-    b'{"id":"big","error":"bivector overflows the double range: its split norms or pfaffian '
-    b'are not finite"}\n'
-    b'{"id":"z","in_light_cone":true,"r_queried":1,"class":{"kind":"NeutralPlus","r0":1,'
-    b'"epsilon":1},"topology":"Sphere2","boundary":true,"in_slice":true}\n'
-)
-# The edge lines six times among 300 records, around the first chunk boundary
-# and inside chunks: sha256 of stdout per command, exit code 2 for each.
-GOLD_EDGE_DIGESTS = {
-    "classify": "4c675127b303855caae6e368e9a483ed4bdfdb8fe16eeb81351d45215822287b",
-    "canonical": "4d9f4133afe9bc4ce528ebb2e60ec3500951a25818c795ac84e6ccb0ad07b071",
-    "slice": "a0d19badc6ba416046fc427a2cf891e9764295fe92b83b6136722914a82f7203",
-    "stabilizer": "e99aaa9bea658da5825d72936bd2c0e4fb4371b000cb18329b1c3d6221c4832c",
-}
-COMMAND_ARGS = {
-    "classify": ["classify", "--r", "1.0"],
-    "canonical": ["canonical"],
-    "slice": ["slice", "--r", "1.0"],
-    "stabilizer": ["stabilizer"],
-}
-
-
-def test_edge_lines_decode_as_alone():
-    p = run_cli(COMMAND_ARGS["slice"], EDGE_BATCH)
-    assert (p.returncode, p.stderr) == (2, b"")
-    assert p.stdout == GOLD_EDGE_SLICE
-
-
-@pytest.mark.parametrize("command", sorted(GOLD_EDGE_DIGESTS))
-def test_edge_lines_among_chunks(command):
-    lines = batch_lines(300).splitlines(keepends=True)
-    for at in (250, 129, 128, 127, 126, 60):
-        lines.insert(at, EDGE_LINES)
-    p = run_cli(COMMAND_ARGS[command], b"".join(lines))
-    assert (p.returncode, p.stderr) == (2, b"")
-    assert hashlib.sha256(p.stdout).hexdigest() == GOLD_EDGE_DIGESTS[command]
 
 
 def _parsed_alone(lines):
@@ -1124,8 +873,8 @@ def test_one_write_per_chunk(count, monkeypatch):
 
 def test_unbuffered_stdout_gives_the_same_bytes():
     stdin = batch_lines(300)
-    buffered = run_cli(COMMAND_ARGS["slice"], stdin, env_extra={"PYTHONUNBUFFERED": ""})
-    unbuffered = run_cli(COMMAND_ARGS["slice"], stdin, env_extra={"PYTHONUNBUFFERED": "1"})
+    buffered = run_cli(COMMANDS["slice"], stdin, env_extra={"PYTHONUNBUFFERED": ""})
+    unbuffered = run_cli(COMMANDS["slice"], stdin, env_extra={"PYTHONUNBUFFERED": "1"})
     assert buffered.returncode == unbuffered.returncode == 0
     assert len(buffered.stdout.splitlines()) == 300
     assert buffered.stdout == unbuffered.stdout
@@ -1331,7 +1080,7 @@ def test_split_norms_up_to_eps_apart_are_no_invariant_violation(eps, rows):
 def test_a_row_on_the_cone_at_a_loose_tolerance_is_no_invariant_violation(command):
     # split norms 4e-6 apart: its reconstruction residual, 1.4e-6, lies past
     # 1e-6 but within the tolerance that put it on the cone
-    p = run_cli([*COMMAND_ARGS[command], "--tol", "1e-3"], b'{"c":[0.0,-0.0,0.0,1.0,0.002,1.0]}\n')
+    p = run_cli([*COMMANDS[command], "--tol", "1e-3"], b'{"c":[0.0,-0.0,0.0,1.0,0.002,1.0]}\n')
     assert (p.returncode, p.stderr) == (0, b"")
     assert _strict_json(p.stdout)["in_light_cone"] is True
 
@@ -1348,7 +1097,7 @@ FORMER_EXIT_4 = (
 
 @pytest.mark.parametrize("command", ["classify", "canonical", "stabilizer"])
 def test_rows_that_once_exited_4_are_answered(command):
-    p = run_cli(COMMAND_ARGS[command], FORMER_EXIT_4)
+    p = run_cli(COMMANDS[command], FORMER_EXIT_4)
     assert (p.returncode, p.stderr) == (0, b"")
     records = [_strict_json(line) for line in p.stdout.splitlines()]
     assert len(records) == 4
@@ -1372,9 +1121,9 @@ GOLD_OVERFLOW = b"".join(
 )
 
 
-@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+@pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_overflowing_pfaffian_is_quiet(command):
-    p = run_cli(COMMAND_ARGS[command], OVERFLOW)
+    p = run_cli(COMMANDS[command], OVERFLOW)
     assert (p.returncode, p.stderr) == (2, b"")
     assert p.stdout == GOLD_OVERFLOW
 
@@ -1416,7 +1165,7 @@ def test_a_stabilizer_residual_past_the_ceiling_is_a_violation(offset, code, mon
     monkeypatch.setattr(stabilizer, "stabilizer_residuals",
                         lambda *args: [(rows, res + offset) for rows, res in residuals(*args)])
     # a neutral and a degenerate record, each with a witness or basis of condition 1
-    got = _main_in_process(["stabilizer"], GOLD_PAIR.decode())
+    got = _main_in_process(["stabilizer"], (GOLDEN / "pair.ndjson").read_text())
     assert got[0] == code
     records = [json.loads(line) for line in got[1].splitlines()]
     if code == 0:
@@ -1760,7 +1509,7 @@ def test_subcommands_agree_with_classify(rows, tol, tmp_path_factory):
     records = [json.dumps({"id": f"r{i}", **row}) + "\n" for i, row in enumerate(rows)]
     path.write_text("".join(records))
     answers, codes = {}, {}
-    for command, args in COMMAND_ARGS.items():
+    for command, args in COMMANDS.items():
         out, err = io.StringIO(), io.StringIO()
         argv = [*args, "--in", str(path), "--tol", tol, "--format", "ndjson"]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -155,7 +155,7 @@ def reference_empirical_min_radius(w, samples, seed, tol=DEFAULT_TOL):
     for t in np.linspace(0.0, 10.0, 1001):
         c = _compound(reference_generator(GeneratorKind(2, BOOST, t))) @ scaled
         best = min(best, float(np.sqrt(split_norms(c)[0])))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng([seed, 2])
     for _ in range(samples):
         c = _compound(reference_random_proper_lorentz(rng, 4)) @ w
         best = min(best, float(np.sqrt(split_norms(c)[0])))
@@ -426,9 +426,12 @@ def assert_pushes_w_through_each_word(monkeypatch, seed):
     # the 41 x 41 grid's and the 1001-point sweep's passes come first
     grid_and_sweep = -(-41 * 41 // SAMPLE_BLOCK) - (-1001 // SAMPLE_BLOCK)
     assert len(passes) == grid_and_sweep + 3
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng([seed, 2])
     want = [_compound(reference_random_proper_lorentz(rng, 4)) @ w for _ in range(samples)]
     assert same_bits(np.concatenate(passes[grid_and_sweep:]), want)
+    # a stream of its own: the first word is not the isometry suite's first word
+    isometry = reference_random_proper_lorentz(np.random.default_rng([seed, 0]), 4)
+    assert not same_bits(passes[grid_and_sweep][0], _compound(isometry) @ w)
 
 
 def test_empirical_min_radius_pushes_w_through_each_word(monkeypatch):
