@@ -88,6 +88,22 @@ def minkowski_inner(x, y) -> float:
     return float(x[0] * y[0] + x[1] * y[1] + x[2] * y[2] - x[3] * y[3])
 
 
+def _matmul(A, B) -> np.ndarray:
+    """A @ B for broadcast (..., n, k) and (..., k, m) stacks, as explicit products.
+
+    Entry (i, j) is A[i, 0] B[0, j] + A[i, 1] B[1, j] + ... summed left to
+    right: correctly rounded products and sums in the order written, so its
+    bits do not depend on the CPU or on a BLAS kernel, and a matrix of a
+    stack has the bits of its own call.  Every matrix product, pushforward
+    and dot that the library prints goes through it.
+    """
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    out = A[..., :, 0, None] * B[..., None, 0, :]
+    for k in range(1, A.shape[-1]):
+        out += A[..., :, k, None] * B[..., None, k, :]
+    return out
+
+
 def _plane_matrices(boost, axis, parameter) -> np.ndarray:
     """Rotation (boost false) or boost matrices of broadcast arrays: a (..., 4, 4) stack.
 
@@ -146,10 +162,15 @@ def is_proper_lorentz(P, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return gram_defect <= tol.eps and abs(np.linalg.det(P) - 1.0) <= tol.eps
 
 
+# Entry (i, j) is eta_i eta_j: the signs that ETA P^T ETA gives the transpose.
+_SIGN_MASK = np.outer(np.diag(ETA), np.diag(ETA))
+
+
 def lorentz_inverse(P) -> np.ndarray:
-    """Inverse of a metric-preserving matrix (or a (..., 4, 4) stack), without a linear solve."""
+    """Inverse of a metric-preserving matrix (or a (..., 4, 4) stack): ETA P^T ETA,
+    the transpose with the signs of _SIGN_MASK, so each entry is exact."""
     P = np.asarray(P, dtype=float)
-    return ETA @ P.swapaxes(-1, -2) @ ETA
+    return P.swapaxes(-1, -2) * _SIGN_MASK
 
 
 def _draw_pass(rng: np.random.Generator, count: int, lengths) -> list[np.ndarray]:
@@ -189,7 +210,7 @@ def _word_matrices(words) -> np.ndarray:
     factors = _plane_matrices(letters[..., 0], letters[..., 1], letters[..., 2])
     m = np.tile(np.eye(4), (len(words), 1, 1))
     for k in range(factors.shape[1]):
-        m = m @ factors[:, k]
+        m = _matmul(m, factors[:, k])
     return m
 
 

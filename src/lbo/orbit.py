@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import DegenerateOrbitError, NotInLightConeError
 from .minkowski import (
-    BOOST, DEFAULT_TOL, ROTATION, GeneratorKind, ToleranceConfig, _plane_matrices, boost_matrix,
-    lie_generator, lorentz_inverse, rotation_matrix,
+    BOOST, DEFAULT_TOL, ROTATION, GeneratorKind, ToleranceConfig, _matmul, boost_matrix,
+    lie_generator, rotation_matrix,
 )
 from .wedge import (
     HAT_DIAG,
@@ -189,7 +189,9 @@ def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _adapted_frames(w: np.ndarray):
-    """r, phi and adapted basis of (m, 6) light-cone rows; see canonical_form."""
+    """r, phi and adapted basis of (m, 6) light-cone rows (see canonical_form),
+    then along and size: the axial vector's component along u3 and the norm
+    of its part off u3, whose arctan2 is phi."""
     a, b = to_vector_pair(w)
     u3 = b / _row_norms(b)[:, None]
     along = _rows_dot(a, u3)
@@ -211,7 +213,39 @@ def _adapted_frames(w: np.ndarray):
     basis = np.zeros((len(w), 4, 4))
     basis[:, :3, :3] = np.stack([u1, _cross(u3, u1), u3], axis=2)
     basis[:, 3, 3] = 1.0
-    return _row_norms(a), np.arctan2(np.ldexp(size, e), along), basis
+    size = np.ldexp(size, e)
+    return _row_norms(a), np.arctan2(size, along), basis, along, size
+
+
+def _witnesses(r, along, size, basis) -> np.ndarray:
+    """canonical_representative's witness R B F^-1 of each row, from its frame.
+
+    R turns the 1-3 plane by theta, B boosts along the second axis at the
+    critical rapidity t, and F is the adapted basis, so F^-1 is F^T.  With
+    chi = |along| / r = |cos phi| and sigma = size / r = sin phi, the roots
+    h = sqrt((1 + chi) / 2) and k = sigma / sqrt(2 (1 + chi)) are cos(phi/2)
+    and sin(phi/2) below the right angle and swap above it.  So (cos theta,
+    sin theta) is (h, k) where along > 0 and (-h, k) otherwise, and with q =
+    sqrt(chi), cosh t = h / q and sinh t = k / q: square roots and quotients
+    of ratios, which do not overflow at any finite r, and no transcendental
+    function.  The rows of R B F^T are written out, without their zero
+    products.
+    """
+    chi, sigma = np.abs(along) / r, size / r
+    h = np.sqrt((1.0 + chi) / 2.0)
+    k = sigma / np.sqrt(2.0 * (1.0 + chi))
+    q = np.sqrt(chi)
+    cos = np.where(along > 0, h, -h)[:, None]
+    cosh, sinh, sin = h / q, k / q, k[:, None]
+    u1, u2, u3 = basis[:, :3, 0], basis[:, :3, 1], basis[:, :3, 2]
+    witness = np.zeros((len(r), 4, 4))
+    witness[:, 0, :3] = cos * u1 - sin * u3
+    witness[:, 1, :3] = cosh[:, None] * u2
+    witness[:, 1, 3] = sinh
+    witness[:, 2, :3] = sin * u1 + cos * u3
+    witness[:, 3, :3] = sinh[:, None] * u2
+    witness[:, 3, 3] = cosh
+    return witness
 
 
 def reduce_orbits(W, tol: ToleranceConfig = DEFAULT_TOL, *, frames: bool = True) -> OrbitBatch:
@@ -221,11 +255,13 @@ def reduce_orbits(W, tol: ToleranceConfig = DEFAULT_TOL, *, frames: bool = True)
     pi/2 get no witness, instead of an exception, so one row never stops the
     others.  With frames=False only the split norms, pfaffian, reason and
     class are computed.  Each row gets the bits the scalar functions give it
-    alone (they call this with n = 1): dot products are stacked one-row
-    matrix products, never sums over an axis, and the squares of the split
-    norms are elementwise products.
+    alone (they call this with n = 1), on every CPU: every step is an
+    elementwise operation in the order the source writes it, so dot products
+    and pushforwards are _matmul's left-to-right sums, never BLAS or sums
+    over an axis; the squares of the split norms are elementwise products;
+    and the witness takes square roots, not transcendental functions.
     """
-    W = np.ascontiguousarray(W, dtype=float)
+    W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[1] != 6:
         raise ValueError(f"expected an (n, 6) array of bivectors, got shape {W.shape}")
     n = len(W)
@@ -243,15 +279,13 @@ def reduce_orbits(W, tol: ToleranceConfig = DEFAULT_TOL, *, frames: bool = True)
     reduced = np.full((n, 6), np.nan)
     witnessed = np.zeros(n, dtype=bool)
     if frames:
-        r[on], phi[on], basis[on] = _adapted_frames(W[on])
+        r[on], phi[on], basis[on], along, size = _adapted_frames(W[on])
         witnessed = (epsilon != 0) & (phi != _HALF_PI)
         # the reduction of canonical_representative, row by row
-        p = phi[witnessed]
-        theta = np.where(p < _HALF_PI, 0.5 * p, 0.5 * p + _HALF_PI)
-        # the rotation and the boost in one stack, so one call writes both
-        rotation, boost = _plane_matrices([[False], [True]], 2, [theta, _critical_rapidities(p)])
-        witness[witnessed] = rotation @ boost @ lorentz_inverse(basis[witnessed])
-        reduced[witnessed] = (_compound(witness[witnessed]) @ W[witnessed][:, :, None])[:, :, 0]
+        kept = witnessed[on]  # the witnessed rows among those on the cone
+        witness[witnessed] = _witnesses(r[witnessed], along[kept], size[kept], basis[witnessed])
+        rotated = _matmul(_compound(witness[witnessed]), W[witnessed][:, :, None])
+        reduced[witnessed] = rotated[..., 0]
     return OrbitBatch(
         spatial, temporal, pf, reason, on, r, phi, basis, kind, r0, epsilon,
         witnessed, witness, reduced,
@@ -283,9 +317,13 @@ def reconstruct(form) -> np.ndarray:
     """Push the normal form back through the adapted basis.
 
     form is a CanonicalForm, or an OrbitBatch for one reconstruction per row.
+    Only the normal form's nonzero entries, c12, c23 and c34, are multiplied,
+    and their products summed left to right.
     """
     normal = canonical_bivector(form.r, form.phi)
-    return (_compound(form.basis) @ normal[..., None])[..., 0]
+    C = _compound(form.basis)
+    return (C[..., 0] * normal[..., 0, None] + C[..., 3] * normal[..., 3, None]
+            + C[..., 5] * normal[..., 5, None])
 
 
 def orbit_class(w, tol: ToleranceConfig = DEFAULT_TOL) -> OrbitClass:
@@ -313,16 +351,8 @@ def critical_rapidity(phi: float) -> float:
         raise ValueError("phi must lie in [0, pi]")
     if phi == _HALF_PI:
         raise ValueError(RIGHT_ANGLE)
-    return float(_critical_rapidities(np.array([phi], dtype=float))[0])
-
-
-def _critical_rapidities(phi: np.ndarray) -> np.ndarray:
-    """critical_rapidity of each entry of an array of angles in [0, pi] off the right angle."""
-    t = np.empty_like(phi)
-    below = phi < _HALF_PI
-    t[below] = np.arctanh(np.tan(0.5 * phi[below]))
-    t[~below] = np.arctanh(1.0 / np.tan(0.5 * phi[~below]))
-    return t
+    half = np.tan(0.5 * phi)
+    return float(np.arctanh(half if phi < _HALF_PI else 1.0 / half))
 
 
 def canonical_representative(
@@ -334,10 +364,13 @@ def canonical_representative(
     composed with a boost along the second axis whose rapidity has hyperbolic
     tangent tan(phi/2) kills the e2^e3 and e1^e4 components.  Past the right
     angle the roles of sine and cosine swap: the rotation gains a quarter
-    turn and the rapidity uses the cotangent; critical_rapidity gives it, and
-    raises ValueError if phi rounds to the right angle.  The witness is the
+    turn and the rapidity uses the cotangent, as in critical_rapidity; a phi
+    that rounds to the right angle raises ValueError.  The witness is the
     accumulated Lorentz matrix, so pushing w through it yields the returned
-    element r0 * (e1^e2 + epsilon * e3^e4).
+    element r0 * (e1^e2 + epsilon * e3^e4).  Its cosines and hyperbolic
+    cosines are square roots of ratios of the frame's lengths (see
+    _witnesses), and the pushforward is _matmul's left-to-right sums, so
+    its bits are the same on every CPU.
     """
     batch = _reduce_one(w, tol, "canonical_representative")
     if batch.kind[0] == OrbitKind.DEGENERATE:
@@ -395,7 +428,7 @@ def tangent_gram(phi: float) -> np.ndarray:
     on the y block; signature (2, 2) away from the right angle, rank 2 at it.
     """
     frame = tangent_frame(phi).stack()
-    return frame.T @ (HAT_DIAG[:, None] * frame)
+    return _matmul(frame.T, HAT_DIAG[:, None] * frame)
 
 
 def orthonormal_tangent_frame(phi: float, tol: ToleranceConfig = DEFAULT_TOL):

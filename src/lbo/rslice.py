@@ -19,6 +19,7 @@ from .minkowski import (
     SAMPLE_BLOCK,
     ToleranceConfig,
     _draw_pass,
+    _matmul,
     _word_matrices,
     boost_matrix,
     rotation_matrix,
@@ -131,7 +132,8 @@ def empirical_min_radius(
     scaled = (batch.r[0] / np.sqrt(2.0)) * base_point(batch.phi[0])
 
     def least_radius(P, v) -> float:
-        return float(np.sqrt(_split_norms_rows(_compound(P) @ v)[0]).min())
+        pushed = _matmul(_compound(P), v[:, None])[..., 0]
+        return float(np.sqrt(_split_norms_rows(pushed)[0]).min())
 
     best = float(np.sqrt(batch.spatial[0]))
 
@@ -144,7 +146,7 @@ def empirical_min_radius(
     boosts = boost_matrix(2, np.linspace(-2.5, 2.5, n))
     for lo in range(0, n * n, SAMPLE_BLOCK):
         k = np.arange(lo, min(lo + SAMPLE_BLOCK, n * n))
-        best = min(best, least_radius(rotations[k // n] @ boosts[k % n], scaled))
+        best = min(best, least_radius(_matmul(rotations[k // n], boosts[k % n]), scaled))
 
     sweep = np.linspace(0.0, 10.0, 1001)
     for lo in range(0, len(sweep), SAMPLE_BLOCK):

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import InvariantViolationError
 from .minkowski import (
-    BOOST, ROTATION, GeneratorKind, boost_matrix, lie_generator, lorentz_inverse, rotation_matrix,
+    BOOST, ROTATION, GeneratorKind, _matmul, boost_matrix, lie_generator, lorentz_inverse,
+    rotation_matrix,
 )
 from .orbit import (
     OrbitClass, OrbitKind, base_point, canonical_bivector, normal_form_bivector, tangent_frame,
@@ -116,10 +117,10 @@ def stabilizer_element(family: Family, parameter: float) -> StabilizerElement:
         m = -boost_matrix(1, t)
     elif family is Family.NULL_ROTATION_A:
         theta, s = null_rotation_angles(t)
-        m = boost_matrix(3, t) @ rotation_matrix(1, -theta) @ boost_matrix(2, s)
+        m = _matmul(_matmul(boost_matrix(3, t), rotation_matrix(1, -theta)), boost_matrix(2, s))
     elif family is Family.NULL_ROTATION_B:
         theta, s = null_rotation_angles(t)
-        m = boost_matrix(1, t) @ rotation_matrix(3, theta) @ boost_matrix(2, s)
+        m = _matmul(_matmul(boost_matrix(1, t), rotation_matrix(3, theta)), boost_matrix(2, s))
     else:  # pragma: no cover - exhaustive over the enum
         raise ValueError(f"unknown family {family!r}")
     return StabilizerElement(matrix=m, family=family, parameter=t)
@@ -159,16 +160,19 @@ def fixing_residual(P, w) -> float | np.ndarray:
     P = np.asarray(P, dtype=float)
     if P.ndim not in (2, 3) or P.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix or an (n, 4, 4) stack, got shape {P.shape}")
-    w = np.ascontiguousarray(as_bivector(w))[None]
-    d = (_compound(P.reshape(-1, 4, 4)) @ w[..., None])[..., 0] - w
+    w = as_bivector(w)[None]
+    d = _matmul(_compound(P.reshape(-1, 4, 4)), w[..., None])[..., 0] - w
     res = _row_norms(d) / _row_norms(w)
     return float(res[0]) if P.ndim == 2 else res
 
 
 @functools.cache
 def _moved_stack(kind: str) -> np.ndarray:
-    """_compound(S) - I for each S of generator_stack(kind): a read-only (n, 6, 6) array."""
+    """_compound(S) - I for each S of generator_stack(kind), as one read-only
+    (6, 6 n) array: entry (k, n j + s) is entry (j, k) of matrix s, so that
+    _matmul(v, it) holds each (_compound(S) - I) v of a row v, as (6, n)."""
     moved = _compound(generator_stack(kind)[0]) - np.eye(6)
+    moved = moved.transpose(2, 1, 0).reshape(6, -1)
     moved.flags.writeable = False
     return moved
 
@@ -179,7 +183,9 @@ def stabilizer_residuals(b, W) -> list:
     fixing_residual(F S F^-1, w) reassociated as |C(F) (C(S) - I) v| / |w|,
     C = _compound, where the row's frame F takes its base point v (normal
     form, reduced element) to w.  S fixes v exactly, so only rounding is
-    left.  Each row has the bits of its own one-row call.
+    left.  Each row has the bits of its own one-row call.  The rows' products
+    are (m, 6, n) stacks, with the n generators along the last axis, so each
+    of _matmul's elementwise steps runs over long rows.
     """
     degenerate, neutral = np.flatnonzero(b.on_cone & (b.epsilon == 0)), np.flatnonzero(b.witnessed)
     out = []
@@ -189,8 +195,8 @@ def stabilizer_residuals(b, W) -> list:
         (neutral, OrbitKind.NEUTRAL_PLUS, lorentz_inverse(b.witness[neutral]), b.reduced[neutral]),
     ):
         moved = _moved_stack(kind)
-        u = (moved.reshape(-1, 6) @ v[:, :, None]).reshape(len(v), len(moved), 6)  # (m, n, 6)
-        d = np.ascontiguousarray((_compound(frame) @ u.swapaxes(1, 2)).swapaxes(1, 2))
+        u = _matmul(v, moved).reshape(len(v), 6, moved.shape[1] // 6)  # (m, 6, n)
+        d = _matmul(_compound(frame), u).swapaxes(1, 2)  # (m, n, 6)
         out.append((rows, _row_norms(d) / _row_norms(W[rows])[:, None]))
     return out
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .minkowski import SAMPLE_BLOCK, ToleranceConfig, _draw_pass, _word_matrices
+from .minkowski import SAMPLE_BLOCK, ToleranceConfig, _draw_pass, _matmul, _word_matrices
 from .orbit import (
     OrbitKind,
     base_point,
@@ -72,7 +72,7 @@ def null_rotation_defect(ts) -> float:
 def commutator_defect(pairs) -> float:
     """Worst entry of [null_rotation_a(x), null_rotation_b(y)] over the (x, y) pairs."""
     return max(
-        float(np.max(np.abs(a @ b - b @ a)))
+        float(np.max(np.abs(_matmul(a, b) - _matmul(b, a))))
         for a, b in ((null_rotation_a(x), null_rotation_b(y)) for x, y in pairs)
     )
 
@@ -84,7 +84,7 @@ def min_radius_defect(phis) -> float:
 
 def _pushed(C, X) -> np.ndarray:
     """Each row of an (m, 6) stack times its own matrix of an (m, 6, 6) stack of compounds."""
-    return (C @ X[:, :, None])[:, :, 0]
+    return _matmul(C, X[:, :, None])[:, :, 0]
 
 
 def _suite_isometry(samples, seed, tol):
@@ -97,12 +97,12 @@ def _suite_isometry(samples, seed, tol):
         cp = _compound(p)
         # each sample's u and v (6 each), then its a and b (3 each)
         vectors = normals.standard_normal((m, 18))
-        u, v, a, b = map(np.ascontiguousarray, np.split(vectors, [6, 12, 15], axis=1))
+        u, v, a, b = np.split(vectors, [6, 12, 15], axis=1)
         scale = 1.0 + _row_norms(u) * _row_norms(v)
         inner = np.sum(HAT_DIAG * _pushed(cp, u) * _pushed(cp, v), axis=1)
         inner = np.abs(inner - np.sum(HAT_DIAG * u * v, axis=1)) / scale
         worst_inner = max(worst_inner, float(inner.max()))
-        homo = np.abs(cp @ _compound(q) - _compound(p @ q))
+        homo = np.abs(_matmul(cp, _compound(q)) - _compound(_matmul(p, q)))
         worst_homo = max(worst_homo, float(homo.max()))
         b *= (_row_norms(a) / _row_norms(b))[:, None]
         if not reduce_orbits(_pushed(cp, from_vector_pair(a, b)), tol, frames=False).on_cone.all():
@@ -139,7 +139,7 @@ def _suite_frames(samples, seed, tol):
         worst_gram = max(worst_gram, float(np.max(np.abs(tangent_gram(phi) - expected))))
     for phi in (0.2, 1.0, 2.2, 3.0):
         fr = np.column_stack(orthonormal_tangent_frame(phi, tol))
-        g = fr.T @ (HAT_DIAG[:, None] * fr)
+        g = _matmul(fr.T, HAT_DIAG[:, None] * fr)
         worst_ortho = max(worst_ortho, float(np.max(np.abs(g - np.diag([1.0, -1.0, 1.0, -1.0])))))
     parallel = all(
         parallel_frame_check(phi, theta, t, tol).passed

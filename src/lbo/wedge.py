@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .minkowski import DEFAULT_TOL, ToleranceConfig, is_proper_lorentz
+from .minkowski import DEFAULT_TOL, ToleranceConfig, _matmul, is_proper_lorentz
 
 # Lexicographic 0-based index pairs for the six coordinate planes.
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -162,17 +162,13 @@ def pfaffian(w):
 
 
 def _rows_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two C-contiguous (..., k) stacks.
-
-    A stacked one-row matrix product takes one ddot per row, so row i has the
-    bits of x[i] @ y[i] and of np.linalg.norm's square; einsum and sums over
-    an axis round differently.
-    """
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+    """Row-wise dot products of two (..., k) stacks: _matmul's one-row case,
+    x0*y0 + x1*y1 + ... left to right."""
+    return _matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each row of a C-contiguous (..., k) stack, bit for bit."""
+    """The Euclidean norm of each row of a (..., k) stack: the root of its _rows_dot."""
     return np.sqrt(_rows_dot(x, x))
 
 
@@ -188,14 +184,12 @@ def _compound(P) -> np.ndarray:
 
     The minor factors are gathered a pair at a time and multiplied in place,
     so a stack holds at most three (..., 6, 6) arrays at once; each entry
-    still takes two rounded products and their rounded difference.  The
-    result is C-contiguous so that stacked products with it take the same
-    BLAS path as single matrices.
-    The library pushes its own matrices forward as _compound(P) @ w: they are
-    Lorentz by construction, and the check in pushforward costs more than the
-    product (and, being absolute, rejects exact boosts at large rapidity).
-    pushforward and pushforward_matrix are the validated entry points for
-    matrices from outside.
+    still takes two rounded products and their rounded difference.
+    The library pushes its own matrices forward as _matmul(_compound(P), w):
+    they are Lorentz by construction, and the check in pushforward costs
+    more than the product (and, being absolute, rejects exact boosts at
+    large rapidity).  pushforward and pushforward_matrix are the validated
+    entry points for matrices from outside.
     """
     P = np.asarray(P, dtype=float)
     f = P.reshape(P.shape[:-2] + (16,))
@@ -204,7 +198,7 @@ def _compound(P) -> np.ndarray:
     crossed = f[..., _MINOR_FACTORS[2]]
     crossed *= f[..., _MINOR_FACTORS[3]]
     minors -= crossed
-    return np.ascontiguousarray(minors)  # a gather along the last axis is not C-contiguous
+    return minors
 
 
 def pushforward_matrix(P, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -217,7 +211,7 @@ def pushforward_matrix(P, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 def pushforward(P, w, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Apply the induced action of P to a bivector."""
-    return pushforward_matrix(P, tol) @ as_bivector(w)
+    return _matmul(pushforward_matrix(P, tol), as_bivector(w)[:, None])[:, 0]
 
 
 def lie_pushforward_matrix(X) -> np.ndarray:

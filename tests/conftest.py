@@ -8,6 +8,24 @@ from lbo.orbit import canonical_bivector
 from lbo.wedge import _compound
 
 
+def dot(x, y) -> float:
+    """The dot product of two vectors in Python floats, summed left to right:
+    the reference for lbo.minkowski._matmul, and so for every dot and pushforward."""
+    x, y = np.asarray(x, dtype=float).tolist(), np.asarray(y, dtype=float).tolist()
+    total = x[0] * y[0]
+    for a, b in zip(x[1:], y[1:]):
+        total += a * b
+    return total
+
+
+def matmul(A, B) -> np.ndarray:
+    """A @ B for one matrix and one matrix or vector, each entry a dot."""
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    if B.ndim == 1:
+        return np.array([dot(row, B) for row in A])
+    return np.array([[dot(row, col) for col in B.T] for row in A])
+
+
 def random_light_cone_bivector(rng, scale=1.0):
     """Random isotropic bivector: equal-length axial and polar vectors."""
     a = rng.normal(size=3)

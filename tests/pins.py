@@ -19,8 +19,10 @@ code: a row that exits with another code than PINS gives it, or writes to
 stderr, is reported and not rewritten, and the command exits 1.  A new row
 gets its pin from the command too.
 
-The real-number bytes hold only where numpy dispatches its float64 loops to
-AVX-512; another dispatch rounds some last bits otherwise.
+The real-number bytes do not depend on the BLAS kernel: every product is
+an elementwise sum in a written order.  They do depend on numpy's SIMD loops
+for transcendental functions: without its AVX-512 loops 15 pins move
+(tests/golden/README.md).
 """
 import functools
 import hashlib

@@ -129,6 +129,18 @@ def test_lorentz_inverse_matches_solve(rng):
         np.testing.assert_allclose(p @ lorentz_inverse(p), np.eye(4), atol=1e-12)
 
 
+def test_lorentz_inverse_is_exact(rng):
+    # ETA P^T ETA is P^T with the signs eta_i eta_j: no entry is rounded
+    stack = np.array([random_proper_lorentz(rng, 3) for _ in range(10)])
+    signs = np.outer(np.diag(ETA), np.diag(ETA))
+    for P in (stack[0], stack):
+        inverse = lorentz_inverse(P)
+        assert inverse.shape == P.shape
+        assert np.array_equal(lorentz_inverse(inverse).view(np.int64), P.view(np.int64))
+        assert np.array_equal(inverse.view(np.int64), (P.swapaxes(-1, -2) * signs).view(np.int64))
+        assert np.array_equal(np.abs(inverse), np.abs(P.swapaxes(-1, -2)))
+
+
 def test_word_matrix_orders_left_first():
     word = [GeneratorKind(1, ROTATION, 0.4), GeneratorKind(2, BOOST, 0.6)]
     np.testing.assert_allclose(

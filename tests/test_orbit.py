@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
-from conftest import random_degenerate_bivector, random_light_cone_bivector, rotated_normal_forms
+from conftest import (
+    dot, random_degenerate_bivector, random_light_cone_bivector, rotated_normal_forms,
+)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from symbolic import compound, plane
 from lbo.errors import DegenerateOrbitError, NotInLightConeError
-from lbo.minkowski import ToleranceConfig, boost_matrix, is_proper_lorentz, rotation_matrix
+from lbo.minkowski import (
+    ToleranceConfig, boost_matrix, is_proper_lorentz, lorentz_inverse, rotation_matrix,
+)
 from lbo.orbit import (
+    _HALF_PI,
     RIGHT_ANGLE,
     OrbitKind,
     base_point,
@@ -376,6 +381,63 @@ def test_reduction_rapidity_landau_lifshitz_oracle():
             assert ulps <= 1 + condition, (angle, float(ulps), float(condition))
 
 
+@st.composite
+def neutral_rows(draw):
+    """Lambda(P) canonical_bivector(2**k, phi): P a rotation, a boost of
+    rapidity in [-2, 2] and a rotation, k in [-40, 40], and phi in [1e-3,
+    pi - 1e-3] or 1e-12 to 1e-3 from the right angle on either side."""
+    P = np.eye(4)
+    for build, bound in ((rotation_matrix, np.pi), (boost_matrix, 2.0), (rotation_matrix, np.pi)):
+        P = P @ build(draw(st.integers(1, 3)), draw(st.floats(-bound, bound)))
+    phi = draw(st.one_of(
+        st.floats(1e-3, np.pi - 1e-3),
+        st.builds(lambda side, digits: _HALF_PI + side * 10.0**-digits,
+                  st.sampled_from((-1.0, 1.0)), st.floats(3.0, 12.0)),
+    ))
+    return _compound(P) @ canonical_bivector(2.0 ** draw(st.integers(-40, 40)), phi)
+
+
+# Neutral down to |cos phi| of about 1e-13, so the rows near the right angle
+# keep their witness.
+_NEAR_RIGHT_ANGLE = ToleranceConfig(eps=1e-13)
+
+
+@settings(max_examples=300, deadline=None)
+@given(neutral_rows())
+def test_square_root_witness_matches_the_trig_witness(w):
+    """reduce_orbits' witness, from three square roots, against the trig
+    reference R(theta) B(critical_rapidity(phi)) F^-1, to 80 u m**2, m the
+    witness's largest |entry|, off the band |cos phi| <= 1e-3; inside it the
+    reference itself is ill-conditioned (424 band rows of the benchmark
+    corpora and of rows near the right angle gave a median of 236 and a max
+    of 2.9e4).  Its reduced element lies within 40 u r m**2 of r0
+    (e12 + eps e34) at every angle: the compound of the witness has entries
+    up to m**2, and r0 = r sqrt|cos phi| falls far below r towards the right
+    angle, so a bound in units of u r0 m**2 would grow there as
+    1/sqrt|cos phi|.  Over 100000 random rows drawn like these the witness
+    was at most 39.8 u m**2 from the reference (median 1.3), and the residual
+    at most 17.7 u r m**2 (median 0.45, against the trig witness's 0.43 and
+    15.7); the bounds are about twice those maxima.  The witness bits do not
+    change when w is scaled by 2**k, k = +/-100 or +/-400, wherever the
+    scaled entries and products stay normal, by the rule of
+    test_reduce_orbits_scales_exactly_by_powers_of_two."""
+    b = reduce_orbits(w[None], _NEAR_RIGHT_ANGLE)
+    assume(b.witnessed[0])
+    e = np.frexp(np.abs(w[w != 0.0]))[1]
+    assume(max(-510, 6 * (e.max() - e.min() + 54) - 1021) <= e.min() - 400 and e.max() <= 110)
+    phi, witness, basis = b.phi[0], b.witness[0], b.basis[0]
+    m = np.abs(witness).max()
+    if abs(np.cos(phi)) > 1e-3:
+        theta = 0.5 * phi if phi < _HALF_PI else 0.5 * phi + _HALF_PI
+        trig = rotation_matrix(2, theta) @ boost_matrix(2, critical_rapidity(phi))
+        assert np.abs(witness - trig @ lorentz_inverse(basis)).max() <= 80 * UNIT * m * m
+    expected = normal_form_bivector(b.r0[0], b.epsilon[0])
+    assert np.abs(b.reduced[0] - expected).max() <= 40 * UNIT * b.r[0] * m * m
+    for k in (-400, -100, 100, 400):
+        scaled = reduce_orbits(np.ldexp(w, k)[None], _NEAR_RIGHT_ANGLE)
+        assert np.array_equal(_bits(scaled.witness[0]), _bits(witness))
+
+
 def test_reduce_orbits_split_norms_match_split_norms(rng):
     # the correctly rounded square of c ends ...04 here, libm pow(c, 2) gives ...037
     first = [0.3, 0.1, 0.2, 0.4, -0.13617704005841821, 0.5]
@@ -422,16 +484,16 @@ def test_reduce_orbits_rows_match_one_row_calls(rng):
         if not batch.on_cone[i]:
             assert batch.kind[i] is None and not batch.witnessed[i]
             continue
-        a, b = to_vector_pair(w)  # the kernel's dots are x @ y row by row
-        assert batch.r[i] == np.sqrt(a @ a)
+        a, b = to_vector_pair(w)  # the kernel's dots are summed left to right
+        assert batch.r[i] == np.sqrt(dot(a, a))
         # Gram-Schmidt twice on a's part off b, scaled by a power of two
-        u3 = b / np.sqrt(b @ b)
-        e = np.frexp(np.abs(a - (a @ u3) * u3).max())[1]
-        perp = np.ldexp(a - (a @ u3) * u3, -e)
-        twice = perp - (perp @ u3) * u3
-        first, size = np.sqrt(perp @ perp), np.sqrt(twice @ twice)
+        u3 = b / np.sqrt(dot(b, b))
+        e = np.frexp(np.abs(a - dot(a, u3) * u3).max())[1]
+        perp = np.ldexp(a - dot(a, u3) * u3, -e)
+        twice = perp - dot(perp, u3) * u3
+        first, size = np.sqrt(dot(perp, perp)), np.sqrt(dot(twice, twice))
         size = size if size > 0.5 * first else 0.0  # parallel
-        assert batch.phi[i] == np.arctan2(np.ldexp(size, e), a @ u3)
+        assert batch.phi[i] == np.arctan2(np.ldexp(size, e), dot(a, u3))
         form = canonical_form(w)
         assert (form.r, form.phi) == (batch.r[i], batch.phi[i])
         assert np.array_equal(form.basis, batch.basis[i])

@@ -10,9 +10,11 @@ product taken letter by letter, the isometry and pfaffian suites of
 `verify`, empirical_min_radius and its grid's repeated rotation and boost
 stacks, the closed-form cross product (for orbit._cross, which builds the
 adapted frames' second axis, and np.cross), and reduce_orbits' per-row
-light-cone test and critical rapidities.  Both sides run under the same
-numpy, so they must agree exactly (never allclose), including across the
-edges of the SAMPLE_BLOCK passes.
+light-cone test and witnesses.  Every matrix product of the library and of
+the references is a dot summed left to right (lbo.minkowski._matmul, and
+conftest.dot in Python floats), never a BLAS call, so both sides give the
+same bits under any numpy and any BLAS kernel.  They must agree exactly
+(never allclose), including across the edges of the SAMPLE_BLOCK passes.
 """
 import math
 
@@ -35,12 +37,14 @@ from lbo.minkowski import (
     rotation_matrix,
     word_matrix,
 )
-from lbo.minkowski import ToleranceConfig, lorentz_inverse
-from lbo.orbit import _HALF_PI, OrbitKind, _cross, base_point, canonical_form, reduce_orbits
+from lbo.minkowski import ToleranceConfig
+from lbo.orbit import (
+    _HALF_PI, OrbitKind, _adapted_frames, _cross, base_point, canonical_form, reduce_orbits,
+)
 from lbo.rslice import empirical_min_radius
 from lbo.verify import _suite_isometry, _suite_pfaffian
 from lbo.wedge import _compound, _split_norms_rows, hat_inner, in_light_cone, pfaffian, split_norms
-from conftest import random_degenerate_bivector, random_light_cone_bivector
+from conftest import dot, matmul, random_degenerate_bivector, random_light_cone_bivector
 
 _ROTATION_PLANES = {1: (0, 1), 2: (0, 2), 3: (1, 2)}
 _BOOST_PLANES = {1: (2, 3), 2: (1, 3), 3: (0, 3)}
@@ -95,7 +99,7 @@ def reference_pass(rng, count, lengths):
 def reference_word_matrix(word):
     m = np.eye(4)
     for kind in word:
-        m = m @ reference_generator(kind)
+        m = matmul(m, reference_generator(kind))
     return m
 
 
@@ -111,19 +115,18 @@ def reference_isometry(samples, seed, tol):
         q = reference_random_proper_lorentz(rng, 3)
         u = normals.standard_normal(6)
         v = normals.standard_normal(6)
-        scale = 1.0 + float(np.linalg.norm(u) * np.linalg.norm(v))
+        scale = 1.0 + np.sqrt(dot(u, u)) * np.sqrt(dot(v, v))
+        cp = _compound(p)
         worst_inner = max(
-            worst_inner,
-            abs(hat_inner(_compound(p) @ u, _compound(p) @ v) - hat_inner(u, v)) / scale,
+            worst_inner, abs(hat_inner(matmul(cp, u), matmul(cp, v)) - hat_inner(u, v)) / scale
         )
-        worst_homo = max(
-            worst_homo, float(np.max(np.abs(_compound(p) @ _compound(q) - _compound(p @ q))))
-        )
+        homo = np.abs(matmul(cp, _compound(q)) - _compound(matmul(p, q)))
+        worst_homo = max(worst_homo, float(np.max(homo)))
         a = normals.standard_normal(3)
         b = normals.standard_normal(3)
-        b *= np.linalg.norm(a) / np.linalg.norm(b)
+        b *= np.sqrt(dot(a, a)) / np.sqrt(dot(b, b))
         wl = np.array([a[2], -a[1], b[0], a[0], b[1], b[2]])
-        if not in_light_cone(_compound(p) @ wl, tol):
+        if not in_light_cone(matmul(cp, wl), tol):
             worst_cone = 1.0
     return [worst_inner, worst_homo, worst_cone]
 
@@ -134,7 +137,8 @@ def reference_pfaffian(samples, seed):
     for _ in range(samples):
         p = reference_random_proper_lorentz(rng, 4)
         u = normals.standard_normal(6)
-        worst_inv = max(worst_inv, abs(pfaffian(_compound(p) @ u) - pfaffian(u)) / (1.0 + u @ u))
+        inv = abs(pfaffian(matmul(_compound(p), u)) - pfaffian(u))
+        worst_inv = max(worst_inv, inv / (1.0 + dot(u, u)))
     for phi in np.linspace(0.0, np.pi, 41):
         worst_angle = max(worst_angle, abs(pfaffian(base_point(phi)) - 2.0 * np.cos(phi)))
     return [worst_inv, worst_angle]
@@ -150,14 +154,15 @@ def reference_empirical_min_radius(w, samples, seed, tol=DEFAULT_TOL):
     for theta in np.linspace(0.0, np.pi, n):
         rot = reference_generator(GeneratorKind(2, ROTATION, theta))
         for t in np.linspace(-2.5, 2.5, n):
-            c = _compound(rot @ reference_generator(GeneratorKind(2, BOOST, t))) @ scaled
+            surface = matmul(rot, reference_generator(GeneratorKind(2, BOOST, t)))
+            c = matmul(_compound(surface), scaled)
             best = min(best, float(np.sqrt(split_norms(c)[0])))
     for t in np.linspace(0.0, 10.0, 1001):
-        c = _compound(reference_generator(GeneratorKind(2, BOOST, t))) @ scaled
+        c = matmul(_compound(reference_generator(GeneratorKind(2, BOOST, t))), scaled)
         best = min(best, float(np.sqrt(split_norms(c)[0])))
     rng = np.random.default_rng([seed, 2])
     for _ in range(samples):
-        c = _compound(reference_random_proper_lorentz(rng, 4)) @ w
+        c = matmul(_compound(reference_random_proper_lorentz(rng, 4)), w)
         best = min(best, float(np.sqrt(split_norms(c)[0])))
     return best
 
@@ -405,7 +410,7 @@ def test_empirical_min_radius_matches_the_per_point_loops(phi, seed, pushed):
     # minimum comes from the grid, not the sweep
     w = 1.7 * base_point(phi)
     if pushed:
-        w = _compound(reference_random_proper_lorentz(np.random.default_rng(9), 3)) @ w
+        w = matmul(_compound(reference_random_proper_lorentz(np.random.default_rng(9), 3)), w)
     samples = 2 * SAMPLE_BLOCK + 44
     want = reference_empirical_min_radius(w, samples, seed)
     assert empirical_min_radius(w, samples, seed) == want
@@ -420,18 +425,19 @@ def assert_pushes_w_through_each_word(monkeypatch, seed):
         return _split_norms_rows(x)
 
     monkeypatch.setattr(lbo.rslice, "_split_norms_rows", spy)
-    w = _compound(reference_random_proper_lorentz(np.random.default_rng(9), 3)) @ base_point(1.0)
+    P = reference_random_proper_lorentz(np.random.default_rng(9), 3)
+    w = matmul(_compound(P), base_point(1.0))
     samples = 2 * SAMPLE_BLOCK + 44
     empirical_min_radius(w, samples, seed)
     # the 41 x 41 grid's and the 1001-point sweep's passes come first
     grid_and_sweep = -(-41 * 41 // SAMPLE_BLOCK) - (-1001 // SAMPLE_BLOCK)
     assert len(passes) == grid_and_sweep + 3
     rng = np.random.default_rng([seed, 2])
-    want = [_compound(reference_random_proper_lorentz(rng, 4)) @ w for _ in range(samples)]
+    want = [matmul(_compound(reference_random_proper_lorentz(rng, 4)), w) for _ in range(samples)]
     assert same_bits(np.concatenate(passes[grid_and_sweep:]), want)
     # a stream of its own: the first word is not the isometry suite's first word
     isometry = reference_random_proper_lorentz(np.random.default_rng([seed, 0]), 4)
-    assert not same_bits(passes[grid_and_sweep][0], _compound(isometry) @ w)
+    assert not same_bits(passes[grid_and_sweep][0], matmul(_compound(isometry), w))
 
 
 def test_empirical_min_radius_pushes_w_through_each_word(monkeypatch):
@@ -463,7 +469,8 @@ def test_empirical_min_radius_grid_gathers_the_repeated_stacks(monkeypatch):
         ts = np.tile(np.linspace(-2.5, 2.5, n), n)
         for k, lo in enumerate(range(0, n * n, SAMPLE_BLOCK)):
             block = slice(lo, lo + SAMPLE_BLOCK)
-            want = rotation_matrix(2, thetas[block]) @ boost_matrix(2, ts[block])
+            want = np.array([matmul(rotation_matrix(2, theta), boost_matrix(2, t))
+                             for theta, t in zip(thetas[block], ts[block])])
             assert surfaces[k].shape == want.shape and same_bits(surfaces[k], want)
 
 
@@ -482,10 +489,22 @@ def reference_cone_reason(w, spatial, temporal, tol):
     return None
 
 
-def reference_critical_rapidity(phi):
-    if phi < _HALF_PI:
-        return float(np.arctanh(np.tan(0.5 * phi)))
-    return float(np.arctanh(1.0 / np.tan(0.5 * phi)))
+def reference_witness(w):
+    """The witness of one row, in Python floats, from the r, basis, along and
+    size of its own frame: the rows of R B F^T written out, with (cos theta,
+    sin theta) = (+/-h, k) and (cosh t, sinh t) = (h, k) / sqrt(chi)."""
+    r, _, basis, along, size = (x[0] for x in _adapted_frames(w[None]))
+    r, along, size = float(r), float(along), float(size)
+    chi = abs(along) / r
+    h, k = math.sqrt((1.0 + chi) / 2.0), size / r / math.sqrt(2.0 * (1.0 + chi))
+    cos, cosh, sinh = h if along > 0 else -h, h / math.sqrt(chi), k / math.sqrt(chi)
+    u1, u2, u3 = basis[:3, 0].tolist(), basis[:3, 1].tolist(), basis[:3, 2].tolist()
+    return np.array([
+        [*(cos * x - k * z for x, z in zip(u1, u3)), 0.0],
+        [*(cosh * y for y in u2), sinh],
+        [*(k * x + cos * z for x, z in zip(u1, u3)), 0.0],
+        [*(sinh * y for y in u2), cosh],
+    ])
 
 
 _KIND_BY_SIGN = {1: OrbitKind.NEUTRAL_PLUS, -1: OrbitKind.NEUTRAL_MINUS, 0: OrbitKind.DEGENERATE}
@@ -508,12 +527,9 @@ def reference_verdicts(W, tol):
     frames = reduce_orbits(W, tol)
     witnessed = (epsilon != 0) & (frames.phi != _HALF_PI)
     witness, reduced = np.full((len(W), 4, 4), np.nan), np.full((len(W), 6), np.nan)
-    p = frames.phi[witnessed]
-    theta = np.where(p < _HALF_PI, 0.5 * p, 0.5 * p + _HALF_PI)
-    t = [reference_critical_rapidity(x) for x in p.tolist()]
-    rotation_boost = rotation_matrix(2, theta) @ boost_matrix(2, t)
-    witness[witnessed] = rotation_boost @ lorentz_inverse(frames.basis[witnessed])
-    reduced[witnessed] = (_compound(witness[witnessed]) @ W[witnessed][:, :, None])[:, :, 0]
+    for i in np.flatnonzero(witnessed):
+        witness[i] = reference_witness(W[i])
+        reduced[i] = matmul(_compound(witness[i]), W[i])
     return reason, on, kind, epsilon, witness, reduced
 
 

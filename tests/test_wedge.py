@@ -293,13 +293,13 @@ def test_hat_metric_in_null_coordinates():
 
 
 # Bit-identity of the stacked kernels.  Pitfalls met while writing them:
-# - a gathered compound that is not C-contiguous sends the stacked matmul with
-#   it off BLAS, and the residual bits change;
-# - batched norms must use a stacked-matmul dot,
-#   np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0]); np.einsum and
-#   (d * d).sum(1) differ from the 1-D np.linalg.norm in the last bits for
-#   about 15-23% of single norms, so for most 12-matrix records;
-# - np.vecdot matches too, but needs numpy >= 2 and numpy >= 1.24 is supported.
+# - numpy hands a matmul, a 1-D dot and np.linalg.norm to BLAS, whose kernel
+#   the CPU selects (OPENBLAS_CORETYPE=Haswell moved 12 pins of an earlier
+#   version of the code), so every product is minkowski._matmul's
+#   left-to-right sum;
+# - np.einsum and (d * d).sum(1) round differently from a sum in a written
+#   order: they differed from the 1-D np.linalg.norm in the last bits for
+#   about 15-23% of single norms.
 
 
 def _compound_loop(P):
@@ -323,7 +323,6 @@ def test_gathered_compound_matches_loop_single(rng):
     for P in _lorentz_stack(rng):
         m = _compound(P)
         assert m.shape == (6, 6)
-        assert m.flags.c_contiguous
         assert np.array_equal(m, _compound_loop(P))
     P = random_proper_lorentz(rng, 3).T  # a non-contiguous view
     assert np.array_equal(_compound(P), _compound_loop(P))
@@ -333,7 +332,6 @@ def test_gathered_compound_matches_loop_stacked(rng):
     stack = _lorentz_stack(rng)
     m = _compound(stack)
     assert m.shape == (len(stack), 6, 6)
-    assert m.flags.c_contiguous
     for k, P in enumerate(stack):
         assert np.array_equal(m[k], _compound_loop(P))
     nested = _compound(stack.reshape(-1, 1, 4, 4))
